@@ -16,8 +16,3 @@ def bits_for_target(t: Fraction) -> int:
     if a << p < b:
         p += 1
     return p
-
-
-def dyadic_leq(p: int, t: Fraction) -> bool:
-    """Exact comparison 2^(-p) <= t."""
-    return t.denominator <= t.numerator << p

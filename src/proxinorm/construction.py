@@ -161,6 +161,7 @@ class ConstructionTable:
         self._occurrences: Dict[SparseVec, List[int]] = {}
         self._stream = _vector_stream()
         self._tail_memo: Dict[int, Fraction] = {}
+        self._weight_tail_memo: Dict[tuple, Tuple[Fraction, Fraction]] = {}
 
     @property
     def depth_budget(self) -> int:
@@ -182,8 +183,10 @@ class ConstructionTable:
             else:
                 tag = max(prev + 1, u.max_support() + 1, math.ceil(l1_norm(u)))
             # Growth rules; guaranteed by the rule above, kept as cheap checks.
-            assert tag > prev
-            assert u.is_zero() or (tag > u.max_support() and tag >= l1_norm(u))
+            if tag <= prev or not (
+                u.is_zero() or (tag > u.max_support() and tag >= l1_norm(u))
+            ):
+                raise RuntimeError(f"tag {tag} for {u!r} breaks the growth rules")
             self._vectors.append(u)
             self._tags.append(tag)
             self._occurrences.setdefault(u, []).append(len(self._vectors))
@@ -249,7 +252,21 @@ class ConstructionTable:
         is rounded down and the upper bound rounded up to multiples of
         2^(-grain_bits), which keeps denominators small without weakening
         either certificate.
+
+        The bounds depend only on the table prefix, so each table memoizes
+        them per ``(k, head_terms, grain_bits)``; a repeat call returns the
+        same tuple.  Every step of a descent asks for the same few keys.
         """
+        key = (k, head_terms, grain_bits)
+        cached = self._weight_tail_memo.get(key)
+        if cached is None:
+            cached = self._weight_tail_bound(k, head_terms, grain_bits)
+            self._weight_tail_memo[key] = cached
+        return cached
+
+    def _weight_tail_bound(
+        self, k: int, head_terms: int, grain_bits: int | None
+    ) -> Tuple[Fraction, Fraction]:
         J = min(k + head_terms, self.params.depth_budget)
         if J <= k:
             raise DepthBudgetError(f"no room past index {k} within budget")

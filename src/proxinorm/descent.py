@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -182,12 +183,13 @@ def primitive(v: SparseVec) -> SparseVec:
 # -- probe construction -----------------------------------------------------
 
 
-def _fan_targets(n_probes: int) -> List[Tuple[Fraction, Fraction]]:
+@lru_cache
+def _fan_targets(n_probes: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """Rational approximations of (sin, cos) at the midpoint fan angles.
 
     Uses the interval sine/cosine from the trig module at 64 bits and
     takes midpoints; exactness is not needed here because probes are
-    rounded much more coarsely anyway.
+    rounded much more coarsely anyway.  Cached: it depends on n alone.
     """
     from .trig import fan_angles, cos_enclosure, sin_enclosure
 
@@ -196,7 +198,7 @@ def _fan_targets(n_probes: int) -> List[Tuple[Fraction, Fraction]]:
         s = sin_enclosure(zeta, 64)
         c = cos_enclosure(zeta, 64)
         out.append(((s.lo + s.hi) / 2, (c.lo + c.hi) / 2))
-    return out
+    return tuple(out)
 
 
 def _round_vector(values: Dict[int, Fraction], max_denominator: int) -> SparseVec:
@@ -305,6 +307,12 @@ def find_descent_direction(
     positive margin is then certified by derivative enclosures refined
     below it.  Returns None when the budgeted search finds no positive
     margin -- never a disproof of existence.
+
+    Each distinct primitive direction is scored once per call: supports
+    often share a direction (unit vectors, when the functionals vanish on
+    the usable indices), and a repeat has the same margin, so under the
+    strict ``>`` the first occurrence wins either way.  ``max_candidates``
+    counts supports, not distinct directions.
     """
     if all(p == 0 for p in subspace.pairings(x)):
         raise PreconditionError("x lies in the subspace; the coset is trivial")
@@ -315,9 +323,13 @@ def find_descent_direction(
         return None
 
     best: Optional[Tuple[Fraction, SparseVec]] = None
+    scored = set()
     for support in _candidate_supports(report.usable, size, params.max_candidates):
         for b in kernel_directions(subspace.functionals, support):
             v = primitive(b)
+            if v in scored:
+                continue
+            scored.add(v)
             margin = coherence_margin(report, v)
             if margin > 0 and (best is None or margin > best[0]):
                 best = (margin, v)
@@ -333,7 +345,8 @@ def find_descent_direction(
     for i, vi in v.items():
         p = pair(x, report.probes[report.block[i]])
         room = min(abs(p), s) - abs(x[i])
-        assert room > 0
+        if room <= 0:
+            raise RuntimeError(f"usable index {i} has no room below its thresholds")
         bound = room / (2 * abs(vi))
         cap = bound if cap is None or bound < cap else cap
 
@@ -377,7 +390,8 @@ def certify_descent(
     s = evidence.shared_sign
     # Certified lower bound on the decrease rate in the descending sense.
     rate = evidence.d_minus.lo if s > 0 else -evidence.d_plus.hi
-    assert rate > 0
+    if rate <= 0:
+        raise RuntimeError("sign evidence gives no positive decrease rate")
     before_scale = norm_enclosure_for_width(table, x, Fraction(1, 256))
     start = before_scale.lo / (16 * max(Fraction(1), sup_norm(v)))
     if evidence.step_cap is not None:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from proxinorm.vectors import format_rational, parse_rational
+
 CLI = [sys.executable, "-m", "proxinorm.cli"]
 
 
@@ -35,6 +37,24 @@ def test_norm_deterministic_output(tmp_path):
     b = run_cli("norm", "--vec", vec)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout  # byte-identical
+
+
+def test_norm_deeper_than_int_str_limit(tmp_path):
+    vec = write_json(tmp_path / "x.json", {"1": "2/3", "4": "-1/5"})
+    out = run_cli("norm", "--vec", vec, "--bits", "20000")
+    assert out.returncode == 0, out.stderr
+    data = json.loads(out.stdout)
+    assert len(data["hi"]) > 4300  # past the default int/str digit limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        lo, hi = parse_rational(data["lo"]), parse_rational(data["hi"])
+        assert 0 < lo <= hi
+        assert (format_rational(lo), format_rational(hi)) == (data["lo"], data["hi"])
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_construct_dump(tmp_path):

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from proxinorm.approxlin import build_report
 from proxinorm.construction import (
+    EXACT_HEAD_TERMS,
     ConstructionTable,
     TableParams,
+    canonical_table,
     dyadic_lt,
     growth_tail_majorant,
     iter_level,
@@ -12,6 +15,7 @@ from proxinorm.construction import (
     square_tail_majorant,
     vector_height,
 )
+from proxinorm.descent import SearchParams, Subspace, build_probes
 from proxinorm.errors import DepthBudgetError
 from proxinorm.vectors import SparseVec, l1_norm
 
@@ -143,3 +147,27 @@ def test_weight_tail_bounds_bracket_exact_sum(table):
         assert lo <= exact_head <= hi
         glo, ghi = table.weight_tail_bound(k, grain_bits=table.tag(k) ** 2 + 100)
         assert glo <= lo and ghi >= hi
+
+
+def test_weight_tail_bound_memo_matches_fresh_table(monkeypatch, criterion6_starts):
+    H = Subspace([SparseVec.unit(1), SparseVec.unit(2)])
+    params = SearchParams()
+    warmed = canonical_table()
+    memoized = ConstructionTable.weight_tail_bound
+    keys = []
+
+    def recording(self, k, head_terms=EXACT_HEAD_TERMS, grain_bits=None):
+        keys.append((k, head_terms, grain_bits))
+        return memoized(self, k, head_terms, grain_bits)
+
+    with monkeypatch.context() as m:
+        m.setattr(ConstructionTable, "weight_tail_bound", recording)
+        for x0 in criterion6_starts:
+            probes = build_probes(warmed, H, x0, params)
+            build_report(warmed, x0, probes, params.report_depth)
+    assert len(set(keys)) < len(keys)  # reports repeat keys across starts
+    fresh = canonical_table()
+    for key in sorted(set(keys)):
+        bounds = warmed.weight_tail_bound(*key)
+        assert bounds == fresh.weight_tail_bound(*key)
+        assert warmed.weight_tail_bound(*key) is bounds

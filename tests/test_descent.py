@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from proxinorm import descent
+from proxinorm.approxlin import coherence_margin
 from proxinorm.descent import (
     DescentCertificate,
     DescentChain,
     SearchParams,
     Subspace,
+    _candidate_supports,
     build_probes,
     certify_descent,
     find_descent_direction,
@@ -16,6 +19,7 @@ from proxinorm.descent import (
     verify_chain,
 )
 from proxinorm.errors import PreconditionError
+from proxinorm.linalg import kernel_directions
 from proxinorm.vectors import SparseVec, pair
 
 
@@ -69,6 +73,42 @@ def test_find_direction_codim2(table):
     assert evidence.d_plus.sign_status in ("positive", "negative")
     assert evidence.d_plus.sign_status == evidence.d_minus.sign_status
     assert set(v.support()) <= set(report.usable)
+
+
+def _candidates(report, subspace, params):
+    size = subspace.codimension + 1
+    for support in _candidate_supports(report.usable, size, params.max_candidates):
+        for b in kernel_directions(subspace.functionals, support):
+            yield primitive(b)
+
+
+def _reference_best(report, subspace, params):
+    """Brute-force search: score every candidate, repeats included."""
+    best = None
+    for v in _candidates(report, subspace, params):
+        margin = coherence_margin(report, v)
+        if margin > 0 and (best is None or margin > best[0]):
+            best = (margin, v)
+    return best
+
+
+def test_find_direction_scores_each_direction_once(table, criterion6_starts, monkeypatch):
+    H = codim2_subspace()
+    params = SearchParams()
+    scored = []
+
+    def counting(report, v):
+        scored.append(v)
+        return coherence_margin(report, v)
+
+    monkeypatch.setattr(descent, "coherence_margin", counting)
+    for x0 in criterion6_starts[:3]:
+        scored.clear()
+        v, evidence, report = find_descent_direction(table, H, x0, params)
+        candidates = list(_candidates(report, H, params))
+        assert len(set(candidates)) < len(candidates)
+        assert len(scored) == len(set(scored)) and set(scored) == set(candidates)
+        assert (evidence.margin, v) == _reference_best(report, H, params)
 
 
 def test_find_direction_rejects_point_inside_subspace(table):
