@@ -81,9 +81,6 @@ class LinearityReport:
     def gamma_vec(self) -> SparseVec:
         return SparseVec(self.gamma)
 
-    def probe_sign(self, j: int) -> int:
-        return sgn(pair(self.x, self.probes[j]))
-
     def to_json(self) -> Dict[str, object]:
         return {
             "x": self.x.to_json(),

@@ -193,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # Enclosures past ~14k bits have numerators over the default 4300-digit
-    # int/str conversion limit; rationals travel as decimal strings.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)

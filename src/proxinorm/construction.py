@@ -26,6 +26,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterator, List, Tuple
 
+from .bits import round_dyadic
 from .errors import DepthBudgetError
 from .vectors import SparseVec, l1_norm
 
@@ -87,12 +88,6 @@ def _vector_stream() -> Iterator[SparseVec]:
         level += 1
 
 
-def _round_up_dyadic(value: Fraction, grain_bits: int) -> Fraction:
-    """Smallest multiple of 2^(-grain_bits) that is >= value."""
-    num = -((-value.numerator << grain_bits) // value.denominator)
-    return Fraction(num, 1 << grain_bits)
-
-
 def growth_tail_majorant(m: int) -> Fraction:
     """Upper bound for sum over n >= m of (1+n) * 2^(-n^2), m >= 1.
 
@@ -111,7 +106,7 @@ def growth_tail_majorant(m: int) -> Fraction:
     for n in range(m, M):
         num += (1 + n) << (E - n * n)
     num += 2 * (1 + M)
-    return _round_up_dyadic(Fraction(num, 1 << E), (m + 2) * (m + 2) + 2)
+    return round_dyadic(Fraction(num, 1 << E), (m + 2) * (m + 2) + 2, up=True)
 
 
 def square_tail_majorant(m: int) -> Fraction:
@@ -128,7 +123,7 @@ def square_tail_majorant(m: int) -> Fraction:
     for n in range(m, M):
         num += 1 << (E - n * n)
     num += 2
-    return _round_up_dyadic(Fraction(num, 1 << E), (m + 2) * (m + 2) + 2)
+    return round_dyadic(Fraction(num, 1 << E), (m + 2) * (m + 2) + 2, up=True)
 
 
 @dataclass(frozen=True)
@@ -285,8 +280,7 @@ class ConstructionTable:
         else:
             lo_num = hi_num = num << (grain_bits - E)
         upper = Fraction(hi_num, 1 << grain_bits) + majorant
-        up_num = -((-upper.numerator << grain_bits) // upper.denominator)
-        return Fraction(lo_num, 1 << grain_bits), Fraction(up_num, 1 << grain_bits)
+        return Fraction(lo_num, 1 << grain_bits), round_dyadic(upper, grain_bits, up=True)
 
     def growth_prefix_dyadic(self, k_max: int) -> Tuple[int, int]:
         """(num, exp) with sum over k <= k_max of (1+a_k)*2^(-a_k^2) = num/2^exp.
@@ -301,11 +295,6 @@ class ConstructionTable:
             num = (num << (e - exp)) + (1 + self._tags[k - 1])
             exp = e
         return num, exp
-
-
-def dyadic_lt(num: int, exp: int, bound: Fraction) -> bool:
-    """Exact comparison num / 2^exp < bound."""
-    return num * bound.denominator < bound.numerator << exp
 
 
 def canonical_table(depth_budget: int = DEFAULT_DEPTH_BUDGET) -> ConstructionTable:

@@ -17,9 +17,10 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .approxlin import LinearityReport
+from .bits import round_dyadic
 from .errors import PrecisionBudgetError, PreconditionError
 from .trig import RatInterval, base_angles, cos_enclosure, fan_angles, sin_enclosure
-from .vectors import SparseVec, pair, sgn
+from .vectors import SparseVec, format_rational, pair, sgn
 
 DEFAULT_ANGLE_BITS = 44
 SIGN_TABLE_BITS_CAP = 4096
@@ -221,7 +222,7 @@ def demo_probes(
     deterministic low-height pool tops up whatever is missing (collisions
     and zero pairings push towards the pool).
     """
-    from .descent import probe_pool
+    from .descent import _fan_probes
 
     def admissible(z: SparseVec, chosen: List[SparseVec]) -> bool:
         return (
@@ -232,27 +233,11 @@ def demo_probes(
         )
 
     n_probes = len(fan)
-    chosen: List[SparseVec] = []
-    for bits in range(max_denominator_bits, -1, -1):
-        attempt: List[SparseVec] = []
-        for f in fan:
-            entries = {
-                i: f.coefficient_interval(i).midpoint().limit_denominator(1 << bits)
-                for i in f.support()
-            }
-            z = SparseVec(entries)
-            if admissible(z, attempt):
-                attempt.append(z)
-        if len(attempt) == n_probes:
-            return attempt
-        if len(attempt) > len(chosen):
-            chosen = attempt
+    targets = [
+        {i: f.coefficient_interval(i).midpoint() for i in f.support()} for f in fan
+    ]
     support = fan[0].support() if fan else (1, 2)
-    for z in probe_pool(support):
-        if len(chosen) >= n_probes:
-            break
-        if admissible(z, chosen):
-            chosen.append(z)
+    chosen = _fan_probes(targets, max_denominator_bits, admissible, n_probes, support)
     if len(chosen) < n_probes:
         raise PreconditionError(
             f"could not assemble {n_probes} demo probes within depth {depth}"
@@ -263,22 +248,14 @@ def demo_probes(
 _DISPLAY_GRAIN_BITS = 48
 
 
-def _round_down(value: Fraction, bits: int = _DISPLAY_GRAIN_BITS) -> Fraction:
-    return Fraction((value.numerator << bits) // value.denominator, 1 << bits)
-
-
-def _round_up(value: Fraction, bits: int = _DISPLAY_GRAIN_BITS) -> Fraction:
-    return Fraction(-((-value.numerator << bits) // value.denominator), 1 << bits)
+def _display(value: Fraction, up: bool = False) -> str:
+    """The value rounded down (or up) to the display grain, as a string."""
+    return format_rational(round_dyadic(value, _DISPLAY_GRAIN_BITS, up))
 
 
 def _interval_json(iv: RatInterval) -> Dict[str, str]:
     """Outward-rounded display form; still a valid enclosure."""
-    from .vectors import format_rational
-
-    return {
-        "lo": format_rational(_round_down(iv.lo)),
-        "hi": format_rational(_round_up(iv.hi)),
-    }
+    return {"lo": _display(iv.lo), "hi": _display(iv.hi, up=True)}
 
 
 def _abs_upper(iv: RatInterval) -> Fraction:
@@ -301,7 +278,6 @@ def run_demo(table, n: int, bits: int = DEFAULT_ANGLE_BITS, report_depth: int = 
     probe block, no tolerance involved).
     """
     from .approxlin import build_report
-    from .vectors import format_rational
 
     phi1, phi2 = SparseVec.unit(1), SparseVec.unit(2)
     betas = angle_ladder(n, bits)
@@ -368,8 +344,8 @@ def run_demo(table, n: int, bits: int = DEFAULT_ANGLE_BITS, report_depth: int = 
         "z_sign_table": z_table,
         "z_matches_prediction": z_table == [list(r) for r in predicted.rows],
         "rounding": {
-            "l1_distances": [format_rational(_round_up(d)) for d in distances],
-            "half_min_pairing": format_rational(_round_down(threshold)),
+            "l1_distances": [_display(d, up=True) for d in distances],
+            "half_min_pairing": _display(threshold),
             "sign_transfer_guaranteed": sign_guarantee,
         },
         "theta": theta_section,

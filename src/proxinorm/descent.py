@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .approxlin import LinearityReport, build_report, coherence_margin
+from .bits import floor_pow2
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError, SearchBudgetError
 from .gateaux import DerivativeEnclosure, dplus_norm_for_width
@@ -166,14 +167,8 @@ def primitive(v: SparseVec) -> SparseVec:
     """Scale to coprime integer entries with positive leading entry."""
     if v.is_zero():
         return v
-    lcm = 1
-    for _, val in v.items():
-        lcm = lcm * val.denominator // gcd(lcm, val.denominator)
-    ints = [val * lcm for _, val in v.items()]
-    g = 0
-    for w in ints:
-        g = gcd(g, abs(w.numerator))
-    scale = Fraction(lcm, g)
+    den = lcm(*(val.denominator for _, val in v.items()))
+    scale = Fraction(den, gcd(*((val * den).numerator for _, val in v.items())))
     first = next(iter(v.items()))[1]
     if first < 0:
         scale = -scale
@@ -201,12 +196,6 @@ def _fan_targets(n_probes: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     return tuple(out)
 
 
-def _round_vector(values: Dict[int, Fraction], max_denominator: int) -> SparseVec:
-    return SparseVec(
-        {i: val.limit_denominator(max_denominator) for i, val in values.items()}
-    )
-
-
 def probe_pool(support: Sequence[int]) -> Iterator[SparseVec]:
     """Deterministic stream of low-height candidate probes."""
     grid = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-2)]
@@ -217,6 +206,34 @@ def probe_pool(support: Sequence[int]) -> Iterator[SparseVec]:
         for gi in grid:
             for gj in grid:
                 yield SparseVec({i: gi, j: gj})
+
+
+def _fan_probes(
+    targets: Sequence[Dict[int, Fraction]], max_denominator_bits: int,
+    admissible: Callable[[SparseVec, List[SparseVec]], bool], count: int,
+    pool_support: Sequence[int],
+) -> List[SparseVec]:
+    """Up to ``count`` admissible probes: the targets rounded with denominators
+    up to 2^b, b = ``max_denominator_bits`` .. 0, until all of them pass; the
+    best partial fan is topped up from :func:`probe_pool` over ``pool_support``.
+    """
+    chosen: List[SparseVec] = []
+    for bits in range(max_denominator_bits, -1, -1):
+        attempt: List[SparseVec] = []
+        for values in targets:
+            z = SparseVec({i: v.limit_denominator(1 << bits) for i, v in values.items()})
+            if admissible(z, attempt):
+                attempt.append(z)
+        if len(attempt) > len(chosen):
+            chosen = attempt
+        if len(attempt) == len(targets):
+            break
+    for z in probe_pool(pool_support):
+        if len(chosen) >= count:
+            break
+        if admissible(z, chosen):
+            chosen.append(z)
+    return chosen
 
 
 def build_probes(
@@ -249,28 +266,16 @@ def build_probes(
             for k in table.occurrence_positions(z, depth)
         )
 
-    chosen: List[SparseVec] = []
+    targets = []
     if subspace.codimension >= 2:
         phi1, phi2 = subspace.functionals[0], subspace.functionals[1]
-        targets = _fan_targets(n)
-        for bits in range(params.rounding_denominator_bits, -1, -1):
-            attempt: List[SparseVec] = []
-            for s_mid, c_mid in targets:
-                values: Dict[int, Fraction] = {}
-                for i in sorted(set(phi1.support()) | set(phi2.support())):
-                    values[i] = s_mid * phi1[i] - c_mid * phi2[i]
-                z = _round_vector(values, 1 << bits)
-                if admissible(z, attempt):
-                    attempt.append(z)
-            if len(attempt) > len(chosen):
-                chosen = attempt  # keep the best partial fan; pool tops up
-            if len(attempt) == n:
-                break
-    for z in probe_pool([i for phi in subspace.functionals for i in phi.support()]):
-        if len(chosen) >= n:
-            break
-        if admissible(z, chosen):
-            chosen.append(z)
+        support = sorted(set(phi1.support()) | set(phi2.support()))
+        targets = [
+            {i: s_mid * phi1[i] - c_mid * phi2[i] for i in support}
+            for s_mid, c_mid in _fan_targets(n)
+        ]
+    pool_support = [i for phi in subspace.functionals for i in phi.support()]
+    chosen = _fan_probes(targets, params.rounding_denominator_bits, admissible, n, pool_support)
     if len(chosen) < n:
         raise SearchBudgetError(
             f"could not assemble {n} admissible probes within depth {depth}"
@@ -358,17 +363,6 @@ def find_descent_direction(
     return v, SignEvidence(d_plus, d_minus, margin, cap), report
 
 
-def _floor_pow2(f: Fraction) -> Fraction:
-    """Largest power of two <= f, for f > 0."""
-    if f <= 0:
-        raise ValueError("need a positive value")
-    e = f.numerator.bit_length() - f.denominator.bit_length()
-    p = Fraction(2) ** e
-    if p > f:
-        p /= 2
-    return p
-
-
 def certify_descent(
     table: ConstructionTable,
     subspace: Subspace,
@@ -396,7 +390,7 @@ def certify_descent(
     start = before_scale.lo / (16 * max(Fraction(1), sup_norm(v)))
     if evidence.step_cap is not None:
         start = min(start, evidence.step_cap)
-    t = _floor_pow2(start)
+    t = floor_pow2(start)
     for _ in range(params.max_line_search):
         h = -s * t
         y = x + v.scale(h)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict
 
-from .bits import bits_for_target
+from .bits import bits_for_target, dyadic_sum
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError
 from .norms import PRECISION_CAP, _minimal_depth
@@ -128,27 +127,14 @@ def derivative_series_sum(
     Term k is 2^(-a_k^2) * s_k * |<u, w_k>| with w_k = u_k - e_{a_k} and
     s_k the sign of <u, w_k> * <x, w_k> (sign of 0 counts +1).
     """
-    terms = []  # (signed numerator, denominator, tag^2)
-    lcm_q = 1
+    terms = []
     for k in range(1, depth + 1):
         uk, a = table.entry(k)
         pu = pair(u, uk) - u[a]
-        if pu == 0:
-            continue
-        px = pair(x, uk) - x[a]
-        signed = abs(pu.numerator) * sgn(pu * px)
-        terms.append((signed, pu.denominator, a * a))
-        lcm_q = lcm_q * pu.denominator // gcd(lcm_q, pu.denominator)
-    if not terms:
-        return Fraction(0)
-    E = max(e for _, _, e in terms)
-    num = 0
-    for pn, q, e in terms:
-        num += pn * (lcm_q // q) << (E - e)
-    if num == 0:
-        return Fraction(0)
-    shift = min((num & -num).bit_length() - 1, E)
-    return Fraction(num >> shift, lcm_q << (E - shift))
+        if pu != 0:
+            px = pair(x, uk) - x[a]
+            terms.append((abs(pu.numerator) * sgn(pu * px), pu.denominator, a * a))
+    return dyadic_sum(terms)
 
 
 def dplus_enclosure_at_depth(

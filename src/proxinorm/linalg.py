@@ -135,7 +135,9 @@ def feasible(
 
     # Solve equalities by Gaussian elimination; record substitutions.
     substitutions: List[Tuple[int, Dict[int, Fraction], Fraction]] = []
-    for lhs, rhs in eqs:
+
+    def substitute(lhs, rhs):
+        """The row with every solved variable replaced, zero terms dropped."""
         lhs = dict(lhs)
         for var, expr, const in substitutions:
             c = lhs.pop(var, None)
@@ -143,7 +145,10 @@ def feasible(
                 for j, w in expr.items():
                     lhs[j] = lhs.get(j, Fraction(0)) + c * w
                 rhs = rhs - c * const
-        lhs = {i: v for i, v in lhs.items() if v != 0}
+        return {i: v for i, v in lhs.items() if v != 0}, rhs
+
+    for lhs, rhs in eqs:
+        lhs, rhs = substitute(lhs, rhs)
         if not lhs:
             if rhs != 0:
                 return False, None
@@ -162,16 +167,7 @@ def feasible(
         substitutions.append((var, expr, const))
 
     solved = {var for var, _, _ in substitutions}
-    applied: List[Tuple[Dict[int, Fraction], Fraction]] = []
-    for lhs, rhs in ineqs:
-        lhs = dict(lhs)
-        for var, expr, const in substitutions:
-            c = lhs.pop(var, None)
-            if c:
-                for j, w in expr.items():
-                    lhs[j] = lhs.get(j, Fraction(0)) + c * w
-                rhs = rhs - c * const
-        applied.append(({i: v for i, v in lhs.items() if v != 0}, rhs))
+    applied = [substitute(lhs, rhs) for lhs, rhs in ineqs]
 
     free_vars = [v for v in variables if v not in solved]
 
@@ -250,8 +246,8 @@ def feasible(
     assignment = SparseVec({v: witness[v] for v in variables if witness[v] != 0})
     for row in system.rows:
         lhs_val = pair(row.coeffs, assignment)
-        if row.relation == "=":
-            assert lhs_val == row.rhs, "witness violates an equality"
-        else:
-            assert lhs_val <= row.rhs, "witness violates an inequality"
+        if row.relation == "=" and lhs_val != row.rhs:
+            raise RuntimeError("witness violates an equality")
+        if row.relation == "<=" and lhs_val > row.rhs:
+            raise RuntimeError("witness violates an inequality")
     return True, witness

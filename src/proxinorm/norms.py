@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, Optional, Tuple
 
-from .bits import bits_for_target
+from .bits import bits_for_target, dyadic_sum
 from .construction import ConstructionTable
 from .errors import DepthBudgetError, InputFormatError, PreconditionError
 from .vectors import SparseVec, format_rational, pair, parse_rational, sup_norm
@@ -40,9 +39,6 @@ class Enclosure:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
     def intersects(self, other: "Enclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -66,29 +62,14 @@ class Enclosure:
 
 
 def series_partial_sum(table: ConstructionTable, x: SparseVec, depth: int) -> Fraction:
-    """Exact sum over k <= depth of 2^(-a_k^2) * |<x, u_k - e_{a_k}>|.
-
-    Accumulated over a common denominator in integer arithmetic so the
-    Fraction normalization happens once.
-    """
-    terms = []  # (|numerator|, odd denominator part, tag^2)
-    lcm_q = 1
+    """Exact sum over k <= depth of 2^(-a_k^2) * |<x, u_k - e_{a_k}>|."""
+    terms = []
     for k in range(1, depth + 1):
         u, a = table.entry(k)
         p = pair(x, u) - x[a]
-        if p == 0:
-            continue
-        q = p.denominator
-        terms.append((abs(p.numerator), q, a * a))
-        lcm_q = lcm_q * q // gcd(lcm_q, q)
-    if not terms:
-        return Fraction(0)
-    E = max(e for _, _, e in terms)
-    num = 0
-    for pn, q, e in terms:
-        num += pn * (lcm_q // q) << (E - e)
-    shift = min((num & -num).bit_length() - 1, E)
-    return Fraction(num >> shift, lcm_q << (E - shift))
+        if p != 0:
+            terms.append((abs(p.numerator), p.denominator, a * a))
+    return dyadic_sum(terms)
 
 
 def enclosure_at_depth(table: ConstructionTable, x: SparseVec, depth: int) -> Enclosure:

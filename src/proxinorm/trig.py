@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
+from .bits import round_dyadic
 from .errors import PrecisionBudgetError
 
 DEFAULT_TRIG_BITS = 64
@@ -104,67 +105,47 @@ def pi_interval(bits: int = DEFAULT_TRIG_BITS) -> RatInterval:
         a = _atan_interval(5, bits + 6)
         b = _atan_interval(239, bits + 6)
         cached = a.scale(16) - b.scale(4)
-        assert cached.width() < Fraction(1, 1 << bits)
+        if not cached.width() < Fraction(1, 1 << bits):
+            raise RuntimeError(f"pi enclosure is not narrower than 2^-{bits}")
         _PI_MEMO[bits] = cached
     return cached
 
 
-def _dyadic_round(value: Fraction, bits: int) -> Fraction:
-    num = (value.numerator << bits) // value.denominator
-    return Fraction(num, 1 << bits)
+def _taylor_enclosure(theta: RatInterval, bits: int, start: int) -> RatInterval:
+    """Enclosure of sin (start 1) or cos (start 0) over theta, |theta| <= 4.
 
-
-def _sin_taylor(c: Fraction, bits: int) -> Tuple[Fraction, Fraction]:
-    """(partial sum, remainder bound) for sin at a rational |c| <= 4."""
-    threshold = Fraction(1, 1 << bits)
+    Taylor terms (-1)^m c^(2m+start) / (2m+start)! at a dyadic center c,
+    summed until one drops below 2^-(bits+4) and bounds the Lagrange
+    remainder; 1-Lipschitz widening covers the rest of the interval.
+    """
+    c = round_dyadic(theta.midpoint(), bits + 8)
+    if abs(c) > 4:
+        raise ValueError("angle out of the supported range")
+    threshold = Fraction(1, 1 << (bits + 4))
     total = Fraction(0)
-    power = c  # c^(2m+1)
-    fact = 1  # (2m+1)!
+    power = c**start  # c^(2m+start)
+    fact = 1  # (2m+start)!
     m = 0
     while True:
-        bound = abs(power) / fact
-        if bound < threshold:
-            return total, bound
+        r = abs(power) / fact
+        if r < threshold:
+            break
         total += power / fact if m % 2 == 0 else -power / fact
         power *= c * c
-        fact *= (2 * m + 2) * (2 * m + 3)
+        fact *= (2 * m + start + 1) * (2 * m + start + 2)
         m += 1
-
-
-def _cos_taylor(c: Fraction, bits: int) -> Tuple[Fraction, Fraction]:
-    threshold = Fraction(1, 1 << bits)
-    total = Fraction(0)
-    power = Fraction(1)  # c^(2m)
-    fact = 1  # (2m)!
-    m = 0
-    while True:
-        bound = abs(power) / fact
-        if bound < threshold:
-            return total, bound
-        total += power / fact if m % 2 == 0 else -power / fact
-        power *= c * c
-        fact *= (2 * m + 1) * (2 * m + 2)
-        m += 1
+    dev = max(c - theta.lo, theta.hi - c)
+    return RatInterval(total - r - dev, total + r + dev)
 
 
 def sin_enclosure(theta: RatInterval, bits: int = DEFAULT_TRIG_BITS) -> RatInterval:
     """Certified enclosure of sin over the angle interval (|angle| <= 4)."""
-    c = _dyadic_round(theta.midpoint(), bits + 8)
-    if abs(c) > 4:
-        raise ValueError("angle out of the supported range")
-    s, r = _sin_taylor(c, bits + 4)
-    dev = max(c - theta.lo, theta.hi - c)  # |sin| is 1-Lipschitz
-    return RatInterval(s - r - dev, s + r + dev)
+    return _taylor_enclosure(theta, bits, 1)
 
 
 def cos_enclosure(theta: RatInterval, bits: int = DEFAULT_TRIG_BITS) -> RatInterval:
     """Certified enclosure of cos over the angle interval (|angle| <= 4)."""
-    c = _dyadic_round(theta.midpoint(), bits + 8)
-    if abs(c) > 4:
-        raise ValueError("angle out of the supported range")
-    s, r = _cos_taylor(c, bits + 4)
-    dev = max(c - theta.lo, theta.hi - c)
-    return RatInterval(s - r - dev, s + r + dev)
+    return _taylor_enclosure(theta, bits, 0)
 
 
 def base_angles(n: int, bits: int = DEFAULT_TRIG_BITS) -> List[RatInterval]:

@@ -9,6 +9,8 @@ rounding exists anywhere in this module.
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
@@ -27,19 +29,35 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not a rational value: {value!r}")
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (arbitrary-precision integers)."""
+    """Parse ``"p/q"`` or ``"p"`` (arbitrary-precision integers).
+
+    Past the int/str digit limit (4300 by default) the integers go through
+    ``decimal``, which converts exactly and has no such limit.
+    """
     try:
-        return Fraction(text.strip())
+        try:
+            return Fraction(text.strip())
+        except ValueError:
+            match = _RATIONAL.fullmatch(text)
+            if match is None:
+                raise
+            num, den = match.groups()
+            return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad rational literal {text!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
     """Inverse of :func:`parse_rational`; integers drop the ``/1``."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        num, den = str(value.numerator), str(value.denominator)
+    except ValueError:  # past the int/str digit limit; str(Decimal(n)) == str(n)
+        num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
 class SparseVec:

@@ -12,8 +12,8 @@ import time
 from fractions import Fraction
 
 from proxinorm.approxlin import build_report, coherence_margin, sign_coherence, verify_linearity_bound
-from proxinorm.bits import bits_for_target
-from proxinorm.construction import ConstructionTable, TableParams, dyadic_lt
+from proxinorm.bits import bits_for_target, dyadic_lt
+from proxinorm.construction import ConstructionTable, TableParams
 from proxinorm.demo import SignMatrix, build_fan, demo_points, demo_probes, independence_check, sign_table, theta_blocks
 from proxinorm.descent import DescentChain, Subspace, minimizing_sequence, verify_chain
 from proxinorm.gateaux import dminus_norm, dplus_norm

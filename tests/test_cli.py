@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -8,8 +10,6 @@ CLI = [sys.executable, "-m", "proxinorm.cli"]
 
 
 def run_cli(*args, env_extra=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -45,16 +45,30 @@ def test_norm_deeper_than_int_str_limit(tmp_path):
     assert out.returncode == 0, out.stderr
     data = json.loads(out.stdout)
     assert len(data["hi"]) > 4300  # past the default int/str digit limit
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        lo, hi = parse_rational(data["lo"]), parse_rational(data["hi"])
-        assert 0 < lo <= hi
-        assert (format_rational(lo), format_rational(hi)) == (data["lo"], data["hi"])
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    lo, hi = parse_rational(data["lo"]), parse_rational(data["hi"])
+    assert 0 < lo <= hi
+    assert (format_rational(lo), format_rational(hi)) == (data["lo"], data["hi"])
+
+
+def test_enclosure_json_past_int_str_limit_in_fresh_process():
+    """Library round trip at the interpreter's default digit limit."""
+    script = """
+import sys
+from fractions import Fraction
+from proxinorm.norms import Enclosure
+if hasattr(sys, "get_int_max_str_digits"):
+    assert sys.get_int_max_str_digits() == 4300
+enc = Enclosure(Fraction(3**10000, 2**20000), Fraction(3**10000 + 1, 2**20000), 9)
+obj = enc.to_json()
+assert len(obj["lo"]) > 4300
+assert Enclosure.from_json(obj) == enc
+print("ok")
+"""
+    env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
 
 
 def test_construct_dump(tmp_path):
@@ -88,6 +102,40 @@ def test_demo_byte_identical_across_processes():
     a = run_cli("demo", "--n", "2")
     b = run_cli("demo", "--n", "2")
     assert a.stdout == b.stdout and a.returncode == b.returncode == 0
+
+
+#: sha256 of the stdout of ``demo --n N`` for N = 2..6, pinned bytes.
+DEMO_SHA256 = {
+    2: "ff9c9ce3f53259a67cf75ca4e29e125e1cbb97eabf59ce5eca981dd1dbec7bf2",
+    3: "98817358fab8ee71c9db936d419980e4f1b8f4813d1028964976681d14d3715c",
+    4: "1b17d396f4fcc2dce95b0eafa30e08d87b681f48b9942feae79fd747f0bcbd10",
+    5: "e219abe0339ee09bad73f6e809456737149813ccea8d8c27f629a8934c4c93ce",
+    6: "a96ae20829a68e9a238d630a1266c831b2b2d34df5c3054be1964c929df040b1",
+}
+
+#: sha256 of ``descend`` stdout: 10 steps on ker(e1, e2) from the first
+#: criterion-6 start.
+DESCEND_SHA256 = "35855d1c279080621ddf17fe1b7848e2806ff3b4a67f3c1f624640051572627e"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_demo_golden_bytes():
+    for n, digest in DEMO_SHA256.items():
+        out = run_cli("demo", "--n", str(n))
+        assert out.returncode == 0, out.stderr
+        assert sha256(out.stdout) == digest, f"demo --n {n} output changed"
+
+
+def test_descend_golden_bytes(tmp_path, criterion6_starts):
+    e1 = write_json(tmp_path / "e1.json", {"1": "1"})
+    e2 = write_json(tmp_path / "e2.json", {"2": "1"})
+    x0 = write_json(tmp_path / "x0.json", criterion6_starts[0].to_json())
+    out = run_cli("descend", "--phi", e1, "--phi", e2, "--x0", x0, "--steps", "10")
+    assert out.returncode == 0, out.stderr
+    assert sha256(out.stdout) == DESCEND_SHA256
 
 
 def test_approxlin_and_feasible_roundtrip(tmp_path):

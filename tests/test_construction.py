@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from proxinorm.approxlin import build_report
+from proxinorm.bits import dyadic_lt
 from proxinorm.construction import (
     EXACT_HEAD_TERMS,
     ConstructionTable,
     TableParams,
     canonical_table,
-    dyadic_lt,
     growth_tail_majorant,
     iter_level,
     rational_grid,
