@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .bits import dyadic_sign, dyadic_sum, scale_pow2, split_pow2
 from .construction import ConstructionTable
 from .errors import HypothesisError, InputFormatError, PreconditionError
 from .gateaux import dplus_norm_for_width
@@ -172,13 +173,13 @@ def build_report(
                 excluded[i] = reasons
                 continue
             usable.append(i)
-            weight = Fraction(1, 1 << i * i)
-            gamma[i] = -sgn(pairings[j]) * weight
-            # eps values sit near 2^(-2i); the grain keeps ~2i+16
-            # significant bits, so ordering and positivity survive.
+            gamma[i] = Fraction(-sgn(pairings[j]), 1 << i * i)
+            # eps = tail bound / 2^(-i^2); eps values sit near 2^(-2i), and
+            # the grain keeps ~2i+16 significant bits, so ordering and
+            # positivity survive.
             lo, hi = table.weight_tail_bound(k, grain_bits=i * i + 4 * i + 16)
-            eps_lo[i] = lo / weight
-            eps_hi[i] = hi / weight
+            eps_lo[i] = scale_pow2(lo, i * i)
+            eps_hi[i] = scale_pow2(hi, i * i)
 
     return LinearityReport(
         x=x,
@@ -202,13 +203,40 @@ def _check_direction(report: LinearityReport, v: SparseVec) -> None:
         )
 
 
+_Term = Tuple[int, int, int]
+
+
+def _terms(
+    report: LinearityReport, v: SparseVec, eps: Dict[int, Fraction]
+) -> Tuple[List[_Term], List[_Term]]:
+    """:func:`~proxinorm.bits.dyadic_sum` terms of <v, gamma> and of
+    sum eps_i |v_i gamma_i|.
+
+    Every denominator is split into its odd part and a power of two, so
+    gamma and eps need not be dyadic (reports read back with ``from_json``).
+    """
+    pairing: List[_Term] = []
+    budget: List[_Term] = []
+    for i, vi in v.items():
+        g, e = report.gamma[i], eps[i]
+        n = vi.numerator * g.numerator
+        q, s = split_pow2(vi.denominator * g.denominator)
+        qe, se = split_pow2(e.denominator)
+        pairing.append((n, q, s))
+        budget.append((abs(n) * e.numerator, q * qe, s + se))
+    return pairing, budget
+
+
+def _margin_terms(report: LinearityReport, v: SparseVec) -> List[_Term]:
+    """Terms summing to |<v, gamma>| - sum eps_hi_i |v_i gamma_i|."""
+    pairing, budget = _terms(report, v, report.eps_hi)
+    s = dyadic_sign(pairing)
+    return [(s * n, q, e) for n, q, e in pairing] + [(-n, q, e) for n, q, e in budget]
+
+
 def error_budget(report: LinearityReport, v: SparseVec, upper: bool) -> Fraction:
     """Sum of eps_i * |v_i * gamma_i| with the chosen eps bound."""
-    eps = report.eps_hi if upper else report.eps_lo
-    total = Fraction(0)
-    for i, vi in v.items():
-        total += eps[i] * abs(vi * report.gamma[i])
-    return total
+    return dyadic_sum(_terms(report, v, report.eps_hi if upper else report.eps_lo)[1])
 
 
 def verify_linearity_bound(
@@ -226,8 +254,9 @@ def verify_linearity_bound(
     possible, so slack is not lost to truncation.
     """
     _check_direction(report, v)
-    rhs = error_budget(report, v, upper=False)
-    gv = pair(v, report.gamma_vec())
+    pairing, budget = _terms(report, v, report.eps_lo)
+    rhs = dyadic_sum(budget)
+    gv = dyadic_sum(pairing)
     width = Fraction(1, 1 << precision_bits)
     if rhs > 0:
         width = min(width, rhs / 16)
@@ -262,13 +291,13 @@ def sign_coherence(
     nonzero with the sign of <v, gamma>.
     """
     _check_direction(report, v)
-    return abs(pair(v, report.gamma_vec())) > error_budget(report, v, upper=True)
+    return dyadic_sign(_margin_terms(report, v)) > 0
 
 
 def coherence_margin(report: LinearityReport, v: SparseVec) -> Fraction:
     """|<v, gamma>| - sum eps_hi_i |v_i gamma_i| (positive means coherent)."""
     _check_direction(report, v)
-    return abs(pair(v, report.gamma_vec())) - error_budget(report, v, upper=True)
+    return dyadic_sum(_margin_terms(report, v))
 
 
 def span_match_feasible(

@@ -45,18 +45,47 @@ def dyadic_lt(num: int, exp: int, bound: Fraction) -> bool:
     return num * bound.denominator < bound.numerator << exp
 
 
-def dyadic_sum(terms: Iterable[Tuple[int, int, int]]) -> Fraction:
-    """Exact sum of n / (q * 2^e) over ``(n, q, e)`` terms, q > 0, e >= 0.
+def split_pow2(d: int) -> Tuple[int, int]:
+    """(q, s) with d = q * 2^s and q odd, for d > 0."""
+    s = (d & -d).bit_length() - 1
+    return d >> s, s
 
-    Accumulated over the denominator lcm(q) * 2^max(e) in integer
-    arithmetic, so the Fraction normalization happens once.
-    """
+
+def scale_pow2(value: Fraction, e: int) -> Fraction:
+    """value * 2^e for e >= 0, moving the power of two between numerator
+    and denominator instead of dividing by a Fraction 2^(-e)."""
+    q, s = split_pow2(value.denominator)
+    if s >= e:
+        return Fraction(value.numerator, value.denominator >> e)
+    return Fraction(value.numerator << (e - s), q)
+
+
+def _accumulate(terms: Iterable[Tuple[int, int, int]]) -> Tuple[int, int, int]:
+    """(num, L, E) with the sum of n / (q * 2^e) over the terms equal to
+    num / (L * 2^E): L = lcm(q), E = max(e), integer shifts only."""
     terms = list(terms)
     lcm_q = lcm(*(q for _, q, _ in terms))
     E = max((e for _, _, e in terms), default=0)
     num = 0
     for n, q, e in terms:
         num += n * (lcm_q // q) << (E - e)
+    return num, lcm_q, E
+
+
+def dyadic_sign(terms: Iterable[Tuple[int, int, int]]) -> int:
+    """Sign (-1, 0 or 1) of :func:`dyadic_sum` of the same terms, without
+    building the Fraction."""
+    num = _accumulate(terms)[0]
+    return (num > 0) - (num < 0)
+
+
+def dyadic_sum(terms: Iterable[Tuple[int, int, int]]) -> Fraction:
+    """Exact sum of n / (q * 2^e) over ``(n, q, e)`` terms, q > 0, e >= 0.
+
+    Accumulated over the denominator lcm(q) * 2^max(e) in integer
+    arithmetic, so the Fraction normalization happens once.
+    """
+    num, lcm_q, E = _accumulate(terms)
     if num == 0:
         return Fraction(0)
     shift = min((num & -num).bit_length() - 1, E)

@@ -176,12 +176,11 @@ class ConstructionTable:
             if u.is_zero():
                 tag = prev + 1
             else:
-                tag = max(prev + 1, u.max_support() + 1, math.ceil(l1_norm(u)))
-            # Growth rules; guaranteed by the rule above, kept as cheap checks.
-            if tag <= prev or not (
-                u.is_zero() or (tag > u.max_support() and tag >= l1_norm(u))
-            ):
-                raise RuntimeError(f"tag {tag} for {u!r} breaks the growth rules")
+                l1 = l1_norm(u)
+                tag = max(prev + 1, u.max_support() + 1, math.ceil(l1))
+                # Growth rules; guaranteed by the rule above, kept as a cheap check.
+                if not (tag > prev and tag > u.max_support() and tag >= l1):
+                    raise RuntimeError(f"tag {tag} for {u!r} breaks the growth rules")
             self._vectors.append(u)
             self._tags.append(tag)
             self._occurrences.setdefault(u, []).append(len(self._vectors))

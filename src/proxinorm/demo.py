@@ -234,7 +234,8 @@ def demo_probes(
 
     n_probes = len(fan)
     targets = [
-        {i: f.coefficient_interval(i).midpoint() for i in f.support()} for f in fan
+        SparseVec({i: f.coefficient_interval(i).midpoint() for i in f.support()})
+        for f in fan
     ]
     support = fan[0].support() if fan else (1, 2)
     chosen = _fan_probes(targets, max_denominator_bits, admissible, n_probes, support)

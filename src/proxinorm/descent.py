@@ -32,7 +32,7 @@ from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError, SearchBudgetError
 from .gateaux import DerivativeEnclosure, dplus_norm_for_width
 from .linalg import kernel_directions
-from .norms import Enclosure, norm_enclosure_for_width
+from .norms import Enclosure, depth_for_width, enclosure_at_depth, norm_enclosure_for_width
 from .vectors import SparseVec, format_rational, pair, parse_rational, sup_norm
 
 
@@ -208,8 +208,18 @@ def probe_pool(support: Sequence[int]) -> Iterator[SparseVec]:
                 yield SparseVec({i: gi, j: gj})
 
 
+@lru_cache(maxsize=1024)
+def _roundings(target: SparseVec, max_bits: int) -> Tuple[SparseVec, ...]:
+    """``target`` with every entry rounded by ``limit_denominator(2^b)``, at
+    index b for b = 0 .. max_bits.  Cached: fan targets recur every step."""
+    return tuple(
+        SparseVec({i: v.limit_denominator(1 << b) for i, v in target.items()})
+        for b in range(max_bits + 1)
+    )
+
+
 def _fan_probes(
-    targets: Sequence[Dict[int, Fraction]], max_denominator_bits: int,
+    targets: Sequence[SparseVec], max_denominator_bits: int,
     admissible: Callable[[SparseVec, List[SparseVec]], bool], count: int,
     pool_support: Sequence[int],
 ) -> List[SparseVec]:
@@ -217,11 +227,12 @@ def _fan_probes(
     up to 2^b, b = ``max_denominator_bits`` .. 0, until all of them pass; the
     best partial fan is topped up from :func:`probe_pool` over ``pool_support``.
     """
+    rounded = [_roundings(t, max_denominator_bits) for t in targets]
     chosen: List[SparseVec] = []
     for bits in range(max_denominator_bits, -1, -1):
         attempt: List[SparseVec] = []
-        for values in targets:
-            z = SparseVec({i: v.limit_denominator(1 << bits) for i, v in values.items()})
+        for ladder in rounded:
+            z = ladder[bits]
             if admissible(z, attempt):
                 attempt.append(z)
         if len(attempt) > len(chosen):
@@ -256,22 +267,22 @@ def build_probes(
     def admissible(z: SparseVec, chosen: List[SparseVec]) -> bool:
         if z.is_zero() or z in chosen:
             return False
+        positions = table.occurrence_positions(z, depth)
+        if not positions:
+            return False
         p = pair(x, z)
         if p == 0:
             return False
         # demand a usable occurrence: a tag whose coordinate of x clears
         # both the domination and sup-activity thresholds
-        return any(
-            abs(x[table.tag(k)]) < min(abs(p), s)
-            for k in table.occurrence_positions(z, depth)
-        )
+        return any(abs(x[table.tag(k)]) < min(abs(p), s) for k in positions)
 
     targets = []
     if subspace.codimension >= 2:
         phi1, phi2 = subspace.functionals[0], subspace.functionals[1]
         support = sorted(set(phi1.support()) | set(phi2.support()))
         targets = [
-            {i: s_mid * phi1[i] - c_mid * phi2[i] for i in support}
+            SparseVec({i: s_mid * phi1[i] - c_mid * phi2[i] for i in support})
             for s_mid, c_mid in _fan_targets(n)
         ]
     pool_support = [i for phi in subspace.functionals for i in phi.support()]
@@ -370,6 +381,7 @@ def certify_descent(
     v: SparseVec,
     evidence: SignEvidence,
     params: SearchParams = SearchParams(),
+    norm_x: Optional[Enclosure] = None,
 ) -> DescentCertificate:
     """Dyadic line search to a certified strict decrease along the ray.
 
@@ -378,6 +390,11 @@ def certify_descent(
     halves until enclosures separate.  Enclosure widths track the
     predicted first-order decrease, so certification succeeds as soon as
     the step drops below the second-order kink scale.
+
+    ``norm_x``, an enclosure of the norm of x (the previous certificate's
+    ``norm_after`` along a chain), serves as the enclosure of x whenever a
+    halving asks for its depth, so the series for x is not summed again;
+    the enclosure of x from an earlier halving is reused the same way.
     """
     if not subspace.contains(v):
         raise PreconditionError("direction is not exactly inside the subspace")
@@ -395,14 +412,16 @@ def certify_descent(
         h = -s * t
         y = x + v.scale(h)
         width = t * rate / 8
-        ex = norm_enclosure_for_width(table, x, width)
+        depth = depth_for_width(table, x, width)
+        if norm_x is None or norm_x.depth != depth:
+            norm_x = enclosure_at_depth(table, x, depth)
         ey = norm_enclosure_for_width(table, y, width)
-        if ey.hi < ex.lo:
+        if ey.hi < norm_x.lo:
             return DescentCertificate(
                 x=x,
                 v=v,
                 h=h,
-                norm_before=ex,
+                norm_before=norm_x,
                 norm_after=ey,
                 d_plus=evidence.d_plus,
                 d_minus=evidence.d_minus,
@@ -477,23 +496,27 @@ def minimizing_sequence(
 
     All iterates stay exactly in the coset x0 + H (rational arithmetic,
     directions in the kernel).  Stops early with the partial chain when
-    the search budget trips.
+    the search budget trips.  Each certificate's ``norm_after`` is handed
+    to the next line search, so consecutive certificates usually share
+    one enclosure object.
     """
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
     chain = DescentChain(subspace=subspace, x0=x0)
     x = x0
+    norm_x: Optional[Enclosure] = None
     for _ in range(steps):
         try:
             found = find_descent_direction(table, subspace, x, params)
             if found is None:
                 break
             v, evidence, _report = found
-            cert = certify_descent(table, subspace, x, v, evidence, params)
+            cert = certify_descent(table, subspace, x, v, evidence, params, norm_x)
         except SearchBudgetError:
             break
         chain.certificates.append(cert)
         x = cert.next_point()
+        norm_x = cert.norm_after
     return chain
 
 
@@ -512,7 +535,6 @@ def verify_certificate(
     Returns an empty list when the certificate is genuine.
     """
     from .gateaux import dplus_enclosure_at_depth
-    from .norms import enclosure_at_depth
 
     problems: List[str] = []
     if not subspace.contains(cert.v):

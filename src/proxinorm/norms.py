@@ -106,23 +106,37 @@ def _minimal_depth(table: ConstructionTable, scale: Fraction, precision_bits: in
     return K
 
 
+def _depth_for_bits(table: ConstructionTable, x: SparseVec, precision_bits: int) -> int:
+    if precision_bits < 1 or precision_bits > PRECISION_CAP:
+        raise PreconditionError(f"precision_bits must be in [1, {PRECISION_CAP}]")
+    return _minimal_depth(table, sup_norm(x), precision_bits)
+
+
+def _width_bits(width: Fraction) -> int:
+    if width <= 0:
+        raise PreconditionError("width target must be positive")
+    return bits_for_target(width)
+
+
 def norm_enclosure(
     table: ConstructionTable, x: SparseVec, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Enclosure:
     """Certified enclosure of the series norm with width < 2^(-precision_bits)."""
-    if precision_bits < 1 or precision_bits > PRECISION_CAP:
-        raise PreconditionError(f"precision_bits must be in [1, {PRECISION_CAP}]")
-    depth = _minimal_depth(table, sup_norm(x), precision_bits)
-    return enclosure_at_depth(table, x, depth)
+    return enclosure_at_depth(table, x, _depth_for_bits(table, x, precision_bits))
 
 
 def norm_enclosure_for_width(
     table: ConstructionTable, x: SparseVec, width: Fraction
 ) -> Enclosure:
     """Enclosure with width strictly below the given rational target."""
-    if width <= 0:
-        raise PreconditionError("width target must be positive")
-    return norm_enclosure(table, x, bits_for_target(width))
+    return norm_enclosure(table, x, _width_bits(width))
+
+
+def depth_for_width(table: ConstructionTable, x: SparseVec, width: Fraction) -> int:
+    """Truncation depth of :func:`norm_enclosure_for_width` at this width,
+    without summing the series; the enclosure at a depth is deterministic,
+    so an enclosure of x at this depth is the one it would return."""
+    return _depth_for_bits(table, x, _width_bits(width))
 
 
 def equivalence_check(

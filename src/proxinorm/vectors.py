@@ -48,7 +48,15 @@ def parse_rational(text: str) -> Fraction:
             num, den = match.groups()
             return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError(f"bad rational literal {text!r}") from exc
+        raise InputFormatError(f"bad rational literal {_echo(text)}") from exc
+
+
+def _echo(text: str, limit: int = 40) -> str:
+    """The literal for an error message: whole if short, else its first
+    ``limit`` characters and its length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def format_rational(value: Fraction) -> str:

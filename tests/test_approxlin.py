@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxinorm.approxlin import (
     REASON_DOMINATED,
@@ -10,6 +12,7 @@ from proxinorm.approxlin import (
     LinearityReport,
     build_report,
     coherence_margin,
+    error_budget,
     sign_coherence,
     span_match_feasible,
     verify_linearity_bound,
@@ -17,7 +20,8 @@ from proxinorm.approxlin import (
 from proxinorm.errors import HypothesisError, PreconditionError
 from proxinorm.gateaux import dminus_norm, dplus_norm
 from proxinorm.bits import bits_for_target
-from proxinorm.vectors import SparseVec, pair, sgn
+from proxinorm.descent import Subspace, build_probes
+from proxinorm.vectors import SparseVec, format_rational, pair, parse_rational, sgn
 
 DEPTH = 60
 
@@ -202,3 +206,113 @@ def test_report_json_roundtrip(table):
     assert restored.eps_lo == rep.eps_lo
     assert restored.eps_hi == rep.eps_hi
     assert restored.excluded == rep.excluded
+
+
+# -- the dyadic margin arithmetic against the naive Fraction formula ----------
+
+
+def naive_budget(report, v, upper):
+    eps = report.eps_hi if upper else report.eps_lo
+    total = Fraction(0)
+    for i, vi in v.items():
+        total += eps[i] * abs(vi * report.gamma[i])
+    return total
+
+
+def assert_matches_naive(table, report, v):
+    budget = {upper: naive_budget(report, v, upper) for upper in (False, True)}
+    margin = abs(pair(v, report.gamma_vec())) - budget[True]
+    assert coherence_margin(report, v) == margin
+    assert sign_coherence(table, report.x, report, v) == (margin > 0)
+    for upper in (False, True):
+        assert error_budget(report, v, upper) == budget[upper]
+
+
+@pytest.fixture(scope="module")
+def criterion6_reports(table, criterion6_starts):
+    """The first-step reports of the criterion-6 descent on ker(e1, e2)."""
+    H = Subspace([SparseVec.unit(1), SparseVec.unit(2)])
+    return [build_report(table, x, build_probes(table, H, x), 500) for x in criterion6_starts]
+
+
+def json_report(gamma, eps_lo, eps_hi):
+    """A report read back with ``from_json``, with arbitrary gamma and eps."""
+    idx = sorted(gamma)
+    return LinearityReport.from_json(
+        {
+            "x": {"1": "1"},
+            "probes": [{"1": "1"}],
+            "depth": 10,
+            "indices": {str(i): k for k, i in enumerate(idx, start=1)},
+            "block": {str(i): 0 for i in idx},
+            "usable": idx,
+            "excluded": {},
+            "gamma": {str(i): format_rational(g) for i, g in gamma.items()},
+            "eps_lower": {str(i): format_rational(e) for i, e in eps_lo.items()},
+            "eps_upper": {str(i): format_rational(e) for i, e in eps_hi.items()},
+        }
+    )
+
+
+coefficients = st.fractions(min_value=-40, max_value=40, max_denominator=12).filter(
+    lambda f: f != 0
+)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_margin_arithmetic_matches_naive_on_criterion6_reports(table, criterion6_reports, data):
+    report = data.draw(st.sampled_from(criterion6_reports))
+    support = data.draw(st.lists(st.sampled_from(report.usable), max_size=4, unique=True))
+    v = SparseVec({i: data.draw(coefficients) for i in support})
+    assert_matches_naive(table, report, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_margin_arithmetic_matches_naive_on_non_dyadic_reports(table, data):
+    idx = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True))
+    gamma = {i: data.draw(small) for i in idx}
+    eps_lo = {i: data.draw(small) for i in idx}
+    eps_hi = {i: data.draw(small) for i in idx}
+    report = json_report(gamma, eps_lo, eps_hi)
+    support = data.draw(st.lists(st.sampled_from(idx), max_size=5, unique=True))
+    v = SparseVec({i: data.draw(coefficients) for i in support})
+    assert_matches_naive(table, report, v)
+
+
+def test_margin_arithmetic_on_exact_cancellation(table):
+    report = json_report(
+        {3: Fraction(1, 3), 5: Fraction(-2, 3)},
+        {3: Fraction(1, 5), 5: Fraction(1, 7)},
+        {3: Fraction(2, 5), 5: Fraction(3, 7)},
+    )
+    v = SparseVec({3: 2, 5: 1})
+    assert pair(v, report.gamma_vec()) == 0
+    assert coherence_margin(report, v) == -(Fraction(2, 5) * Fraction(2, 3) + Fraction(3, 7) * Fraction(2, 3))
+    assert not sign_coherence(table, report.x, report, v)
+    assert_matches_naive(table, report, v)
+    assert coherence_margin(report, SparseVec.zero()) == 0
+
+
+def test_margin_arithmetic_on_round_tripped_report_with_odd_factors(table, criterion6_reports):
+    obj = criterion6_reports[0].to_json()
+    for key, factor in (("gamma", Fraction(7, 3)), ("eps_lower", Fraction(3, 5)), ("eps_upper", Fraction(5, 9))):
+        obj[key] = {i: format_rational(parse_rational(e) * factor) for i, e in obj[key].items()}
+    report = LinearityReport.from_json(obj)
+    assert all(g.denominator % 3 == 0 for g in report.gamma.values())
+    u = report.usable
+    for v in (SparseVec.unit(u[0]), SparseVec({u[0]: 1, u[-1]: -2}), SparseVec({i: 1 for i in u})):
+        assert_matches_naive(table, report, v)
+
+
+def test_eps_is_the_tail_bound_over_the_weight(table, criterion6_reports):
+    for report in criterion6_reports:
+        assert report.usable
+        for i in report.usable:
+            k = report.index_position[i]
+            lo, hi = table.weight_tail_bound(k, grain_bits=i * i + 4 * i + 16)
+            weight = Fraction(1, 2 ** (i * i))
+            assert report.eps_lo[i] == lo / weight
+            assert report.eps_hi[i] == hi / weight

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxinorm.bits import dyadic_lt, dyadic_sum, floor_pow2, round_dyadic
+from proxinorm.bits import (
+    dyadic_lt,
+    dyadic_sign,
+    dyadic_sum,
+    floor_pow2,
+    round_dyadic,
+    scale_pow2,
+    split_pow2,
+)
 
 terms = st.lists(
     st.tuples(st.integers(-10**6, 10**6), st.integers(1, 1000), st.integers(0, 300)),
@@ -33,6 +41,20 @@ def test_dyadic_sum_cancels_to_zero(ts):
     both = ts + [(-n, q, e) for n, q, e in reversed(ts)]
     result = dyadic_sum(both)
     assert result == 0 and result.denominator == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms)
+def test_dyadic_sign_is_the_sign_of_the_sum(ts):
+    total = naive_sum(ts)
+    assert dyadic_sign(ts) == (total > 0) - (total < 0)
+
+
+def test_dyadic_sign_edge_cases():
+    assert dyadic_sign([]) == 0
+    assert dyadic_sign([(1, 3, 200), (-1, 3, 200)]) == 0
+    assert dyadic_sign([(1, 1, 400), (-1, 1, 0), (1, 1, 0)]) == 1
+    assert dyadic_sign(iter([(-1, 5, 300)])) == -1
 
 
 def test_dyadic_sum_edge_cases():
@@ -87,3 +109,24 @@ def test_floor_pow2_rejects_nonpositive(bad):
 @given(st.integers(0, 10**12), st.integers(0, 80), positive)
 def test_dyadic_lt_matches_fraction_comparison(num, exp, bound):
     assert dyadic_lt(num, exp, bound) == (Fraction(num, 2**exp) < bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**40))
+def test_split_pow2_gives_odd_part_and_exponent(d):
+    q, s = split_pow2(d)
+    assert q % 2 == 1 and q << s == d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=-(10**6), max_value=10**6), st.integers(0, 300))
+def test_scale_pow2_multiplies_by_a_power_of_two(value, e):
+    assert scale_pow2(value, e) == value * 2**e
+    assert scale_pow2(value * Fraction(1, 2**e), e) == value
+
+
+def test_scale_pow2_on_grain_rounded_tail_bounds():
+    lo = Fraction(12345, 2**2000)
+    assert scale_pow2(lo, 1900) == Fraction(12345, 2**100)
+    assert scale_pow2(Fraction(3, 2**5), 9) == 48
+    assert scale_pow2(Fraction(5, 3 * 2**4), 4) == Fraction(5, 3)

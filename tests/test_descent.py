@@ -4,6 +4,8 @@ import pytest
 
 from proxinorm import descent
 from proxinorm.approxlin import coherence_margin
+from proxinorm.construction import canonical_table
+from proxinorm.demo import build_fan, demo_points, demo_probes
 from proxinorm.descent import (
     DescentCertificate,
     DescentChain,
@@ -20,6 +22,7 @@ from proxinorm.descent import (
 )
 from proxinorm.errors import PreconditionError
 from proxinorm.linalg import kernel_directions
+from proxinorm.norms import enclosure_at_depth
 from proxinorm.vectors import SparseVec, pair
 
 
@@ -257,3 +260,71 @@ def test_sequence_partial_chain_on_tiny_budget(table):
         build_probes(table, H, generic_point(), params)
     chain = minimizing_sequence(table, H, generic_point(), 3, params)
     assert chain.certificates == []
+
+
+def fresh_fan_probes(targets, max_denominator_bits, admissible, count, pool_support):
+    """The fan-probe loop with every target rounded afresh at every level."""
+    chosen = []
+    for bits in range(max_denominator_bits, -1, -1):
+        attempt = []
+        for target in targets:
+            z = SparseVec({i: v.limit_denominator(1 << bits) for i, v in target.items()})
+            if admissible(z, attempt):
+                attempt.append(z)
+        if len(attempt) > len(chosen):
+            chosen = attempt
+        if len(attempt) == len(targets):
+            break
+    for z in descent.probe_pool(pool_support):
+        if len(chosen) >= count:
+            break
+        if admissible(z, chosen):
+            chosen.append(z)
+    return chosen
+
+
+def test_cached_fan_rounding_matches_fresh_rounding(table, criterion6_starts, monkeypatch):
+    H = codim2_subspace()
+    points = list(criterion6_starts) + minimizing_sequence(
+        table, H, criterion6_starts[0], 3
+    ).iterates()[1:]
+    e1, e2 = SparseVec.unit(1), SparseVec.unit(2)
+
+    def all_demo_probes():
+        return [
+            demo_probes(table, demo_points(n), build_fan(n, e1, e2, 44), 500)
+            for n in range(2, 7)
+        ]
+
+    # every target after the first point is rounded from the cache
+    cached = [build_probes(table, H, x) for x in points]
+    cached_demo = all_demo_probes()
+    assert all_demo_probes() == cached_demo
+    monkeypatch.setattr(descent, "_fan_probes", fresh_fan_probes)
+    assert [build_probes(table, H, x) for x in points] == cached
+    assert all_demo_probes() == cached_demo
+
+
+def test_chain_certificates_share_enclosures(table, criterion6_starts):
+    H = codim2_subspace()
+    for x0 in criterion6_starts:
+        chain = minimizing_sequence(table, H, x0, 10)
+        certs = chain.certificates
+        assert len(certs) == 10
+        for prev, nxt in zip(certs, certs[1:]):
+            assert prev.norm_after is nxt.norm_before
+        assert verify_chain(canonical_table(), chain) == []
+
+
+def test_certify_descent_reuses_a_known_norm_only_at_its_depth(table):
+    H = codim2_subspace()
+    x = generic_point()
+    v, evidence, _ = find_descent_direction(table, H, x)
+    fresh = certify_descent(table, H, x, v, evidence)
+    shallow = enclosure_at_depth(table, x, 2)
+    assert shallow.depth != fresh.norm_before.depth
+    cert = certify_descent(table, H, x, v, evidence, norm_x=shallow)
+    assert cert == fresh and cert.norm_before is not shallow
+    known = enclosure_at_depth(table, x, fresh.norm_before.depth)
+    cert = certify_descent(table, H, x, v, evidence, norm_x=known)
+    assert cert == fresh and cert.norm_before is known

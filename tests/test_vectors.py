@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proxinorm.errors import InputFormatError
-from proxinorm.vectors import SparseVec, l1_norm, pair, sgn, sup_norm
+from proxinorm.vectors import SparseVec, l1_norm, pair, parse_rational, sgn, sup_norm
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 vectors = st.dictionaries(st.integers(1, 12), rationals, max_size=5).map(SparseVec)
@@ -92,3 +92,14 @@ def test_bad_json_rejected():
         SparseVec.from_json([1, 2])
     with pytest.raises(InputFormatError):
         SparseVec.from_json({"x": "1"})
+
+
+def test_bad_rational_echo_is_capped():
+    with pytest.raises(InputFormatError) as short:
+        parse_rational("1/x")
+    assert str(short.value) == "bad rational literal '1/x'"
+    text = "7" * 4772 + "x"
+    with pytest.raises(InputFormatError) as long:
+        parse_rational(text)
+    message = str(long.value)
+    assert message == f"bad rational literal {text[:40]!r}... (4773 characters)"
