@@ -17,7 +17,6 @@ from .demo import SignMatrix, independence_check, run_demo, sign_table, theta_va
 from .descent import (
     DescentCertificate,
     DescentChain,
-    SearchParams,
     Subspace,
     certify_descent,
     find_descent_direction,
@@ -37,7 +36,8 @@ from .errors import (
     SearchBudgetError,
 )
 from .gateaux import (
-    DerivativeEnclosure,
+    derivative_from_json,
+    derivative_to_json,
     dminus_norm,
     dplus_abs_pairing,
     dplus_norm,
@@ -45,7 +45,7 @@ from .gateaux import (
     term_lipschitz,
 )
 from .linalg import ConstraintRow, LinearSystem, feasible, kernel_directions
-from .norms import Enclosure, equivalence_check, norm_difference_sign, norm_enclosure
-from .vectors import SparseVec, l1_norm, pair, sgn, sup_norm
+from .norms import equivalence_check, norm_difference_sign, norm_enclosure
+from .vectors import Enclosure, SparseVec, l1_norm, pair, sgn, sup_norm
 
 __version__ = "0.1.0"

@@ -30,11 +30,12 @@ from .construction import ConstructionTable
 from .errors import HypothesisError, InputFormatError, PreconditionError
 from .gateaux import dplus_norm_for_width
 from .linalg import LinearSystem, feasible
-from .norms import Enclosure
 from .vectors import (
+    Enclosure,
     SparseVec,
     format_rational,
     pair,
+    parse_depth,
     parse_rational,
     sgn,
     sup_norm,
@@ -105,7 +106,7 @@ class LinearityReport:
             return LinearityReport(
                 x=SparseVec.from_json(obj["x"]),
                 probes=[SparseVec.from_json(z) for z in obj["probes"]],
-                depth=int(obj["depth"]),
+                depth=parse_depth(obj["depth"], "report"),
                 index_position={int(i): int(k) for i, k in obj["indices"].items()},
                 block={int(i): int(j) for i, j in obj["block"].items()},
                 usable=tuple(int(i) for i in obj["usable"]),
@@ -267,14 +268,8 @@ def verify_linearity_bound(
         return lhs, rhs, True
     denc = dplus_norm_for_width(table, x, v, width)
     lo, hi = denc.lo - gv, denc.hi - gv
-    if lo > 0:
-        alo, ahi = lo, hi
-    elif hi < 0:
-        alo, ahi = -hi, -lo
-    else:
-        alo, ahi = Fraction(0), max(hi, -lo)
-    lhs = Enclosure(alo, ahi, denc.depth)
-    passed = ahi <= rhs
+    lhs = Enclosure(max(lo, -hi, Fraction(0)), max(hi, -lo), denc.depth)  # |[lo, hi]|
+    passed = lhs.hi <= rhs
     report.trials.append(Trial(v, lhs, rhs, passed))
     return lhs, rhs, passed
 

@@ -22,9 +22,9 @@ from .approxlin import (
 from .config import Config, load_config
 from .construction import canonical_table
 from .demo import run_demo
-from .descent import DescentChain, SearchParams, Subspace, minimizing_sequence, verify_chain
+from .descent import DescentChain, Subspace, minimizing_sequence, verify_chain
 from .errors import BudgetError, ProxinormError
-from .gateaux import dminus_norm, dplus_norm
+from .gateaux import derivative_to_json, dminus_norm, dplus_norm
 from .norms import norm_enclosure
 from .vectors import SparseVec
 
@@ -80,7 +80,7 @@ def _cmd_deriv(args, config: Config) -> int:
     x, u = _load_vec(args.x), _load_vec(args.u)
     bits = args.bits or config.precision_bits
     enc = dminus_norm(table, x, u, bits) if args.minus else dplus_norm(table, x, u, bits)
-    _emit(enc.to_json())
+    _emit(derivative_to_json(enc))
     return 0
 
 
@@ -117,8 +117,7 @@ def _cmd_descend(args, config: Config) -> int:
     table = canonical_table(config.depth_budget)
     subspace = Subspace([_load_vec(p) for p in args.phi])
     x0 = _load_vec(args.x0)
-    params = SearchParams(rounding_denominator_bits=config.rounding_denominator_bits)
-    chain = minimizing_sequence(table, subspace, x0, args.steps, params)
+    chain = minimizing_sequence(table, subspace, x0, args.steps, config.rounding_denominator_bits)
     _emit(chain.to_json())
     return 0
 

@@ -18,25 +18,13 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .approxlin import LinearityReport
 from .bits import round_dyadic
+from .descent import REPORT_DEPTH, ROUNDING_DENOMINATOR_BITS, _fan_probes
 from .errors import PrecisionBudgetError, PreconditionError
-from .trig import RatInterval, base_angles, cos_enclosure, fan_angles, sin_enclosure
-from .vectors import SparseVec, format_rational, pair, sgn
+from .trig import base_angles, cos_enclosure, fan_angles, sin_enclosure
+from .vectors import Enclosure, SparseVec, format_rational, pair, sgn
 
 DEFAULT_ANGLE_BITS = 44
 SIGN_TABLE_BITS_CAP = 4096
-
-
-@dataclass(frozen=True)
-class TrigAngle:
-    """An angle r*pi/(2n+2) as a certified interval."""
-
-    r: int
-    interval: RatInterval
-
-
-def angle_ladder(n: int, bits: int = DEFAULT_ANGLE_BITS) -> List[TrigAngle]:
-    """The base angles r*pi/(2n+2), r = 0..n+1, as certified intervals."""
-    return [TrigAngle(r, iv) for r, iv in enumerate(base_angles(n, bits))]
 
 
 @dataclass(frozen=True)
@@ -91,8 +79,8 @@ class FanFunctional:
     n: int
     index: int  # s in 1..n+1
     bits: int
-    sin_coeff: RatInterval
-    cos_coeff: RatInterval
+    sin_coeff: Enclosure
+    cos_coeff: Enclosure
     phi1: SparseVec
     phi2: SparseVec
 
@@ -108,11 +96,11 @@ class FanFunctional:
     def at_bits(self, bits: int) -> "FanFunctional":
         return FanFunctional.build(self.n, self.index, self.phi1, self.phi2, bits)
 
-    def pair_interval(self, x: SparseVec) -> RatInterval:
+    def pair_interval(self, x: SparseVec) -> Enclosure:
         p1, p2 = pair(x, self.phi1), pair(x, self.phi2)
         return self.sin_coeff.scale(p1) - self.cos_coeff.scale(p2)
 
-    def coefficient_interval(self, i: int) -> RatInterval:
+    def coefficient_interval(self, i: int) -> Enclosure:
         return self.sin_coeff.scale(self.phi1[i]) - self.cos_coeff.scale(self.phi2[i])
 
     def support(self) -> Tuple[int, ...]:
@@ -167,9 +155,9 @@ def certified_sign(
     p = bits
     fan = f if f.bits >= bits else f.at_bits(bits)
     while True:
-        iv = fan.pair_interval(x)
-        if not iv.straddles_zero():
-            return iv.sign()
+        sign = fan.pair_interval(x).sign()
+        if sign:
+            return sign
         if p >= bits_cap:
             raise PrecisionBudgetError(
                 f"sign undetermined at {p} bits (point {x!r}, fan index {fan.index})"
@@ -213,7 +201,7 @@ def theta_blocks(report: LinearityReport, phi: SparseVec) -> Dict[int, List[Frac
 
 def demo_probes(
     table, points: Sequence[SparseVec], fan: Sequence[FanFunctional], depth: int,
-    max_denominator_bits: int = 16,
+    max_denominator_bits: int = ROUNDING_DENOMINATOR_BITS,
 ) -> List[SparseVec]:
     """Distinct stream-visible probes pairing nonzero with every point.
 
@@ -222,8 +210,6 @@ def demo_probes(
     deterministic low-height pool tops up whatever is missing (collisions
     and zero pairings push towards the pool).
     """
-    from .descent import _fan_probes
-
     def admissible(z: SparseVec, chosen: List[SparseVec]) -> bool:
         return (
             not z.is_zero()
@@ -254,22 +240,22 @@ def _display(value: Fraction, up: bool = False) -> str:
     return format_rational(round_dyadic(value, _DISPLAY_GRAIN_BITS, up))
 
 
-def _interval_json(iv: RatInterval) -> Dict[str, str]:
+def _interval_json(iv: Enclosure) -> Dict[str, str]:
     """Outward-rounded display form; still a valid enclosure."""
     return {"lo": _display(iv.lo), "hi": _display(iv.hi, up=True)}
 
 
-def _abs_upper(iv: RatInterval) -> Fraction:
+def _abs_upper(iv: Enclosure) -> Fraction:
     return max(abs(iv.lo), abs(iv.hi))
 
 
-def _abs_lower(iv: RatInterval) -> Fraction:
-    if iv.straddles_zero():
+def _abs_lower(iv: Enclosure) -> Fraction:
+    if iv.sign() == 0:
         return Fraction(0)
     return min(abs(iv.lo), abs(iv.hi))
 
 
-def run_demo(table, n: int, bits: int = DEFAULT_ANGLE_BITS, report_depth: int = 500) -> Dict:
+def run_demo(table, n: int, bits: int = DEFAULT_ANGLE_BITS, report_depth: int = REPORT_DEPTH) -> Dict:
     """Full sign-apparatus walkthrough at codimension n; JSON-ready output.
 
     Covers: certified angle ladder, base points, fan sign table against
@@ -281,7 +267,7 @@ def run_demo(table, n: int, bits: int = DEFAULT_ANGLE_BITS, report_depth: int = 
     from .approxlin import build_report
 
     phi1, phi2 = SparseVec.unit(1), SparseVec.unit(2)
-    betas = angle_ladder(n, bits)
+    betas = base_angles(n, bits)
     fan = build_fan(n, phi1, phi2, bits)
     points = demo_points(n, bits)
     predicted = SignMatrix.predicted(n)
@@ -301,7 +287,7 @@ def run_demo(table, n: int, bits: int = DEFAULT_ANGLE_BITS, report_depth: int = 
     for f, z in zip(fan, probes):
         dist = Fraction(0)
         for i in sorted(set(f.support()) | set(z.support())):
-            dist += _abs_upper(f.coefficient_interval(i) - RatInterval.point(z[i]))
+            dist += _abs_upper(f.coefficient_interval(i) - Enclosure.point(z[i]))
         distances.append(dist)
     sign_guarantee = all(d < threshold for d in distances)
 
@@ -330,7 +316,7 @@ def run_demo(table, n: int, bits: int = DEFAULT_ANGLE_BITS, report_depth: int = 
 
     return {
         "n": n,
-        "beta": [_interval_json(b.interval) for b in betas],
+        "beta": [_interval_json(b) for b in betas],
         "zeta": [
             {"sin": _interval_json(f.sin_coeff), "cos": _interval_json(f.cos_coeff)}
             for f in fan

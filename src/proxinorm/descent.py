@@ -30,10 +30,17 @@ from .approxlin import LinearityReport, build_report, coherence_margin
 from .bits import floor_pow2
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError, SearchBudgetError
-from .gateaux import DerivativeEnclosure, dplus_norm_for_width
+from .gateaux import derivative_from_json, derivative_to_json, dplus_norm_for_width
 from .linalg import kernel_directions
-from .norms import Enclosure, depth_for_width, enclosure_at_depth, norm_enclosure_for_width
-from .vectors import SparseVec, format_rational, pair, parse_rational, sup_norm
+from .norms import depth_for_width, enclosure_at_depth, norm_enclosure_for_width
+from .vectors import Enclosure, SparseVec, format_rational, pair, parse_rational, sup_norm
+
+# Desk-scale search budgets (no mathematical content).
+REPORT_DEPTH = 500  # stream depth of the linearity report and of probe visibility
+MAX_CANDIDATES = 200  # candidate supports scored per step
+MAX_LINE_SEARCH = 200  # step halvings per line search
+ROUNDING_DENOMINATOR_BITS = 16  # finest fan-probe rounding, 2^-16
+SIGN_GUARD_BITS = 4  # derivative enclosures refined to margin / 2^4
 
 
 def _rank(functionals: Sequence[SparseVec]) -> int:
@@ -76,17 +83,6 @@ class Subspace:
 
 
 @dataclass(frozen=True)
-class SearchParams:
-    """Desk-scale search knobs (no mathematical content)."""
-
-    report_depth: int = 500
-    max_candidates: int = 200
-    max_line_search: int = 200
-    rounding_denominator_bits: int = 16
-    sign_guard_bits: int = 4
-
-
-@dataclass(frozen=True)
 class SignEvidence:
     """Definite, matching one-sided derivative signs along a direction.
 
@@ -97,19 +93,19 @@ class SignEvidence:
     descent and the cap keeps every usable index usable forever.
     """
 
-    d_plus: DerivativeEnclosure
-    d_minus: DerivativeEnclosure
+    d_plus: Enclosure
+    d_minus: Enclosure
     margin: Fraction
     step_cap: Optional[Fraction] = None
 
     @property
     def shared_sign(self) -> int:
-        return 1 if self.d_plus.lo > 0 else -1
+        return self.d_plus.sign()
 
     def __post_init__(self):
-        if self.d_plus.sign_status == "straddles_zero":
+        if self.d_plus.sign() == 0:
             raise PreconditionError("d_plus enclosure does not determine a sign")
-        if self.d_plus.sign_status != self.d_minus.sign_status:
+        if self.d_plus.sign() != self.d_minus.sign():
             raise PreconditionError("one-sided derivative signs disagree")
         if self.step_cap is not None and self.step_cap <= 0:
             raise PreconditionError("step cap must be positive")
@@ -124,8 +120,8 @@ class DescentCertificate:
     h: Fraction
     norm_before: Enclosure
     norm_after: Enclosure
-    d_plus: DerivativeEnclosure
-    d_minus: DerivativeEnclosure
+    d_plus: Enclosure
+    d_minus: Enclosure
 
     def __post_init__(self):
         if not self.norm_after.hi < self.norm_before.lo:
@@ -141,8 +137,8 @@ class DescentCertificate:
             "h": format_rational(self.h),
             "norm_before": self.norm_before.to_json(),
             "norm_after": self.norm_after.to_json(),
-            "d_plus": self.d_plus.to_json(),
-            "d_minus": self.d_minus.to_json(),
+            "d_plus": derivative_to_json(self.d_plus),
+            "d_minus": derivative_to_json(self.d_minus),
         }
 
     @staticmethod
@@ -156,8 +152,8 @@ class DescentCertificate:
                 h=parse_rational(obj["h"]),
                 norm_before=Enclosure.from_json(obj["norm_before"]),
                 norm_after=Enclosure.from_json(obj["norm_after"]),
-                d_plus=DerivativeEnclosure.from_json(obj["d_plus"]),
-                d_minus=DerivativeEnclosure.from_json(obj["d_minus"]),
+                d_plus=derivative_from_json(obj["d_plus"]),
+                d_minus=derivative_from_json(obj["d_minus"]),
             )
         except KeyError as exc:
             raise InputFormatError(f"certificate missing field {exc.args[0]!r}") from exc
@@ -188,12 +184,10 @@ def _fan_targets(n_probes: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """
     from .trig import fan_angles, cos_enclosure, sin_enclosure
 
-    out = []
-    for zeta in fan_angles(n_probes - 1, 64):
-        s = sin_enclosure(zeta, 64)
-        c = cos_enclosure(zeta, 64)
-        out.append(((s.lo + s.hi) / 2, (c.lo + c.hi) / 2))
-    return tuple(out)
+    return tuple(
+        (sin_enclosure(zeta, 64).midpoint(), cos_enclosure(zeta, 64).midpoint())
+        for zeta in fan_angles(n_probes - 1, 64)
+    )
 
 
 def probe_pool(support: Sequence[int]) -> Iterator[SparseVec]:
@@ -251,17 +245,17 @@ def build_probes(
     table: ConstructionTable,
     subspace: Subspace,
     x: SparseVec,
-    params: SearchParams = SearchParams(),
+    rounding_bits: int = ROUNDING_DENOMINATOR_BITS,
 ) -> List[SparseVec]:
     """Probe family for the linearity report at x: distinct, visible in the
     stream prefix, and pairing to exactly nonzero values with x.
 
     Tries the rotated-functional fan first, reducing the rounding
-    denominator from the configured bound until the probes occur within
-    the report depth; tops up from the deterministic pool if needed.
+    denominator from 2^rounding_bits until the probes occur within the
+    report depth; tops up from the deterministic pool if needed.
     """
     n = subspace.codimension + 1
-    depth = params.report_depth
+    depth = REPORT_DEPTH
     s = sup_norm(x)
 
     def admissible(z: SparseVec, chosen: List[SparseVec]) -> bool:
@@ -286,7 +280,7 @@ def build_probes(
             for s_mid, c_mid in _fan_targets(n)
         ]
     pool_support = [i for phi in subspace.functionals for i in phi.support()]
-    chosen = _fan_probes(targets, params.rounding_denominator_bits, admissible, n, pool_support)
+    chosen = _fan_probes(targets, rounding_bits, admissible, n, pool_support)
     if len(chosen) < n:
         raise SearchBudgetError(
             f"could not assemble {n} admissible probes within depth {depth}"
@@ -314,7 +308,7 @@ def find_descent_direction(
     table: ConstructionTable,
     subspace: Subspace,
     x: SparseVec,
-    params: SearchParams = SearchParams(),
+    rounding_bits: int = ROUNDING_DENOMINATOR_BITS,
 ) -> Optional[Tuple[SparseVec, SignEvidence, LinearityReport]]:
     """Search for v in H with certified matching one-sided derivative signs.
 
@@ -327,20 +321,20 @@ def find_descent_direction(
     Each distinct primitive direction is scored once per call: supports
     often share a direction (unit vectors, when the functionals vanish on
     the usable indices), and a repeat has the same margin, so under the
-    strict ``>`` the first occurrence wins either way.  ``max_candidates``
+    strict ``>`` the first occurrence wins either way.  ``MAX_CANDIDATES``
     counts supports, not distinct directions.
     """
     if all(p == 0 for p in subspace.pairings(x)):
         raise PreconditionError("x lies in the subspace; the coset is trivial")
-    probes = build_probes(table, subspace, x, params)
-    report = build_report(table, x, probes, params.report_depth)
+    probes = build_probes(table, subspace, x, rounding_bits)
+    report = build_report(table, x, probes, REPORT_DEPTH)
     size = subspace.codimension + 1
     if len(report.usable) < size:
         return None
 
     best: Optional[Tuple[Fraction, SparseVec]] = None
     scored = set()
-    for support in _candidate_supports(report.usable, size, params.max_candidates):
+    for support in _candidate_supports(report.usable, size, MAX_CANDIDATES):
         for b in kernel_directions(subspace.functionals, support):
             v = primitive(b)
             if v in scored:
@@ -366,10 +360,10 @@ def find_descent_direction(
         bound = room / (2 * abs(vi))
         cap = bound if cap is None or bound < cap else cap
 
-    width = margin / (1 << params.sign_guard_bits)
+    width = margin / (1 << SIGN_GUARD_BITS)
     d_plus = dplus_norm_for_width(table, x, v, width)
-    d_minus = dplus_norm_for_width(table, x, -v, width).reflected()
-    if d_plus.sign_status == "straddles_zero" or d_plus.sign_status != d_minus.sign_status:
+    d_minus = -dplus_norm_for_width(table, x, -v, width)
+    if d_plus.sign() == 0 or d_plus.sign() != d_minus.sign():
         return None  # defensive; the margin certifies this cannot happen
     return v, SignEvidence(d_plus, d_minus, margin, cap), report
 
@@ -380,7 +374,6 @@ def certify_descent(
     x: SparseVec,
     v: SparseVec,
     evidence: SignEvidence,
-    params: SearchParams = SearchParams(),
     norm_x: Optional[Enclosure] = None,
 ) -> DescentCertificate:
     """Dyadic line search to a certified strict decrease along the ray.
@@ -408,7 +401,7 @@ def certify_descent(
     if evidence.step_cap is not None:
         start = min(start, evidence.step_cap)
     t = floor_pow2(start)
-    for _ in range(params.max_line_search):
+    for _ in range(MAX_LINE_SEARCH):
         h = -s * t
         y = x + v.scale(h)
         width = t * rate / 8
@@ -476,10 +469,13 @@ class DescentChain:
         if not isinstance(obj, dict):
             raise InputFormatError("chain must be a JSON object")
         try:
+            certs = obj["certificates"]
+            if not isinstance(certs, list):
+                raise InputFormatError("certificates must be a JSON array")
             return DescentChain(
                 subspace=Subspace.from_json(obj["subspace"]),
                 x0=SparseVec.from_json(obj["x0"]),
-                certificates=[DescentCertificate.from_json(c) for c in obj["certificates"]],
+                certificates=[DescentCertificate.from_json(c) for c in certs],
             )
         except KeyError as exc:
             raise InputFormatError(f"chain missing field {exc.args[0]!r}") from exc
@@ -490,7 +486,7 @@ def minimizing_sequence(
     subspace: Subspace,
     x0: SparseVec,
     steps: int,
-    params: SearchParams = SearchParams(),
+    rounding_bits: int = ROUNDING_DENOMINATOR_BITS,
 ) -> DescentChain:
     """Iterate direction search and certified steps from x0.
 
@@ -507,11 +503,11 @@ def minimizing_sequence(
     norm_x: Optional[Enclosure] = None
     for _ in range(steps):
         try:
-            found = find_descent_direction(table, subspace, x, params)
+            found = find_descent_direction(table, subspace, x, rounding_bits)
             if found is None:
                 break
             v, evidence, _report = found
-            cert = certify_descent(table, subspace, x, v, evidence, params, norm_x)
+            cert = certify_descent(table, subspace, x, v, evidence, norm_x)
         except SearchBudgetError:
             break
         chain.certificates.append(cert)
@@ -550,12 +546,10 @@ def verify_certificate(
     dp = dplus_enclosure_at_depth(table, cert.x, cert.v, cert.d_plus.depth)
     if (dp.lo, dp.hi) != (cert.d_plus.lo, cert.d_plus.hi):
         problems.append("d_plus does not recompute")
-    dm = dplus_enclosure_at_depth(table, cert.x, -cert.v, cert.d_minus.depth).reflected()
+    dm = -dplus_enclosure_at_depth(table, cert.x, -cert.v, cert.d_minus.depth)
     if (dm.lo, dm.hi) != (cert.d_minus.lo, cert.d_minus.hi):
         problems.append("d_minus does not recompute")
-    if cert.d_plus.sign_status == "straddles_zero" or (
-        cert.d_plus.sign_status != cert.d_minus.sign_status
-    ):
+    if cert.d_plus.sign() == 0 or cert.d_plus.sign() != cert.d_minus.sign():
         problems.append("derivative evidence does not determine a shared sign")
     return problems
 

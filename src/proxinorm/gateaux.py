@@ -9,7 +9,6 @@ computed from exact rational pairings, never from intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
 
@@ -17,59 +16,24 @@ from .bits import bits_for_target, dyadic_sum
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError
 from .norms import PRECISION_CAP, _minimal_depth
-from .vectors import SparseVec, format_rational, l1_norm, pair, parse_rational, sgn, sup_norm
+from .vectors import Enclosure, SparseVec, l1_norm, pair, sgn, sup_norm
 
 
-@dataclass(frozen=True)
-class DerivativeEnclosure:
-    """Interval certified to contain a one-sided directional derivative."""
+_SIGN_NAMES = {1: "positive", -1: "negative", 0: "straddles_zero"}
 
-    lo: Fraction
-    hi: Fraction
-    depth: int
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("enclosure with lo > hi")
+def derivative_to_json(enc: Enclosure) -> Dict[str, object]:
+    """Wire form of a derivative enclosure: its fields and its sign."""
+    return {**enc.to_json(), "sign": _SIGN_NAMES[enc.sign()]}
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
-    def sign_status(self) -> str:
-        if self.lo > 0:
-            return "positive"
-        if self.hi < 0:
-            return "negative"
-        return "straddles_zero"
-
-    def reflected(self) -> "DerivativeEnclosure":
-        return DerivativeEnclosure(-self.hi, -self.lo, self.depth)
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-            "depth": self.depth,
-            "sign": self.sign_status,
-        }
-
-    @staticmethod
-    def from_json(obj: object) -> "DerivativeEnclosure":
-        if not isinstance(obj, dict):
-            raise InputFormatError("derivative enclosure must be a JSON object")
-        for field in ("lo", "hi", "depth"):
-            if field not in obj:
-                raise InputFormatError(f"derivative enclosure missing field {field!r}")
-        enc = DerivativeEnclosure(
-            parse_rational(obj["lo"]), parse_rational(obj["hi"]), int(obj["depth"])
-        )
-        if "sign" in obj and obj["sign"] != enc.sign_status:
-            raise InputFormatError("sign field inconsistent with lo/hi")
-        return enc
+def derivative_from_json(obj: object) -> Enclosure:
+    """Inverse of :func:`derivative_to_json`; a ``sign`` field, if present,
+    must be the one ``lo``/``hi`` determine."""
+    enc = Enclosure.from_json(obj, "derivative enclosure")
+    if "sign" in obj and obj["sign"] != _SIGN_NAMES[enc.sign()]:
+        raise InputFormatError("sign field inconsistent with lo/hi")
+    return enc
 
 
 def dplus_sup(x: SparseVec, u: SparseVec) -> Fraction:
@@ -139,13 +103,13 @@ def derivative_series_sum(
 
 def dplus_enclosure_at_depth(
     table: ConstructionTable, x: SparseVec, u: SparseVec, depth: int
-) -> DerivativeEnclosure:
+) -> Enclosure:
     """Right-derivative enclosure of the series norm at fixed depth."""
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
     center = dplus_sup(x, u) + derivative_series_sum(table, x, u, depth)
     radius = sup_norm(u) * table.tail_bound(depth)
-    return DerivativeEnclosure(center - radius, center + radius, depth)
+    return Enclosure(center - radius, center + radius, depth)
 
 
 def dplus_norm(
@@ -153,7 +117,7 @@ def dplus_norm(
     x: SparseVec,
     u: SparseVec,
     precision_bits: int = 64,
-) -> DerivativeEnclosure:
+) -> Enclosure:
     """Right derivative of the series norm, width < 2^(-precision_bits)."""
     if precision_bits < 1 or precision_bits > PRECISION_CAP:
         raise PreconditionError(f"precision_bits must be in [1, {PRECISION_CAP}]")
@@ -166,14 +130,14 @@ def dminus_norm(
     x: SparseVec,
     u: SparseVec,
     precision_bits: int = 64,
-) -> DerivativeEnclosure:
+) -> Enclosure:
     """Left derivative: the reflection -d_plus(x; -u), interval-wise."""
-    return dplus_norm(table, x, -u, precision_bits).reflected()
+    return -dplus_norm(table, x, -u, precision_bits)
 
 
 def dplus_norm_for_width(
     table: ConstructionTable, x: SparseVec, u: SparseVec, width: Fraction
-) -> DerivativeEnclosure:
+) -> Enclosure:
     """Right-derivative enclosure with width strictly below a rational target."""
     if width <= 0:
         raise PreconditionError("width target must be positive")

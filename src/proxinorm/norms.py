@@ -9,56 +9,17 @@ source is truncation, and it is one-sided, so an enclosure is always
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .bits import bits_for_target, dyadic_sum
 from .construction import ConstructionTable
-from .errors import DepthBudgetError, InputFormatError, PreconditionError
-from .vectors import SparseVec, format_rational, pair, parse_rational, sup_norm
+from .errors import DepthBudgetError, PreconditionError
+from .vectors import Enclosure, SparseVec, pair, sup_norm
 
 DEFAULT_PRECISION_BITS = 64
 PRECISION_CAP = 1 << 20
 DEFAULT_COMPARISON_CAP_BITS = 8192
-
-
-@dataclass(frozen=True)
-class Enclosure:
-    """Exact rational interval [lo, hi] for a series value, with its
-    truncation depth.  lo is always the exact partial sum."""
-
-    lo: Fraction
-    hi: Fraction
-    depth: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("enclosure with lo > hi")
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def intersects(self, other: "Enclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-            "depth": self.depth,
-        }
-
-    @staticmethod
-    def from_json(obj: object) -> "Enclosure":
-        if not isinstance(obj, dict):
-            raise InputFormatError("enclosure must be a JSON object")
-        for field in ("lo", "hi", "depth"):
-            if field not in obj:
-                raise InputFormatError(f"enclosure missing field {field!r}")
-        return Enclosure(
-            parse_rational(obj["lo"]), parse_rational(obj["hi"]), int(obj["depth"])
-        )
 
 
 def series_partial_sum(table: ConstructionTable, x: SparseVec, depth: int) -> Fraction:

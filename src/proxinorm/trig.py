@@ -11,75 +11,16 @@ certified signs or rational midpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
 
 from .bits import round_dyadic
-from .errors import PrecisionBudgetError
+from .vectors import Enclosure
 
 DEFAULT_TRIG_BITS = 64
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    """Closed interval with exact rational endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval with lo > hi")
-
-    @staticmethod
-    def point(value: Fraction | int) -> "RatInterval":
-        f = Fraction(value)
-        return RatInterval(f, f)
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __add__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "RatInterval":
-        return RatInterval(-self.hi, -self.lo)
-
-    def scale(self, factor: Fraction | int) -> "RatInterval":
-        f = Fraction(factor)
-        if f >= 0:
-            return RatInterval(self.lo * f, self.hi * f)
-        return RatInterval(self.hi * f, self.lo * f)
-
-    def __mul__(self, other: "RatInterval") -> "RatInterval":
-        products = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        return RatInterval(min(products), max(products))
-
-    def straddles_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def sign(self) -> int:
-        """+1 or -1 when certified; raises when the interval straddles 0."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        raise PrecisionBudgetError("interval straddles zero; sign undetermined")
-
-
-def _atan_interval(inv: int, bits: int) -> RatInterval:
+def _atan_interval(inv: int, bits: int) -> Enclosure:
     """Bracket of atan(1/inv) via the alternating Taylor series."""
     x = Fraction(1, inv)
     term = x
@@ -89,16 +30,16 @@ def _atan_interval(inv: int, bits: int) -> RatInterval:
     while True:
         t = term / (2 * m + 1)
         if t < threshold:
-            return RatInterval(total - t, total + t)
+            return Enclosure(total - t, total + t)
         total += t if m % 2 == 0 else -t
         term *= x * x
         m += 1
 
 
-_PI_MEMO: Dict[int, RatInterval] = {}
+_PI_MEMO: Dict[int, Enclosure] = {}
 
 
-def pi_interval(bits: int = DEFAULT_TRIG_BITS) -> RatInterval:
+def pi_interval(bits: int = DEFAULT_TRIG_BITS) -> Enclosure:
     """Certified enclosure of pi with width below 2^(-bits)."""
     cached = _PI_MEMO.get(bits)
     if cached is None:
@@ -111,7 +52,7 @@ def pi_interval(bits: int = DEFAULT_TRIG_BITS) -> RatInterval:
     return cached
 
 
-def _taylor_enclosure(theta: RatInterval, bits: int, start: int) -> RatInterval:
+def _taylor_enclosure(theta: Enclosure, bits: int, start: int) -> Enclosure:
     """Enclosure of sin (start 1) or cos (start 0) over theta, |theta| <= 4.
 
     Taylor terms (-1)^m c^(2m+start) / (2m+start)! at a dyadic center c,
@@ -135,20 +76,20 @@ def _taylor_enclosure(theta: RatInterval, bits: int, start: int) -> RatInterval:
         fact *= (2 * m + start + 1) * (2 * m + start + 2)
         m += 1
     dev = max(c - theta.lo, theta.hi - c)
-    return RatInterval(total - r - dev, total + r + dev)
+    return Enclosure(total - r - dev, total + r + dev)
 
 
-def sin_enclosure(theta: RatInterval, bits: int = DEFAULT_TRIG_BITS) -> RatInterval:
+def sin_enclosure(theta: Enclosure, bits: int = DEFAULT_TRIG_BITS) -> Enclosure:
     """Certified enclosure of sin over the angle interval (|angle| <= 4)."""
     return _taylor_enclosure(theta, bits, 1)
 
 
-def cos_enclosure(theta: RatInterval, bits: int = DEFAULT_TRIG_BITS) -> RatInterval:
+def cos_enclosure(theta: Enclosure, bits: int = DEFAULT_TRIG_BITS) -> Enclosure:
     """Certified enclosure of cos over the angle interval (|angle| <= 4)."""
     return _taylor_enclosure(theta, bits, 0)
 
 
-def base_angles(n: int, bits: int = DEFAULT_TRIG_BITS) -> List[RatInterval]:
+def base_angles(n: int, bits: int = DEFAULT_TRIG_BITS) -> List[Enclosure]:
     """Angles r * pi / (2n + 2) for r = 0 .. n + 1 (equally spaced fan)."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -156,7 +97,7 @@ def base_angles(n: int, bits: int = DEFAULT_TRIG_BITS) -> List[RatInterval]:
     return [pi.scale(Fraction(r, 2 * n + 2)) for r in range(n + 2)]
 
 
-def fan_angles(n: int, bits: int = DEFAULT_TRIG_BITS) -> List[RatInterval]:
+def fan_angles(n: int, bits: int = DEFAULT_TRIG_BITS) -> List[Enclosure]:
     """Midpoint angles (2r - 1) * pi / (4n + 4) for r = 1 .. n + 1."""
     if n < 1:
         raise ValueError("n must be >= 1")

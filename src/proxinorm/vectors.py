@@ -1,15 +1,18 @@
-"""Finitely supported sequences of exact rationals, and their pairings.
+"""Exact rationals, their intervals, finitely supported sequences of them,
+and the pairings.
 
 A ``SparseVec`` stores only nonzero entries, keyed by 1-based coordinate
 index.  The same type carries points of the sequence space (sup-norm side)
 and finitely supported functionals (l1 side); the pairing is the
-coordinatewise sum of products.  Every operation here is exact: no
-rounding exists anywhere in this module.
+coordinatewise sum of products.  An ``Enclosure`` is the one interval type:
+norm, derivative and trigonometric enclosures alike.  Every operation here
+is exact: no rounding exists anywhere in this module.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
@@ -38,6 +41,8 @@ def parse_rational(text: str) -> Fraction:
     Past the int/str digit limit (4300 by default) the integers go through
     ``decimal``, which converts exactly and has no such limit.
     """
+    if not isinstance(text, str):
+        raise InputFormatError(f"rational must be a string, got {type(text).__name__}")
     try:
         try:
             return Fraction(text.strip())
@@ -66,6 +71,74 @@ def format_rational(value: Fraction) -> str:
     except ValueError:  # past the int/str digit limit; str(Decimal(n)) == str(n)
         num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
     return num if den == "1" else f"{num}/{den}"
+
+
+def parse_depth(value: object, owner: str) -> int:
+    """A ``depth`` field: a JSON integer (not a bool, not a float)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputFormatError(f"{owner} depth must be an integer, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class Enclosure:
+    """Closed interval [lo, hi] with exact rational endpoints, certified to
+    contain a real quantity.  ``depth`` is the series truncation depth it
+    was computed at; 0 for values that are not series sums.  Negation and
+    scaling keep the depth; a difference takes the larger one."""
+
+    lo: Fraction
+    hi: Fraction
+    depth: int = 0
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError("enclosure with lo > hi")
+
+    @staticmethod
+    def point(value: RationalLike) -> "Enclosure":
+        f = _as_fraction(value)
+        return Enclosure(f, f)
+
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def midpoint(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+    def intersects(self, other: "Enclosure") -> bool:
+        return self.lo <= other.hi and other.lo <= self.hi
+
+    def sign(self) -> int:
+        """+1 or -1 when the interval lies on one side of 0; 0 when it
+        contains 0."""
+        return (self.lo > 0) - (self.hi < 0)
+
+    def __neg__(self) -> "Enclosure":
+        return Enclosure(-self.hi, -self.lo, self.depth)
+
+    def __sub__(self, other: "Enclosure") -> "Enclosure":
+        return Enclosure(self.lo - other.hi, self.hi - other.lo, max(self.depth, other.depth))
+
+    def scale(self, factor: RationalLike) -> "Enclosure":
+        f = _as_fraction(factor)
+        lo, hi = self.lo * f, self.hi * f
+        return Enclosure(lo, hi, self.depth) if f >= 0 else Enclosure(hi, lo, self.depth)
+
+    def to_json(self) -> Dict[str, object]:
+        return {"lo": format_rational(self.lo), "hi": format_rational(self.hi), "depth": self.depth}
+
+    @staticmethod
+    def from_json(obj: object, owner: str = "enclosure") -> "Enclosure":
+        """Inverse of :meth:`to_json`; ``owner`` names the field in errors."""
+        if not isinstance(obj, dict):
+            raise InputFormatError(f"{owner} must be a JSON object")
+        for field in ("lo", "hi", "depth"):
+            if field not in obj:
+                raise InputFormatError(f"{owner} missing field {field!r}")
+        return Enclosure(
+            parse_rational(obj["lo"]), parse_rational(obj["hi"]), parse_depth(obj["depth"], owner)
+        )
 
 
 class SparseVec:

@@ -169,7 +169,7 @@ def test_criterion_4_and_5_linearity_and_sign_coherence(table):
                 bits = bits_for_target(margin / 4)
                 dp = dplus_norm(table, x, v, bits)
                 dm = dminus_norm(table, x, v, bits)
-                if dp.sign_status == "straddles_zero" or dp.sign_status != dm.sign_status:
+                if dp.sign() == 0 or dp.sign() != dm.sign():
                     sign_failures += 1
     report_line(
         4,

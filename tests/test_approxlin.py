@@ -169,9 +169,9 @@ def test_sign_coherence_implies_matching_definite_signs(table):
         bits = bits_for_target(margin / 4)
         dp = dplus_norm(table, x, v, bits)
         dm = dminus_norm(table, x, v, bits)
-        assert dp.sign_status != "straddles_zero"
-        assert dp.sign_status == dm.sign_status
-        assert dp.sign_status == ("positive" if pair(v, rep.gamma_vec()) > 0 else "negative")
+        assert dp.sign() != 0
+        assert dp.sign() == dm.sign()
+        assert dp.sign() == (1 if pair(v, rep.gamma_vec()) > 0 else -1)
 
 
 def test_span_match_gamma_itself(table):

@@ -1,8 +1,11 @@
+import copy
 import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from proxinorm.vectors import format_rational, parse_rational
 
@@ -136,6 +139,138 @@ def test_descend_golden_bytes(tmp_path, criterion6_starts):
     out = run_cli("descend", "--phi", e1, "--phi", e2, "--x0", x0, "--steps", "10")
     assert out.returncode == 0, out.stderr
     assert sha256(out.stdout) == DESCEND_SHA256
+
+
+#: ``norm`` of NORM_X and ``deriv`` (with and without ``--minus``) of KINK_X
+#: along KINK_U, all at 4096 bits.  KINK_X attains its sup norm at two
+#: coordinates that KINK_U moves in opposite senses, so the one-sided
+#: derivatives differ in sign.
+NORM_X = {"1": "2/3", "2": "-1/4", "5": "1/2"}
+KINK_X = {"1": "2/3", "2": "-2/3", "5": "1/2"}
+KINK_U = {"1": "1", "2": "1", "5": "-1/3"}
+ENCLOSURE_SHA256 = {
+    "norm": "0137633777971d1fe529ee2d85e0cb54b9cf409c9f96a25cdf43c15e8570cbc8",
+    "deriv": "af5f343e39ddcdeb7330315d2cbbc4c292a244e5dfbcd9d1cb46596cf12d8641",
+    "deriv --minus": "b3f0011e14c7be6bd6e2c0e40d3fefd7682d480d939bd8e65f3ea6e3b7c5af9d",
+}
+
+#: ``verify`` stdout on the ``descend`` chain of DESCEND_SHA256, and on a
+#: copy whose step-2 ``d_plus`` depth is raised by one.
+VERIFY_SHA256 = "d13b4ec5b120af3a5d3eeae12bf04920fdfba73b863ef2572a36e1dc0e8624ba"
+VERIFY_TAMPERED_SHA256 = "4901eaafaa7f1261828ccccbd731cbe5bea5e91fb58eb4ee327feeacc6312e11"
+
+
+@pytest.fixture(scope="module")
+def pinned_chain(tmp_path_factory, criterion6_starts):
+    """The ``descend`` chain that DESCEND_SHA256 pins, as a JSON object."""
+    tmp = tmp_path_factory.mktemp("pinned")
+    e1 = write_json(tmp / "e1.json", {"1": "1"})
+    e2 = write_json(tmp / "e2.json", {"2": "1"})
+    x0 = write_json(tmp / "x0.json", criterion6_starts[0].to_json())
+    out = run_cli("descend", "--phi", e1, "--phi", e2, "--x0", x0, "--steps", "10")
+    assert out.returncode == 0, out.stderr
+    assert sha256(out.stdout) == DESCEND_SHA256
+    return json.loads(out.stdout)
+
+
+def test_enclosure_golden_bytes(tmp_path):
+    vec = write_json(tmp_path / "x.json", NORM_X)
+    x = write_json(tmp_path / "kx.json", KINK_X)
+    u = write_json(tmp_path / "ku.json", KINK_U)
+    runs = {
+        "norm": run_cli("norm", "--vec", vec, "--bits", "4096"),
+        "deriv": run_cli("deriv", "--x", x, "--u", u, "--bits", "4096"),
+        "deriv --minus": run_cli("deriv", "--x", x, "--u", u, "--minus", "--bits", "4096"),
+    }
+    for name, out in runs.items():
+        assert out.returncode == 0, out.stderr
+        assert sha256(out.stdout) == ENCLOSURE_SHA256[name], f"{name} output changed"
+    assert list(json.loads(runs["deriv"].stdout)) == ["lo", "hi", "depth", "sign"]
+
+
+def test_verify_golden_bytes(tmp_path, pinned_chain):
+    out = run_cli("verify", "--cert", write_json(tmp_path / "chain.json", pinned_chain))
+    assert out.returncode == 0, out.stderr
+    assert sha256(out.stdout) == VERIFY_SHA256
+    tampered = copy.deepcopy(pinned_chain)
+    tampered["certificates"][2]["d_plus"]["depth"] += 1
+    out = run_cli("verify", "--cert", write_json(tmp_path / "tampered.json", tampered))
+    assert out.returncode == 1, out.stderr
+    assert sha256(out.stdout) == VERIFY_TAMPERED_SHA256
+
+
+def assert_input_error(out, message):
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and message in out.stderr, out.stderr
+
+
+def test_verify_rejects_flipped_sign_field(tmp_path, pinned_chain):
+    chain = copy.deepcopy(pinned_chain)
+    d_plus = chain["certificates"][0]["d_plus"]
+    assert d_plus["sign"] in ("positive", "negative")
+    d_plus["sign"] = "negative" if d_plus["sign"] == "positive" else "positive"
+    out = run_cli("verify", "--cert", write_json(tmp_path / "flipped.json", chain))
+    assert_input_error(out, "sign field inconsistent with lo/hi")
+
+
+def _set_field(path, value):
+    def mutate(chain):
+        *parents, last = path
+        target = chain
+        for key in parents:
+            target = target[key]
+        target[last] = value(target[last]) if callable(value) else value
+    return mutate
+
+
+#: Ill-typed fields of a chain document and the message each must raise.
+#: A float or string depth used to be truncated or parsed by ``int()``,
+#: so the chain still verified.
+MALFORMED_CHAINS = {
+    "depth-float": (_set_field(("certificates", 1, "norm_before", "depth"), lambda d: d + 0.5),
+                    "enclosure depth must be an integer"),
+    "depth-integral-float": (_set_field(("certificates", 1, "norm_after", "depth"), float),
+                             "enclosure depth must be an integer"),
+    "depth-numeric-string": (_set_field(("certificates", 1, "d_plus", "depth"), str),
+                             "derivative enclosure depth must be an integer"),
+    "depth-string": (_set_field(("certificates", 0, "d_minus", "depth"), "abc"),
+                     "derivative enclosure depth must be an integer"),
+    "depth-null": (_set_field(("certificates", 0, "norm_before", "depth"), None),
+                   "enclosure depth must be an integer"),
+    "depth-bool": (_set_field(("certificates", 0, "norm_before", "depth"), True),
+                   "enclosure depth must be an integer"),
+    "lo-number": (_set_field(("certificates", 0, "norm_after", "lo"), 1),
+                  "rational must be a string"),
+    "hi-number": (_set_field(("certificates", 0, "d_plus", "hi"), 0.5),
+                  "rational must be a string"),
+    "h-number": (_set_field(("certificates", 0, "h"), 5), "rational must be a string"),
+    "certificates-object": (_set_field(("certificates",), {}),
+                            "certificates must be a JSON array"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHAINS))
+def test_verify_rejects_malformed_fields(tmp_path, pinned_chain, case):
+    mutate, message = MALFORMED_CHAINS[case]
+    chain = copy.deepcopy(pinned_chain)
+    mutate(chain)
+    out = run_cli("verify", "--cert", write_json(tmp_path / "bad.json", chain))
+    assert_input_error(out, message)
+
+
+@pytest.mark.parametrize("depth", [60.5, "60", None])
+def test_feasible_rejects_non_integer_report_depth(tmp_path, depth):
+    x = write_json(tmp_path / "x.json", {"1": "2/3", "2": "-1/4", "5": "1/2"})
+    z = write_json(tmp_path / "z.json", {"1": "1"})
+    out = run_cli("approxlin", "--x", x, "--z", z, "--prefix", "60")
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    report["depth"] = depth
+    phi = write_json(tmp_path / "phi.json", {"1": "1"})
+    feas = run_cli("feasible", "--report", write_json(tmp_path / "r.json", report), "--phi", phi)
+    assert_input_error(feas, "report depth must be an integer")
 
 
 def test_approxlin_and_feasible_roundtrip(tmp_path):

@@ -18,7 +18,7 @@ from proxinorm.construction import (
     square_tail_majorant,
     vector_height,
 )
-from proxinorm.descent import SearchParams, Subspace, build_probes
+from proxinorm.descent import REPORT_DEPTH, Subspace, build_probes
 from proxinorm.errors import DepthBudgetError
 from proxinorm.vectors import SparseVec, l1_norm
 
@@ -154,7 +154,6 @@ def test_weight_tail_bounds_bracket_exact_sum(table):
 
 def test_weight_tail_bound_memo_matches_fresh_table(monkeypatch, criterion6_starts):
     H = Subspace([SparseVec.unit(1), SparseVec.unit(2)])
-    params = SearchParams()
     warmed = canonical_table()
     memoized = ConstructionTable.weight_tail_bound
     keys = []
@@ -166,8 +165,8 @@ def test_weight_tail_bound_memo_matches_fresh_table(monkeypatch, criterion6_star
     with monkeypatch.context() as m:
         m.setattr(ConstructionTable, "weight_tail_bound", recording)
         for x0 in criterion6_starts:
-            probes = build_probes(warmed, H, x0, params)
-            build_report(warmed, x0, probes, params.report_depth)
+            probes = build_probes(warmed, H, x0)
+            build_report(warmed, x0, probes, REPORT_DEPTH)
     assert len(set(keys)) < len(keys)  # reports repeat keys across starts
     fresh = canonical_table()
     for key in sorted(set(keys)):

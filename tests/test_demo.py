@@ -5,8 +5,8 @@ import pytest
 
 from proxinorm.approxlin import build_report, span_match_feasible
 from proxinorm.demo import (
+    DEFAULT_ANGLE_BITS,
     SignMatrix,
-    angle_ladder,
     build_fan,
     demo_points,
     demo_probes,
@@ -18,6 +18,7 @@ from proxinorm.demo import (
     theta_values,
 )
 from proxinorm.errors import PreconditionError
+from proxinorm.trig import base_angles
 from proxinorm.vectors import SparseVec, pair, sgn
 
 mpmath.mp.dps = 60
@@ -60,7 +61,7 @@ def test_fan_coefficients_never_straddle_zero():
             assert f.sin_coeff.sign() == 1
             assert f.cos_coeff.sign() == 1
             for i in (1, 2):
-                assert not f.coefficient_interval(i).straddles_zero()
+                assert f.coefficient_interval(i).sign() != 0
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -150,12 +151,12 @@ def test_run_demo_narrative(table):
     assert out["z_matches_prediction"] is True
     assert all(entry["constant_per_block"] for entry in out["theta"])
     assert len(out["points"]) == 3 and len(out["probes"]) == 3
-    ladder = angle_ladder(2)
+    ladder = base_angles(2, DEFAULT_ANGLE_BITS)
     assert len(ladder) == 4  # r = 0..n+1
-    assert all(t.interval.width() < Fraction(1, 1 << 40) for t in ladder)
+    assert all(t.width() < Fraction(1, 1 << 40) for t in ladder)
     # the ladder runs from 0 up to a quarter turn
-    assert ladder[0].interval.lo == 0 and ladder[0].interval.hi == 0
-    assert 0 < ladder[-1].interval.lo and ladder[-1].interval.hi < 2
+    assert ladder[0].lo == 0 and ladder[0].hi == 0
+    assert 0 < ladder[-1].lo and ladder[-1].hi < 2
 
 
 def test_determinant_rejects_non_square():

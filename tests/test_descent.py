@@ -9,7 +9,6 @@ from proxinorm.demo import build_fan, demo_points, demo_probes
 from proxinorm.descent import (
     DescentCertificate,
     DescentChain,
-    SearchParams,
     Subspace,
     _candidate_supports,
     build_probes,
@@ -62,7 +61,7 @@ def test_probes_are_admissible(table):
     assert len(set(probes)) == len(probes)
     for z in probes:
         assert pair(x, z) != 0
-        assert table.occurrence_positions(z, SearchParams().report_depth)
+        assert table.occurrence_positions(z, descent.REPORT_DEPTH)
 
 
 def test_find_direction_codim2(table):
@@ -73,22 +72,22 @@ def test_find_direction_codim2(table):
     v, evidence, report = found
     assert H.contains(v)  # exact kernel membership
     assert evidence.margin > 0
-    assert evidence.d_plus.sign_status in ("positive", "negative")
-    assert evidence.d_plus.sign_status == evidence.d_minus.sign_status
+    assert evidence.d_plus.sign() in (1, -1)
+    assert evidence.d_plus.sign() == evidence.d_minus.sign()
     assert set(v.support()) <= set(report.usable)
 
 
-def _candidates(report, subspace, params):
+def _candidates(report, subspace):
     size = subspace.codimension + 1
-    for support in _candidate_supports(report.usable, size, params.max_candidates):
+    for support in _candidate_supports(report.usable, size, descent.MAX_CANDIDATES):
         for b in kernel_directions(subspace.functionals, support):
             yield primitive(b)
 
 
-def _reference_best(report, subspace, params):
+def _reference_best(report, subspace):
     """Brute-force search: score every candidate, repeats included."""
     best = None
-    for v in _candidates(report, subspace, params):
+    for v in _candidates(report, subspace):
         margin = coherence_margin(report, v)
         if margin > 0 and (best is None or margin > best[0]):
             best = (margin, v)
@@ -97,7 +96,6 @@ def _reference_best(report, subspace, params):
 
 def test_find_direction_scores_each_direction_once(table, criterion6_starts, monkeypatch):
     H = codim2_subspace()
-    params = SearchParams()
     scored = []
 
     def counting(report, v):
@@ -107,11 +105,11 @@ def test_find_direction_scores_each_direction_once(table, criterion6_starts, mon
     monkeypatch.setattr(descent, "coherence_margin", counting)
     for x0 in criterion6_starts[:3]:
         scored.clear()
-        v, evidence, report = find_descent_direction(table, H, x0, params)
-        candidates = list(_candidates(report, H, params))
+        v, evidence, report = find_descent_direction(table, H, x0)
+        candidates = list(_candidates(report, H))
         assert len(set(candidates)) < len(candidates)
         assert len(scored) == len(set(scored)) and set(scored) == set(candidates)
-        assert (evidence.margin, v) == _reference_best(report, H, params)
+        assert (evidence.margin, v) == _reference_best(report, H)
 
 
 def test_find_direction_rejects_point_inside_subspace(table):
@@ -249,16 +247,16 @@ def test_codim1_search_is_honest(table):
         assert evidence.margin > 0
 
 
-def test_sequence_partial_chain_on_tiny_budget(table):
+def test_sequence_partial_chain_on_tiny_budget(table, monkeypatch):
     """An impossible probe budget stops the run with a partial (empty) chain
     instead of raising; the probe builder itself reports the exhaustion."""
     H = codim2_subspace()
-    params = SearchParams(report_depth=2)  # only zero vectors listed that early
+    monkeypatch.setattr(descent, "REPORT_DEPTH", 2)  # only zero vectors listed that early
     from proxinorm.errors import SearchBudgetError
 
     with pytest.raises(SearchBudgetError):
-        build_probes(table, H, generic_point(), params)
-    chain = minimizing_sequence(table, H, generic_point(), 3, params)
+        build_probes(table, H, generic_point())
+    chain = minimizing_sequence(table, H, generic_point(), 3)
     assert chain.certificates == []
 
 

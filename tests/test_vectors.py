@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proxinorm.errors import InputFormatError
-from proxinorm.vectors import SparseVec, l1_norm, pair, parse_rational, sgn, sup_norm
+from proxinorm.vectors import Enclosure, SparseVec, l1_norm, pair, parse_rational, sgn, sup_norm
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 vectors = st.dictionaries(st.integers(1, 12), rationals, max_size=5).map(SparseVec)
@@ -103,3 +103,38 @@ def test_bad_rational_echo_is_capped():
         parse_rational(text)
     message = str(long.value)
     assert message == f"bad rational literal {text[:40]!r}... (4773 characters)"
+
+
+def test_parse_rational_rejects_non_strings():
+    for value in (5, 0.5, None, [1]):
+        with pytest.raises(InputFormatError):
+            parse_rational(value)
+
+
+def test_crossed_enclosure_raises():
+    with pytest.raises(ValueError, match="enclosure with lo > hi"):
+        Enclosure(Fraction(1), Fraction(0))
+
+
+def test_enclosure_sign_and_reflection():
+    pos = Enclosure(Fraction(1, 3), Fraction(1, 2), 7)
+    assert pos.sign() == 1 and (-pos).sign() == -1
+    assert -pos == Enclosure(Fraction(-1, 2), Fraction(-1, 3), 7)
+    assert Enclosure(Fraction(-1), Fraction(0)).sign() == 0
+    assert Enclosure.point(0).sign() == 0
+    assert pos.scale(-2) == Enclosure(Fraction(-1), Fraction(-2, 3), 7)
+
+
+def test_enclosure_json_roundtrip_and_depth_type():
+    enc = Enclosure(Fraction(-1, 3), Fraction(5, 2), 12)
+    obj = enc.to_json()
+    assert list(obj) == ["lo", "hi", "depth"]
+    assert Enclosure.from_json(obj) == enc
+    for depth in (12.0, 12.5, "12", None, True):
+        with pytest.raises(InputFormatError, match="depth must be an integer"):
+            Enclosure.from_json(dict(obj, depth=depth))
+    for field in ("lo", "hi"):
+        with pytest.raises(InputFormatError, match="rational must be a string"):
+            Enclosure.from_json(dict(obj, **{field: 1}))
+    with pytest.raises(InputFormatError, match="derivative enclosure missing field 'depth'"):
+        Enclosure.from_json({"lo": "0", "hi": "1"}, "derivative enclosure")
