@@ -12,7 +12,7 @@ from .approxlin import (
     verify_linearity_bound,
 )
 from .config import Config, load_config
-from .construction import ConstructionTable, TableParams, canonical_table
+from .construction import ConstructionTable, canonical_table
 from .demo import SignMatrix, independence_check, run_demo, sign_table, theta_values
 from .descent import (
     DescentCertificate,

@@ -29,13 +29,14 @@ from .bits import dyadic_sign, dyadic_sum, scale_pow2, split_pow2
 from .construction import ConstructionTable
 from .errors import HypothesisError, InputFormatError, PreconditionError
 from .gateaux import dplus_norm_for_width
-from .linalg import LinearSystem, feasible
+from .linalg import DEFAULT_ELIMINATION_BUDGET, LinearSystem, feasible
+from .norms import DEFAULT_PRECISION_BITS
 from .vectors import (
     Enclosure,
     SparseVec,
     format_rational,
     pair,
-    parse_depth,
+    parse_int,
     parse_rational,
     sgn,
     sup_norm,
@@ -102,18 +103,33 @@ class LinearityReport:
     def from_json(obj: object) -> "LinearityReport":
         if not isinstance(obj, dict):
             raise InputFormatError("report must be a JSON object")
+
+        def field(name: str, kind: type):
+            if not isinstance(obj[name], kind):
+                raise InputFormatError(f"report {name} has the wrong JSON type")
+            return obj[name]
+
+        def keyed(name: str, parse_value) -> dict:
+            items = field(name, dict).items()
+            return {parse_int(i, f"report {name} key", key=True): parse_value(v) for i, v in items}
+
+        def reasons(value: object) -> List[str]:
+            if not isinstance(value, list) or not all(isinstance(r, str) for r in value):
+                raise InputFormatError(f"exclusion reasons must be a list of strings, got {value!r}")
+            return value
+
         try:
             return LinearityReport(
                 x=SparseVec.from_json(obj["x"]),
-                probes=[SparseVec.from_json(z) for z in obj["probes"]],
-                depth=parse_depth(obj["depth"], "report"),
-                index_position={int(i): int(k) for i, k in obj["indices"].items()},
-                block={int(i): int(j) for i, j in obj["block"].items()},
-                usable=tuple(int(i) for i in obj["usable"]),
-                excluded={int(i): list(r) for i, r in obj["excluded"].items()},
-                gamma={int(i): parse_rational(g) for i, g in obj["gamma"].items()},
-                eps_lo={int(i): parse_rational(e) for i, e in obj["eps_lower"].items()},
-                eps_hi={int(i): parse_rational(e) for i, e in obj["eps_upper"].items()},
+                probes=[SparseVec.from_json(z) for z in field("probes", list)],
+                depth=parse_int(obj["depth"], "report depth"),
+                index_position=keyed("indices", lambda k: parse_int(k, "report position")),
+                block=keyed("block", lambda j: parse_int(j, "report probe number")),
+                usable=tuple(parse_int(i, "report usable index") for i in field("usable", list)),
+                excluded=keyed("excluded", reasons),
+                gamma=keyed("gamma", parse_rational),
+                eps_lo=keyed("eps_lower", parse_rational),
+                eps_hi=keyed("eps_upper", parse_rational),
             )
         except KeyError as exc:
             raise InputFormatError(f"report missing field {exc.args[0]!r}") from exc
@@ -175,10 +191,8 @@ def build_report(
                 continue
             usable.append(i)
             gamma[i] = Fraction(-sgn(pairings[j]), 1 << i * i)
-            # eps = tail bound / 2^(-i^2); eps values sit near 2^(-2i), and
-            # the grain keeps ~2i+16 significant bits, so ordering and
-            # positivity survive.
-            lo, hi = table.weight_tail_bound(k, grain_bits=i * i + 4 * i + 16)
+            # eps = tail bound / 2^(-i^2), with i = a_k.
+            lo, hi = table.weight_tail_bound(k)
             eps_lo[i] = scale_pow2(lo, i * i)
             eps_hi[i] = scale_pow2(hi, i * i)
 
@@ -235,17 +249,12 @@ def _margin_terms(report: LinearityReport, v: SparseVec) -> List[_Term]:
     return [(s * n, q, e) for n, q, e in pairing] + [(-n, q, e) for n, q, e in budget]
 
 
-def error_budget(report: LinearityReport, v: SparseVec, upper: bool) -> Fraction:
-    """Sum of eps_i * |v_i * gamma_i| with the chosen eps bound."""
-    return dyadic_sum(_terms(report, v, report.eps_hi if upper else report.eps_lo)[1])
-
-
 def verify_linearity_bound(
     table: ConstructionTable,
     x: SparseVec,
     report: LinearityReport,
     v: SparseVec,
-    precision_bits: int = 64,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Tuple[Enclosure, Fraction, bool]:
     """Certify |d_plus(x; v) - <v, gamma>| <= sum eps_i |v_i gamma_i|.
 
@@ -299,8 +308,7 @@ def span_match_feasible(
     report: LinearityReport,
     functionals: Sequence[SparseVec],
     indices: Sequence[int],
-    eps_upper: bool = True,
-    budget: int = 10_000,
+    budget: int = DEFAULT_ELIMINATION_BUDGET,
 ) -> Tuple[bool, Optional[SparseVec]]:
     """Decide whether some combination of the functionals matches gamma.
 
@@ -308,18 +316,16 @@ def span_match_feasible(
     the given subset of the usable indices, phi ranging over the span of
     the functionals.  Returns (satisfiable, coefficient vector) where the
     coefficient vector assigns a rational weight to each functional
-    (1-based).  Uses the upper eps bound by default, matching the sign
-    analysis; pass eps_upper=False for the conservative direction.
+    (1-based).  Uses the upper eps bound, matching the sign analysis.
     """
     idx = sorted(set(int(i) for i in indices))
     outside = [i for i in idx if i not in report.gamma]
     if outside:
         raise PreconditionError(f"indices outside the usable prefix: {outside}")
-    eps = report.eps_hi if eps_upper else report.eps_lo
     system = LinearSystem(variables=tuple(range(1, len(functionals) + 1)))
     for i in idx:
         coeffs = SparseVec({t + 1: phi[i] for t, phi in enumerate(functionals)})
-        bound = eps[i] * abs(report.gamma[i])
+        bound = report.eps_hi[i] * abs(report.gamma[i])
         system.add(coeffs, "<=", report.gamma[i] + bound)
         system.add(-coeffs, "<=", bound - report.gamma[i])
     ok, witness = feasible(system, budget=budget)

@@ -2,7 +2,9 @@
 
 Sources, later wins: dataclass defaults, a config file of ``key = value``
 lines (# comments allowed), then ``PROXINORM_<KEY>`` environment
-variables.  All values are positive integers.
+variables.  All values are positive integers.  ``descend`` does not
+read ``precision_bits``: its enclosure depths come from the descent
+margins.
 """
 
 from __future__ import annotations
@@ -11,18 +13,22 @@ import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .construction import DEFAULT_DEPTH_BUDGET
+from .descent import ROUNDING_DENOMINATOR_BITS
 from .errors import InputFormatError
+from .linalg import DEFAULT_ELIMINATION_BUDGET
+from .norms import DEFAULT_PRECISION_BITS
 
 ENV_PREFIX = "PROXINORM_"
 
 
 @dataclass
 class Config:
-    depth_budget: int = 5000
-    precision_bits: int = 64
-    elimination_budget: int = 10_000
+    depth_budget: int = DEFAULT_DEPTH_BUDGET
+    precision_bits: int = DEFAULT_PRECISION_BITS
+    elimination_budget: int = DEFAULT_ELIMINATION_BUDGET
     demo_n: int = 2
-    rounding_denominator_bits: int = 16
+    rounding_denominator_bits: int = ROUNDING_DENOMINATOR_BITS
 
     def __post_init__(self):
         for f in fields(self):

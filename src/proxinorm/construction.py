@@ -21,7 +21,6 @@ majorants evaluated in integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterator, List, Tuple
@@ -34,16 +33,6 @@ DEFAULT_DEPTH_BUDGET = 5000
 
 #: Number of exactly summed leading terms in every tail majorant.
 EXACT_HEAD_TERMS = 50
-
-
-def vector_height(x: SparseVec) -> int:
-    """Enumeration height; 1 for the zero vector."""
-    if x.is_zero():
-        return 1
-    h = x.max_support()
-    for _, v in x.items():
-        h = max(h, abs(v.numerator) + v.denominator)
-    return h
 
 
 def rational_grid(height: int) -> List[Fraction]:
@@ -88,15 +77,17 @@ def _vector_stream() -> Iterator[SparseVec]:
         level += 1
 
 
-def growth_tail_majorant(m: int) -> Fraction:
-    """Upper bound for sum over n >= m of (1+n) * 2^(-n^2), m >= 1.
+def _tail_majorant(m: int, slope: int) -> Fraction:
+    """Upper bound for sum over n >= m of (1 + slope*n) * 2^(-n^2), m >= 1,
+    slope 0 or 1.
 
     The first EXACT_HEAD_TERMS terms are summed exactly; the rest is
-    dominated by 2*(1+M)*2^(-M^2) at M = m + EXACT_HEAD_TERMS, using
-    (1+M+j) <= (1+M)*2^j and 2Mj + j^2 >= 2j for M >= 1.  The result is
-    rounded up to granularity 2^(-(m+2)^2-2), which keeps denominators
-    small downstream; the increase is far below the dropped head term
-    (1+m)*2^(-m^2), so strict decrease in m survives the rounding.
+    dominated by 2*(1 + slope*M)*2^(-M^2) at M = m + EXACT_HEAD_TERMS,
+    using (1 + slope*(M+j)) <= (1 + slope*M)*2^j and 2Mj + j^2 >= 2j for
+    M >= 1.  The result is rounded up to granularity 2^(-(m+2)^2-2), which
+    keeps denominators small downstream; the increase is far below the
+    dropped head term (1 + slope*m)*2^(-m^2), so strict decrease in m
+    survives the rounding.
     """
     if m < 1:
         raise ValueError("majorant requires m >= 1")
@@ -104,71 +95,47 @@ def growth_tail_majorant(m: int) -> Fraction:
     E = M * M
     num = 0
     for n in range(m, M):
-        num += (1 + n) << (E - n * n)
-    num += 2 * (1 + M)
+        num += (1 + slope * n) << (E - n * n)
+    num += 2 * (1 + slope * M)
     return round_dyadic(Fraction(num, 1 << E), (m + 2) * (m + 2) + 2, up=True)
+
+
+def growth_tail_majorant(m: int) -> Fraction:
+    """Upper bound for sum over n >= m of (1+n) * 2^(-n^2), m >= 1."""
+    return _tail_majorant(m, 1)
 
 
 def square_tail_majorant(m: int) -> Fraction:
-    """Upper bound for sum over n >= m of 2^(-n^2), m >= 1.
-
-    Exact head plus 2*2^(-M^2), from 2^(-(M+j)^2) <= 2^(-M^2) * 2^(-j);
-    rounded up like :func:`growth_tail_majorant`.
-    """
-    if m < 1:
-        raise ValueError("majorant requires m >= 1")
-    M = m + EXACT_HEAD_TERMS
-    E = M * M
-    num = 0
-    for n in range(m, M):
-        num += 1 << (E - n * n)
-    num += 2
-    return round_dyadic(Fraction(num, 1 << E), (m + 2) * (m + 2) + 2, up=True)
-
-
-@dataclass(frozen=True)
-class TableParams:
-    """Parameters of the canonical construction (enumeration is fixed)."""
-
-    depth_budget: int = DEFAULT_DEPTH_BUDGET
-
-    def __post_init__(self):
-        if self.depth_budget < 1:
-            raise ValueError("depth_budget must be positive")
+    """Upper bound for sum over n >= m of 2^(-n^2), m >= 1."""
+    return _tail_majorant(m, 0)
 
 
 class ConstructionTable:
     """Append-only cache of the canonical (vector, tag) stream.
 
-    Two tables with equal params produce identical prefixes.  Extension is
-    lazy: ``entry(k)`` grows the cache to position k, raising
-    DepthBudgetError past the depth budget.
+    Two tables produce identical prefixes; the enumeration is fixed.
+    Extension is lazy: ``entry(k)`` grows the cache to position k, raising
+    DepthBudgetError past ``depth_budget``.
     """
 
-    def __init__(self, params: TableParams | None = None, depth_budget: int | None = None):
-        if params is None:
-            params = TableParams(depth_budget or DEFAULT_DEPTH_BUDGET)
-        elif depth_budget is not None:
-            raise ValueError("pass either params or depth_budget, not both")
-        self.params = params
+    def __init__(self, depth_budget: int = DEFAULT_DEPTH_BUDGET):
+        if depth_budget < 1:
+            raise ValueError("depth_budget must be positive")
+        self.depth_budget = depth_budget
         self._vectors: List[SparseVec] = []
         self._tags: List[int] = []
         self._occurrences: Dict[SparseVec, List[int]] = {}
         self._stream = _vector_stream()
         self._tail_memo: Dict[int, Fraction] = {}
-        self._weight_tail_memo: Dict[tuple, Tuple[Fraction, Fraction]] = {}
-
-    @property
-    def depth_budget(self) -> int:
-        return self.params.depth_budget
+        self._weight_tail_memo: Dict[int, Tuple[Fraction, Fraction]] = {}
 
     def __len__(self) -> int:
         return len(self._vectors)
 
     def _extend_to(self, k: int) -> None:
-        if k > self.params.depth_budget:
+        if k > self.depth_budget:
             raise DepthBudgetError(
-                f"table index {k} exceeds depth budget {self.params.depth_budget}"
+                f"table index {k} exceeds depth budget {self.depth_budget}"
             )
         while len(self._vectors) < k:
             u = next(self._stream)
@@ -214,10 +181,6 @@ class ConstructionTable:
         self._extend_to(k_max)
         return [k for k in self._occurrences.get(x, []) if k <= k_max]
 
-    def tag_set(self, x: SparseVec, k_max: int) -> List[int]:
-        """Tags of the occurrences of x in the first k_max stream positions."""
-        return [self._tags[k - 1] for k in self.occurrence_positions(x, k_max)]
-
     def tail_bound(self, K: int) -> Fraction:
         """Certified upper bound for sum over k > K of (1 + a_k) * 2^(-a_k^2).
 
@@ -232,36 +195,28 @@ class ConstructionTable:
             self._tail_memo[K] = cached
         return cached
 
-    def weight_tail_bound(
-        self,
-        k: int,
-        head_terms: int = EXACT_HEAD_TERMS,
-        grain_bits: int | None = None,
-    ) -> Tuple[Fraction, Fraction]:
+    def weight_tail_bound(self, k: int) -> Tuple[Fraction, Fraction]:
         """Certified (lower, upper) bounds for sum over l > k of 2^(-a_l^2).
 
-        The lower bound sums ``head_terms`` exact table terms (fewer near
+        The lower bound sums EXACT_HEAD_TERMS exact table terms (fewer near
         the depth budget); the upper bound adds the square-series majorant
-        from the next unseen tag on.  With ``grain_bits`` the lower bound
-        is rounded down and the upper bound rounded up to multiples of
-        2^(-grain_bits), which keeps denominators small without weakening
-        either certificate.
+        from the next unseen tag on.  Both are rounded outward to multiples
+        of 2^(-g), g = a^2 + 4a + 16 with a = a_k: the sum sits near
+        2^(-a^2-2a), so the grain keeps about 2a + 16 significant bits and
+        small denominators without weakening either certificate.
 
         The bounds depend only on the table prefix, so each table memoizes
-        them per ``(k, head_terms, grain_bits)``; a repeat call returns the
-        same tuple.  Every step of a descent asks for the same few keys.
+        them per k; a repeat call returns the same tuple.  Every step of a
+        descent asks for the same few keys.
         """
-        key = (k, head_terms, grain_bits)
-        cached = self._weight_tail_memo.get(key)
+        cached = self._weight_tail_memo.get(k)
         if cached is None:
-            cached = self._weight_tail_bound(k, head_terms, grain_bits)
-            self._weight_tail_memo[key] = cached
+            cached = self._weight_tail_bound(k)
+            self._weight_tail_memo[k] = cached
         return cached
 
-    def _weight_tail_bound(
-        self, k: int, head_terms: int, grain_bits: int | None
-    ) -> Tuple[Fraction, Fraction]:
-        J = min(k + head_terms, self.params.depth_budget)
+    def _weight_tail_bound(self, k: int) -> Tuple[Fraction, Fraction]:
+        J = min(k + EXACT_HEAD_TERMS, self.depth_budget)
         if J <= k:
             raise DepthBudgetError(f"no room past index {k} within budget")
         self._extend_to(J)
@@ -270,16 +225,15 @@ class ConstructionTable:
         for l in range(k + 1, J + 1):
             num += 1 << (E - self._tags[l - 1] ** 2)
         majorant = square_tail_majorant(self._tags[J - 1] + 1)
-        if grain_bits is None:
-            lower = Fraction(num, 1 << E)
-            return lower, lower + majorant
-        if E >= grain_bits:
-            lo_num = num >> (E - grain_bits)
-            hi_num = -((-num) >> (E - grain_bits))
+        a = self.tag(k)
+        g = a * a + 4 * a + 16
+        if E >= g:
+            lo_num = num >> (E - g)
+            hi_num = -((-num) >> (E - g))
         else:
-            lo_num = hi_num = num << (grain_bits - E)
-        upper = Fraction(hi_num, 1 << grain_bits) + majorant
-        return Fraction(lo_num, 1 << grain_bits), round_dyadic(upper, grain_bits, up=True)
+            lo_num = hi_num = num << (g - E)
+        upper = Fraction(hi_num, 1 << g) + majorant
+        return Fraction(lo_num, 1 << g), round_dyadic(upper, g, up=True)
 
     def growth_prefix_dyadic(self, k_max: int) -> Tuple[int, int]:
         """(num, exp) with sum over k <= k_max of (1+a_k)*2^(-a_k^2) = num/2^exp.
@@ -297,4 +251,4 @@ class ConstructionTable:
 
 
 def canonical_table(depth_budget: int = DEFAULT_DEPTH_BUDGET) -> ConstructionTable:
-    return ConstructionTable(TableParams(depth_budget))
+    return ConstructionTable(depth_budget)

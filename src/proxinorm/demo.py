@@ -122,58 +122,49 @@ def build_fan(
     return [FanFunctional.build(n, s, phi1, phi2, bits) for s in range(1, n + 2)]
 
 
-def demo_points(n: int, bits: int = DEFAULT_ANGLE_BITS) -> List[SparseVec]:
+def demo_points(n: int) -> List[SparseVec]:
     """Rational base points x^(r) = cos(beta_r) e1 + sin(beta_r) e2.
 
     Entries are rounded to within 2^-32 of the true trigonometric values;
     coset minimality is not (and cannot be) enforced at desk scale.
     """
     points = []
-    for r, beta in enumerate(base_angles(n, bits)):
+    for r, beta in enumerate(base_angles(n, DEFAULT_ANGLE_BITS)):
         if r == 0:
             continue
-        c = cos_enclosure(beta, bits).midpoint().limit_denominator(1 << 34)
-        s = sin_enclosure(beta, bits).midpoint().limit_denominator(1 << 34)
+        c = cos_enclosure(beta, DEFAULT_ANGLE_BITS).midpoint().limit_denominator(1 << 34)
+        s = sin_enclosure(beta, DEFAULT_ANGLE_BITS).midpoint().limit_denominator(1 << 34)
         points.append(SparseVec({1: c, 2: s}))
     return points
 
 
-def certified_sign(
-    x: SparseVec,
-    f: Union[FanFunctional, SparseVec],
-    bits: int = DEFAULT_ANGLE_BITS,
-    bits_cap: int = SIGN_TABLE_BITS_CAP,
-) -> int:
+def certified_sign(x: SparseVec, f: Union[FanFunctional, SparseVec]) -> int:
     """Certified sign of the pairing of x with an exact or fan functional.
 
     Exact probes give exact signs (sign of 0 is +1 by convention); fan
-    functionals escalate interval precision until the sign is certified,
-    raising PrecisionBudgetError at the cap.
+    functionals escalate interval precision from DEFAULT_ANGLE_BITS until
+    the sign is certified, raising PrecisionBudgetError at
+    SIGN_TABLE_BITS_CAP.
     """
     if isinstance(f, SparseVec):
         return sgn(pair(x, f))
-    p = bits
-    fan = f if f.bits >= bits else f.at_bits(bits)
+    fan = f if f.bits >= DEFAULT_ANGLE_BITS else f.at_bits(DEFAULT_ANGLE_BITS)
     while True:
         sign = fan.pair_interval(x).sign()
         if sign:
             return sign
-        if p >= bits_cap:
+        if fan.bits >= SIGN_TABLE_BITS_CAP:
             raise PrecisionBudgetError(
-                f"sign undetermined at {p} bits (point {x!r}, fan index {fan.index})"
+                f"sign undetermined at {fan.bits} bits (point {x!r}, fan index {fan.index})"
             )
-        p = min(2 * p, bits_cap)
-        fan = fan.at_bits(p)
+        fan = fan.at_bits(min(2 * fan.bits, SIGN_TABLE_BITS_CAP))
 
 
 def sign_table(
-    points: Sequence[SparseVec],
-    functionals: Sequence[Union[FanFunctional, SparseVec]],
-    bits: int = DEFAULT_ANGLE_BITS,
-    bits_cap: int = SIGN_TABLE_BITS_CAP,
+    points: Sequence[SparseVec], functionals: Sequence[Union[FanFunctional, SparseVec]]
 ) -> List[List[int]]:
     """Certified sign of <x^(r), f_s> for every point/functional pair."""
-    return [[certified_sign(x, f, bits, bits_cap) for f in functionals] for x in points]
+    return [[certified_sign(x, f) for f in functionals] for x in points]
 
 
 def theta_values(
@@ -200,8 +191,7 @@ def theta_blocks(report: LinearityReport, phi: SparseVec) -> Dict[int, List[Frac
 
 
 def demo_probes(
-    table, points: Sequence[SparseVec], fan: Sequence[FanFunctional], depth: int,
-    max_denominator_bits: int = ROUNDING_DENOMINATOR_BITS,
+    table, points: Sequence[SparseVec], fan: Sequence[FanFunctional], depth: int
 ) -> List[SparseVec]:
     """Distinct stream-visible probes pairing nonzero with every point.
 
@@ -224,7 +214,7 @@ def demo_probes(
         for f in fan
     ]
     support = fan[0].support() if fan else (1, 2)
-    chosen = _fan_probes(targets, max_denominator_bits, admissible, n_probes, support)
+    chosen = _fan_probes(targets, ROUNDING_DENOMINATOR_BITS, admissible, n_probes, support)
     if len(chosen) < n_probes:
         raise PreconditionError(
             f"could not assemble {n_probes} demo probes within depth {depth}"
@@ -255,7 +245,7 @@ def _abs_lower(iv: Enclosure) -> Fraction:
     return min(abs(iv.lo), abs(iv.hi))
 
 
-def run_demo(table, n: int, bits: int = DEFAULT_ANGLE_BITS, report_depth: int = REPORT_DEPTH) -> Dict:
+def run_demo(table, n: int) -> Dict:
     """Full sign-apparatus walkthrough at codimension n; JSON-ready output.
 
     Covers: certified angle ladder, base points, fan sign table against
@@ -267,14 +257,14 @@ def run_demo(table, n: int, bits: int = DEFAULT_ANGLE_BITS, report_depth: int = 
     from .approxlin import build_report
 
     phi1, phi2 = SparseVec.unit(1), SparseVec.unit(2)
-    betas = base_angles(n, bits)
-    fan = build_fan(n, phi1, phi2, bits)
-    points = demo_points(n, bits)
+    betas = base_angles(n, DEFAULT_ANGLE_BITS)
+    fan = build_fan(n, phi1, phi2)
+    points = demo_points(n)
     predicted = SignMatrix.predicted(n)
-    psi_table = sign_table(points, fan, bits)
+    psi_table = sign_table(points, fan)
     independent, det = independence_check(predicted)
 
-    probes = demo_probes(table, points, fan, report_depth)
+    probes = demo_probes(table, points, fan, REPORT_DEPTH)
     z_table = sign_table(points, probes)
 
     # Rounding quality: the sign transfer from the fan to the probes is
@@ -293,7 +283,7 @@ def run_demo(table, n: int, bits: int = DEFAULT_ANGLE_BITS, report_depth: int = 
 
     theta_section = []
     for r, x in enumerate(points, start=1):
-        report = build_report(table, x, probes, report_depth)
+        report = build_report(table, x, probes, REPORT_DEPTH)
         gvec = report.gamma_vec()
         blocks = theta_blocks(report, gvec)
         sigma_x = {j: sgn(pair(x, z)) for j, z in enumerate(probes)}

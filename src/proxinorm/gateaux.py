@@ -15,7 +15,7 @@ from typing import Dict
 from .bits import bits_for_target, dyadic_sum
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError
-from .norms import PRECISION_CAP, _minimal_depth
+from .norms import DEFAULT_PRECISION_BITS, PRECISION_CAP, _minimal_depth
 from .vectors import Enclosure, SparseVec, l1_norm, pair, sgn, sup_norm
 
 
@@ -116,7 +116,7 @@ def dplus_norm(
     table: ConstructionTable,
     x: SparseVec,
     u: SparseVec,
-    precision_bits: int = 64,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Enclosure:
     """Right derivative of the series norm, width < 2^(-precision_bits)."""
     if precision_bits < 1 or precision_bits > PRECISION_CAP:
@@ -129,7 +129,7 @@ def dminus_norm(
     table: ConstructionTable,
     x: SparseVec,
     u: SparseVec,
-    precision_bits: int = 64,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Enclosure:
     """Left derivative: the reflection -d_plus(x; -u), interval-wise."""
     return -dplus_norm(table, x, -u, precision_bits)

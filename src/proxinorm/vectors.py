@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterator, Mapping, Tuple, Union
 
 from .errors import InputFormatError
 
@@ -73,10 +73,16 @@ def format_rational(value: Fraction) -> str:
     return num if den == "1" else f"{num}/{den}"
 
 
-def parse_depth(value: object, owner: str) -> int:
-    """A ``depth`` field: a JSON integer (not a bool, not a float)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputFormatError(f"{owner} depth must be an integer, got {value!r}")
+_INT_KEY = re.compile(r"-?[0-9]+")
+
+
+def parse_int(value: object, what: str, key: bool = False) -> int:
+    """A JSON integer (not a bool, not a float); ``what`` names it in errors.
+    A ``key`` (JSON keys are strings) must be an integer's decimal digits."""
+    if key and isinstance(value, str) and _INT_KEY.fullmatch(value):
+        return int(value)
+    if key or not isinstance(value, int) or isinstance(value, bool):
+        raise InputFormatError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -136,9 +142,8 @@ class Enclosure:
         for field in ("lo", "hi", "depth"):
             if field not in obj:
                 raise InputFormatError(f"{owner} missing field {field!r}")
-        return Enclosure(
-            parse_rational(obj["lo"]), parse_rational(obj["hi"]), parse_depth(obj["depth"], owner)
-        )
+        lo, hi = parse_rational(obj["lo"]), parse_rational(obj["hi"])
+        return Enclosure(lo, hi, parse_int(obj["depth"], f"{owner} depth"))
 
 
 class SparseVec:
@@ -223,10 +228,6 @@ class SparseVec:
     def max_support(self) -> int:
         """Largest index in the support; 0 for the zero vector."""
         return self._key[-1][0] if self._key else 0
-
-    def restrict(self, indices: Iterable[int]) -> "SparseVec":
-        keep = set(indices)
-        return SparseVec({i: v for i, v in self._entries.items() if i in keep})
 
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {format_rational(v)}" for i, v in self._key)

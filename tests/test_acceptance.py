@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from proxinorm.approxlin import build_report, coherence_margin, sign_coherence, verify_linearity_bound
 from proxinorm.bits import bits_for_target, dyadic_lt
-from proxinorm.construction import ConstructionTable, TableParams
+from proxinorm.construction import ConstructionTable
 from proxinorm.demo import SignMatrix, build_fan, demo_points, demo_probes, independence_check, sign_table, theta_blocks
 from proxinorm.descent import DescentChain, Subspace, minimizing_sequence, verify_chain
 from proxinorm.gateaux import dminus_norm, dplus_norm
@@ -40,7 +40,7 @@ def random_vector(rng, indices, min_size=1, max_size=5, num_cap=16, den_cap=8):
 
 def test_criterion_1_construction_soundness():
     t0 = time.time()
-    fresh = ConstructionTable(TableParams(depth_budget=2001))
+    fresh = ConstructionTable(depth_budget=2001)
     prev = 0
     violations = 0
     for _, u, a in fresh.prefix(2000):
@@ -283,7 +283,7 @@ def test_criterion_8_certificate_integrity(table, tmp_path):
     # Every certificate from an in-process run re-verifies against a fresh table.
     H = Subspace([SparseVec.unit(1), SparseVec.unit(2)])
     chain = minimizing_sequence(table, H, SparseVec({1: Fraction(1, 3), 2: 1, 6: Fraction(-2, 5)}), 3)
-    fresh_table = ConstructionTable(TableParams(depth_budget=5000))
+    fresh_table = ConstructionTable(depth_budget=5000)
     reverify_ok = verify_chain(fresh_table, DescentChain.from_json(chain.to_json())) == []
 
     # Single-field tampering on the CLI artifact is always detected.

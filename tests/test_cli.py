@@ -273,6 +273,41 @@ def test_feasible_rejects_non_integer_report_depth(tmp_path, depth):
     assert_input_error(feas, "report depth must be an integer")
 
 
+@pytest.fixture(scope="module")
+def report_with_exclusion(tmp_path_factory):
+    """An ``approxlin`` report whose index 4 is excluded and 16 usable."""
+    tmp = tmp_path_factory.mktemp("report")
+    x = write_json(tmp / "x.json", {"1": "2/3", "2": "-1/4", "4": "1"})
+    z = write_json(tmp / "z.json", {"1": "1"})
+    out = run_cli("approxlin", "--x", x, "--z", z, "--prefix", "300")
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["usable"] == [16] and "4" in report["excluded"]
+    return report
+
+
+#: Ill-typed report fields and the message each must raise.  The first three
+#: used to be truncated, crash with a traceback, or be split into characters.
+MALFORMED_REPORTS = {
+    "usable-float": (lambda r: r.update(usable=[16.5]), "report usable index must be an integer"),
+    "indices-float-key": (lambda r: r["indices"].update({"7.5": 3}),
+                          "report indices key must be an integer"),
+    "reasons-string": (lambda r: r["excluded"].update({"4": "abc"}),
+                       "exclusion reasons must be a list of strings"),
+    "usable-number": (lambda r: r.update(usable=16), "report usable has the wrong JSON type"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_feasible_rejects_malformed_report_fields(tmp_path, report_with_exclusion, case):
+    mutate, message = MALFORMED_REPORTS[case]
+    report = copy.deepcopy(report_with_exclusion)
+    mutate(report)
+    phi = write_json(tmp_path / "phi.json", {"1": "1"})
+    feas = run_cli("feasible", "--report", write_json(tmp_path / "r.json", report), "--phi", phi)
+    assert_input_error(feas, message)
+
+
 def test_approxlin_and_feasible_roundtrip(tmp_path):
     x = write_json(tmp_path / "x.json", {"1": "2/3", "2": "-1/4", "5": "1/2"})
     z1 = write_json(tmp_path / "z1.json", {"1": "1/2", "2": "-1"})

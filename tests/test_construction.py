@@ -10,13 +10,11 @@ from proxinorm.bits import dyadic_lt
 from proxinorm.construction import (
     EXACT_HEAD_TERMS,
     ConstructionTable,
-    TableParams,
     canonical_table,
     growth_tail_majorant,
     iter_level,
     rational_grid,
     square_tail_majorant,
-    vector_height,
 )
 from proxinorm.descent import REPORT_DEPTH, Subspace, build_probes
 from proxinorm.errors import DepthBudgetError
@@ -33,8 +31,8 @@ def test_entry_idempotent(table):
 
 
 def test_determinism_across_tables():
-    t1 = ConstructionTable(TableParams(depth_budget=400))
-    t2 = ConstructionTable(TableParams(depth_budget=400))
+    t1 = ConstructionTable(depth_budget=400)
+    t2 = ConstructionTable(depth_budget=400)
     assert list(t1.prefix(400)) == list(t2.prefix(400))
 
 
@@ -46,14 +44,6 @@ def test_growth_conditions_on_prefix(table):
             assert a > u.max_support()
             assert a >= l1_norm(u)
         prev = a
-
-
-def test_height_function():
-    assert vector_height(SparseVec.zero()) == 1
-    assert vector_height(SparseVec.unit(1)) == 2
-    assert vector_height(SparseVec({1: Fraction(1, 3)})) == 4
-    assert vector_height(SparseVec({5: 1})) == 5
-    assert vector_height(SparseVec({1: Fraction(-3, 1)})) == 4
 
 
 def test_rational_grid_sizes():
@@ -72,19 +62,24 @@ def test_level_recurrence():
         assert v in lvl3
 
 
+def tags_of(table, x, k_max):
+    """Tags of the occurrences of x in the first k_max stream positions."""
+    return [table.tag(k) for k in table.occurrence_positions(x, k_max)]
+
+
 def test_occurrences_grow_between_levels(table):
     """A vector's tag set strictly grows from one enumeration level to the next."""
     e1 = SparseVec.unit(1)
     lvl2_end = 1 + 9  # levels 1 and 2
     lvl3_end = lvl2_end + len(list(iter_level(3)))
-    early = table.tag_set(e1, lvl2_end)
-    later = table.tag_set(e1, lvl3_end)
+    early = tags_of(table, e1, lvl2_end)
+    later = tags_of(table, e1, lvl3_end)
     assert set(early) < set(later)
 
 
 def test_tag_set_within_prefix_tags(table):
     x = SparseVec({1: Fraction(1, 2), 2: -1})
-    tags = table.tag_set(x, 500)
+    tags = tags_of(table, x, 500)
     all_tags = {a for _, _, a in table.prefix(500)}
     assert set(tags) <= all_tags
 
@@ -92,7 +87,7 @@ def test_tag_set_within_prefix_tags(table):
 def test_min_occurrence_tag_beyond_support(table):
     """Eq-(1-2)-style consequence checked for several nonzero vectors."""
     for x in [SparseVec.unit(1), SparseVec({1: 1, 2: 1}), SparseVec({1: Fraction(1, 2), 2: -1})]:
-        tags = table.tag_set(x, 500)
+        tags = tags_of(table, x, 500)
         assert tags and min(tags) > x.max_support()
         assert min(tags) >= l1_norm(x)
 
@@ -124,6 +119,57 @@ def test_majorants_dominate_plain_series():
         assert square_tail_majorant(m) >= squares
 
 
+def naive_tail_majorant(m, weight):
+    """Exact head of EXACT_HEAD_TERMS terms weight(n) * 2^(-n^2) from n = m,
+    plus the closed-form tail 2 * weight(M) * 2^(-M^2), M = m + EXACT_HEAD_TERMS,
+    rounded up to a multiple of 2^(-(m+2)^2-2); Fractions over the common
+    denominator 2^(M^2)."""
+    M = m + EXACT_HEAD_TERMS
+    head = Fraction(sum(weight(n) * 2 ** (M * M - n * n) for n in range(m, M)), 2 ** (M * M))
+    tail = Fraction(2 * weight(M), 2 ** (M * M))
+    grain = 2 ** ((m + 2) ** 2 + 2)
+    return Fraction(math.ceil((head + tail) * grain), grain)
+
+
+def test_tail_majorants_match_naive_derivation():
+    for m in range(1, 61):
+        assert growth_tail_majorant(m) == naive_tail_majorant(m, lambda n: 1 + n)
+        assert square_tail_majorant(m) == naive_tail_majorant(m, lambda n: 1)
+
+
+def naive_weight_tail_bound(table, k):
+    """(lower, upper) for sum over l > k of 2^(-a_l^2) in Fractions: the
+    exact head over EXACT_HEAD_TERMS positions rounded outward to the grain
+    2^(-(a^2+4a+16)), a = a_k, the upper one plus the square-series majorant
+    from the next tag on, also rounded up to the grain."""
+    a = table.tag(k)
+    last = k + EXACT_HEAD_TERMS
+    E = table.tag(last) ** 2
+    head = Fraction(sum(2 ** (E - table.tag(l) ** 2) for l in range(k + 1, last + 1)), 2 ** E)
+    grain = 2 ** (a * a + 4 * a + 16)
+    majorant = naive_tail_majorant(table.tag(last) + 1, lambda n: 1)
+    lower = Fraction(math.floor(head * grain), grain)
+    upper = Fraction(math.ceil(head * grain) + math.ceil(majorant * grain), grain)
+    return lower, upper
+
+
+def test_report_eps_bounds_match_naive_weight_tail_bound(table, criterion6_starts):
+    """eps_i * 2^(-i^2) is weight_tail_bound at the position of tag i."""
+    H = Subspace([SparseVec.unit(1), SparseVec.unit(2)])
+    expected = {}
+    for x0 in criterion6_starts:
+        report = build_report(table, x0, build_probes(table, H, x0), REPORT_DEPTH)
+        assert report.usable
+        for i in report.usable:
+            k = report.index_position[i]
+            if k not in expected:
+                expected[k] = naive_weight_tail_bound(table, k)
+            lo, hi = expected[k]
+            assert report.eps_lo[i] == lo * 2 ** (i * i)
+            assert report.eps_hi[i] == hi * 2 ** (i * i)
+    assert len(expected) > 1
+
+
 def test_growth_prefix_dyadic_matches_fractions(table):
     num, exp = table.growth_prefix_dyadic(25)
     direct = sum(
@@ -134,10 +180,15 @@ def test_growth_prefix_dyadic_matches_fractions(table):
 
 
 def test_depth_budget_enforced():
-    small = ConstructionTable(TableParams(depth_budget=10))
+    small = ConstructionTable(depth_budget=10)
     small.entry(10)
     with pytest.raises(DepthBudgetError):
         small.entry(11)
+
+
+def test_depth_budget_must_be_positive():
+    with pytest.raises(ValueError, match="depth_budget must be positive"):
+        ConstructionTable(0)
 
 
 def test_weight_tail_bounds_bracket_exact_sum(table):
@@ -148,8 +199,6 @@ def test_weight_tail_bounds_bracket_exact_sum(table):
             a = table.tag(l)
             exact_head += Fraction(1, 1 << a * a)
         assert lo <= exact_head <= hi
-        glo, ghi = table.weight_tail_bound(k, grain_bits=table.tag(k) ** 2 + 100)
-        assert glo <= lo and ghi >= hi
 
 
 def test_weight_tail_bound_memo_matches_fresh_table(monkeypatch, criterion6_starts):
@@ -158,9 +207,9 @@ def test_weight_tail_bound_memo_matches_fresh_table(monkeypatch, criterion6_star
     memoized = ConstructionTable.weight_tail_bound
     keys = []
 
-    def recording(self, k, head_terms=EXACT_HEAD_TERMS, grain_bits=None):
-        keys.append((k, head_terms, grain_bits))
-        return memoized(self, k, head_terms, grain_bits)
+    def recording(self, k):
+        keys.append(k)
+        return memoized(self, k)
 
     with monkeypatch.context() as m:
         m.setattr(ConstructionTable, "weight_tail_bound", recording)
@@ -170,9 +219,9 @@ def test_weight_tail_bound_memo_matches_fresh_table(monkeypatch, criterion6_star
     assert len(set(keys)) < len(keys)  # reports repeat keys across starts
     fresh = canonical_table()
     for key in sorted(set(keys)):
-        bounds = warmed.weight_tail_bound(*key)
-        assert bounds == fresh.weight_tail_bound(*key)
-        assert warmed.weight_tail_bound(*key) is bounds
+        bounds = warmed.weight_tail_bound(key)
+        assert bounds == fresh.weight_tail_bound(key)
+        assert warmed.weight_tail_bound(key) is bounds
 
 
 def test_extension_takes_one_l1_norm_per_nonzero_entry(monkeypatch):
