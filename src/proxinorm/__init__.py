@@ -7,7 +7,6 @@ from .approxlin import (
     LinearityReport,
     build_report,
     coherence_margin,
-    sign_coherence,
     span_match_feasible,
     verify_linearity_bound,
 )
@@ -44,7 +43,7 @@ from .gateaux import (
     dplus_sup,
     term_lipschitz,
 )
-from .linalg import ConstraintRow, LinearSystem, feasible, kernel_directions
+from .linalg import LinearSystem, feasible, kernel_directions
 from .norms import equivalence_check, norm_difference_sign, norm_enclosure
 from .vectors import Enclosure, SparseVec, l1_norm, pair, sgn, sup_norm
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bits import dyadic_sign, dyadic_sum, scale_pow2, split_pow2
+from .bits import bits_for_target, dyadic_sign, dyadic_sum, scale_pow2, split_pow2
 from .construction import ConstructionTable
 from .errors import HypothesisError, InputFormatError, PreconditionError
-from .gateaux import dplus_norm_for_width
+from .gateaux import dplus_norm
 from .linalg import DEFAULT_ELIMINATION_BUDGET, LinearSystem, feasible
 from .norms import DEFAULT_PRECISION_BITS
 from .vectors import (
@@ -242,13 +242,6 @@ def _terms(
     return pairing, budget
 
 
-def _margin_terms(report: LinearityReport, v: SparseVec) -> List[_Term]:
-    """Terms summing to |<v, gamma>| - sum eps_hi_i |v_i gamma_i|."""
-    pairing, budget = _terms(report, v, report.eps_hi)
-    s = dyadic_sign(pairing)
-    return [(s * n, q, e) for n, q, e in pairing] + [(-n, q, e) for n, q, e in budget]
-
-
 def verify_linearity_bound(
     table: ConstructionTable,
     x: SparseVec,
@@ -267,15 +260,14 @@ def verify_linearity_bound(
     pairing, budget = _terms(report, v, report.eps_lo)
     rhs = dyadic_sum(budget)
     gv = dyadic_sum(pairing)
-    width = Fraction(1, 1 << precision_bits)
     if rhs > 0:
-        width = min(width, rhs / 16)
+        precision_bits = max(precision_bits, bits_for_target(rhs / 16))
     if v.is_zero():
         lhs = Enclosure(Fraction(0), Fraction(0), 1)
         trial = Trial(v, lhs, rhs, True)
         report.trials.append(trial)
         return lhs, rhs, True
-    denc = dplus_norm_for_width(table, x, v, width)
+    denc = dplus_norm(table, x, v, precision_bits)
     lo, hi = denc.lo - gv, denc.hi - gv
     lhs = Enclosure(max(lo, -hi, Fraction(0)), max(hi, -lo), denc.depth)  # |[lo, hi]|
     passed = lhs.hi <= rhs
@@ -283,25 +275,16 @@ def verify_linearity_bound(
     return lhs, rhs, passed
 
 
-def sign_coherence(
-    table: ConstructionTable,
-    x: SparseVec,
-    report: LinearityReport,
-    v: SparseVec,
-) -> bool:
-    """Exact test |<v, gamma>| > sum eps_i |v_i gamma_i| (upper eps bound).
+def coherence_margin(report: LinearityReport, v: SparseVec) -> Fraction:
+    """|<v, gamma>| - sum eps_hi_i |v_i gamma_i|, exact (upper eps bound).
 
-    When true, both one-sided derivatives of the norm at x along v are
+    When positive, both one-sided derivatives of the norm at x along v are
     nonzero with the sign of <v, gamma>.
     """
     _check_direction(report, v)
-    return dyadic_sign(_margin_terms(report, v)) > 0
-
-
-def coherence_margin(report: LinearityReport, v: SparseVec) -> Fraction:
-    """|<v, gamma>| - sum eps_hi_i |v_i gamma_i| (positive means coherent)."""
-    _check_direction(report, v)
-    return dyadic_sum(_margin_terms(report, v))
+    pairing, budget = _terms(report, v, report.eps_hi)
+    s = dyadic_sign(pairing)
+    return dyadic_sum([(s * n, q, e) for n, q, e in pairing] + [(-n, q, e) for n, q, e in budget])
 
 
 def span_match_feasible(
@@ -326,8 +309,8 @@ def span_match_feasible(
     for i in idx:
         coeffs = SparseVec({t + 1: phi[i] for t, phi in enumerate(functionals)})
         bound = report.eps_hi[i] * abs(report.gamma[i])
-        system.add(coeffs, "<=", report.gamma[i] + bound)
-        system.add(-coeffs, "<=", bound - report.gamma[i])
+        system.add(coeffs, report.gamma[i] + bound)
+        system.add(-coeffs, bound - report.gamma[i])
     ok, witness = feasible(system, budget=budget)
     if not ok:
         return False, None

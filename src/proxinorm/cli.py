@@ -26,7 +26,7 @@ from .descent import DescentChain, Subspace, minimizing_sequence, verify_chain
 from .errors import BudgetError, ProxinormError
 from .gateaux import derivative_to_json, dminus_norm, dplus_norm
 from .norms import norm_enclosure
-from .vectors import SparseVec
+from .vectors import SparseVec, parse_int
 
 def _load_json(path: str):
     try:
@@ -70,7 +70,8 @@ def _cmd_construct(args, config: Config) -> int:
 
 def _cmd_norm(args, config: Config) -> int:
     table = canonical_table(config.depth_budget)
-    enc = norm_enclosure(table, _load_vec(args.vec), args.bits or config.precision_bits)
+    bits = config.precision_bits if args.bits is None else args.bits
+    enc = norm_enclosure(table, _load_vec(args.vec), bits)
     _emit(enc.to_json())
     return 0
 
@@ -78,7 +79,7 @@ def _cmd_norm(args, config: Config) -> int:
 def _cmd_deriv(args, config: Config) -> int:
     table = canonical_table(config.depth_budget)
     x, u = _load_vec(args.x), _load_vec(args.u)
-    bits = args.bits or config.precision_bits
+    bits = config.precision_bits if args.bits is None else args.bits
     enc = dminus_norm(table, x, u, bits) if args.minus else dplus_norm(table, x, u, bits)
     _emit(derivative_to_json(enc))
     return 0
@@ -99,7 +100,9 @@ def _cmd_feasible(args, config: Config) -> int:
     report = LinearityReport.from_json(_load_json(args.report))
     functionals = [_load_vec(p) for p in args.phi]
     indices = (
-        [int(i) for i in args.indices.split(",")] if args.indices else list(report.usable)
+        [parse_int(i.strip(), "feasible index", key=True) for i in args.indices.split(",")]
+        if args.indices
+        else list(report.usable)
     )
     ok, coeffs = span_match_feasible(
         report, functionals, indices, budget=config.elimination_budget
@@ -117,7 +120,7 @@ def _cmd_descend(args, config: Config) -> int:
     table = canonical_table(config.depth_budget)
     subspace = Subspace([_load_vec(p) for p in args.phi])
     x0 = _load_vec(args.x0)
-    chain = minimizing_sequence(table, subspace, x0, args.steps, config.rounding_denominator_bits)
+    chain = minimizing_sequence(table, subspace, x0, args.steps)
     _emit(chain.to_json())
     return 0
 
@@ -132,7 +135,7 @@ def _cmd_verify(args, config: Config) -> int:
 
 def _cmd_demo(args, config: Config) -> int:
     table = canonical_table(config.depth_budget)
-    _emit(run_demo(table, args.n or config.demo_n))
+    _emit(run_demo(table, args.n))
     return 0
 
 
@@ -185,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("demo", help="sign-apparatus walkthrough")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=2)
     p.set_defaults(func=_cmd_demo)
 
     return parser

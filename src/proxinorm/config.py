@@ -1,10 +1,15 @@
 """Flat key=value configuration with environment overrides.
 
+Three keys, all positive integers: ``depth_budget`` (the construction
+table's depth limit), ``precision_bits`` (the enclosure precision of
+``norm`` and ``deriv`` without ``--bits``, and of the ``approxlin``
+trials) and ``elimination_budget`` (the Fourier-Motzkin row budget of
+``feasible``).  ``descend`` does not read ``precision_bits``: its
+enclosure depths come from the descent margins.
+
 Sources, later wins: dataclass defaults, a config file of ``key = value``
 lines (# comments allowed), then ``PROXINORM_<KEY>`` environment
-variables.  All values are positive integers.  ``descend`` does not
-read ``precision_bits``: its enclosure depths come from the descent
-margins.
+variables.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .construction import DEFAULT_DEPTH_BUDGET
-from .descent import ROUNDING_DENOMINATOR_BITS
 from .errors import InputFormatError
 from .linalg import DEFAULT_ELIMINATION_BUDGET
 from .norms import DEFAULT_PRECISION_BITS
@@ -27,8 +31,6 @@ class Config:
     depth_budget: int = DEFAULT_DEPTH_BUDGET
     precision_bits: int = DEFAULT_PRECISION_BITS
     elimination_budget: int = DEFAULT_ELIMINATION_BUDGET
-    demo_n: int = 2
-    rounding_denominator_bits: int = ROUNDING_DENOMINATOR_BITS
 
     def __post_init__(self):
         for f in fields(self):

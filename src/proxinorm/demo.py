@@ -257,8 +257,8 @@ def run_demo(table, n: int) -> Dict:
     from .approxlin import build_report
 
     phi1, phi2 = SparseVec.unit(1), SparseVec.unit(2)
-    betas = base_angles(n, DEFAULT_ANGLE_BITS)
     fan = build_fan(n, phi1, phi2)
+    betas = base_angles(n, DEFAULT_ANGLE_BITS)
     points = demo_points(n)
     predicted = SignMatrix.predicted(n)
     psi_table = sign_table(points, fan)

@@ -27,12 +27,12 @@ from math import gcd, lcm
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .approxlin import LinearityReport, build_report, coherence_margin
-from .bits import floor_pow2
+from .bits import bits_for_target, floor_pow2
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError, SearchBudgetError
-from .gateaux import derivative_from_json, derivative_to_json, dplus_norm_for_width
+from .gateaux import derivative_from_json, derivative_to_json, dplus_norm
 from .linalg import kernel_directions
-from .norms import depth_for_width, enclosure_at_depth, norm_enclosure_for_width
+from .norms import enclosure_at_depth, norm_depth, norm_enclosure
 from .vectors import Enclosure, SparseVec, format_rational, pair, parse_rational, sup_norm
 
 # Desk-scale search budgets (no mathematical content).
@@ -241,18 +241,13 @@ def _fan_probes(
     return chosen
 
 
-def build_probes(
-    table: ConstructionTable,
-    subspace: Subspace,
-    x: SparseVec,
-    rounding_bits: int = ROUNDING_DENOMINATOR_BITS,
-) -> List[SparseVec]:
+def build_probes(table: ConstructionTable, subspace: Subspace, x: SparseVec) -> List[SparseVec]:
     """Probe family for the linearity report at x: distinct, visible in the
     stream prefix, and pairing to exactly nonzero values with x.
 
     Tries the rotated-functional fan first, reducing the rounding
-    denominator from 2^rounding_bits until the probes occur within the
-    report depth; tops up from the deterministic pool if needed.
+    denominator from 2^ROUNDING_DENOMINATOR_BITS until the probes occur
+    within the report depth; tops up from the deterministic pool if needed.
     """
     n = subspace.codimension + 1
     depth = REPORT_DEPTH
@@ -280,7 +275,7 @@ def build_probes(
             for s_mid, c_mid in _fan_targets(n)
         ]
     pool_support = [i for phi in subspace.functionals for i in phi.support()]
-    chosen = _fan_probes(targets, rounding_bits, admissible, n, pool_support)
+    chosen = _fan_probes(targets, ROUNDING_DENOMINATOR_BITS, admissible, n, pool_support)
     if len(chosen) < n:
         raise SearchBudgetError(
             f"could not assemble {n} admissible probes within depth {depth}"
@@ -305,10 +300,7 @@ def _candidate_supports(usable: Sequence[int], size: int, cap: int) -> Iterator[
 
 
 def find_descent_direction(
-    table: ConstructionTable,
-    subspace: Subspace,
-    x: SparseVec,
-    rounding_bits: int = ROUNDING_DENOMINATOR_BITS,
+    table: ConstructionTable, subspace: Subspace, x: SparseVec
 ) -> Optional[Tuple[SparseVec, SignEvidence, LinearityReport]]:
     """Search for v in H with certified matching one-sided derivative signs.
 
@@ -326,7 +318,7 @@ def find_descent_direction(
     """
     if all(p == 0 for p in subspace.pairings(x)):
         raise PreconditionError("x lies in the subspace; the coset is trivial")
-    probes = build_probes(table, subspace, x, rounding_bits)
+    probes = build_probes(table, subspace, x)
     report = build_report(table, x, probes, REPORT_DEPTH)
     size = subspace.codimension + 1
     if len(report.usable) < size:
@@ -360,9 +352,9 @@ def find_descent_direction(
         bound = room / (2 * abs(vi))
         cap = bound if cap is None or bound < cap else cap
 
-    width = margin / (1 << SIGN_GUARD_BITS)
-    d_plus = dplus_norm_for_width(table, x, v, width)
-    d_minus = -dplus_norm_for_width(table, x, -v, width)
+    bits = bits_for_target(margin / (1 << SIGN_GUARD_BITS))
+    d_plus = dplus_norm(table, x, v, bits)
+    d_minus = -dplus_norm(table, x, -v, bits)
     if d_plus.sign() == 0 or d_plus.sign() != d_minus.sign():
         return None  # defensive; the margin certifies this cannot happen
     return v, SignEvidence(d_plus, d_minus, margin, cap), report
@@ -396,7 +388,7 @@ def certify_descent(
     rate = evidence.d_minus.lo if s > 0 else -evidence.d_plus.hi
     if rate <= 0:
         raise RuntimeError("sign evidence gives no positive decrease rate")
-    before_scale = norm_enclosure_for_width(table, x, Fraction(1, 256))
+    before_scale = norm_enclosure(table, x, 8)  # width < 2^-8
     start = before_scale.lo / (16 * max(Fraction(1), sup_norm(v)))
     if evidence.step_cap is not None:
         start = min(start, evidence.step_cap)
@@ -404,11 +396,11 @@ def certify_descent(
     for _ in range(MAX_LINE_SEARCH):
         h = -s * t
         y = x + v.scale(h)
-        width = t * rate / 8
-        depth = depth_for_width(table, x, width)
+        bits = bits_for_target(t * rate / 8)
+        depth = norm_depth(table, x, bits)
         if norm_x is None or norm_x.depth != depth:
             norm_x = enclosure_at_depth(table, x, depth)
-        ey = norm_enclosure_for_width(table, y, width)
+        ey = norm_enclosure(table, y, bits)
         if ey.hi < norm_x.lo:
             return DescentCertificate(
                 x=x,
@@ -482,11 +474,7 @@ class DescentChain:
 
 
 def minimizing_sequence(
-    table: ConstructionTable,
-    subspace: Subspace,
-    x0: SparseVec,
-    steps: int,
-    rounding_bits: int = ROUNDING_DENOMINATOR_BITS,
+    table: ConstructionTable, subspace: Subspace, x0: SparseVec, steps: int
 ) -> DescentChain:
     """Iterate direction search and certified steps from x0.
 
@@ -503,7 +491,7 @@ def minimizing_sequence(
     norm_x: Optional[Enclosure] = None
     for _ in range(steps):
         try:
-            found = find_descent_direction(table, subspace, x, rounding_bits)
+            found = find_descent_direction(table, subspace, x)
             if found is None:
                 break
             v, evidence, _report = found

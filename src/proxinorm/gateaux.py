@@ -12,10 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict
 
-from .bits import bits_for_target, dyadic_sum
+from .bits import dyadic_sum
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError
-from .norms import DEFAULT_PRECISION_BITS, PRECISION_CAP, _minimal_depth
+from .norms import DEFAULT_PRECISION_BITS, _minimal_depth
 from .vectors import Enclosure, SparseVec, l1_norm, pair, sgn, sup_norm
 
 
@@ -118,9 +118,8 @@ def dplus_norm(
     u: SparseVec,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Enclosure:
-    """Right derivative of the series norm, width < 2^(-precision_bits)."""
-    if precision_bits < 1 or precision_bits > PRECISION_CAP:
-        raise PreconditionError(f"precision_bits must be in [1, {PRECISION_CAP}]")
+    """Right derivative of the series norm, width < 2^(-precision_bits).
+    A width target w > 0 is met at ``bits.bits_for_target(w)`` bits."""
     depth = _minimal_depth(table, 2 * sup_norm(u), precision_bits)
     return dplus_enclosure_at_depth(table, x, u, depth)
 
@@ -134,11 +133,3 @@ def dminus_norm(
     """Left derivative: the reflection -d_plus(x; -u), interval-wise."""
     return -dplus_norm(table, x, -u, precision_bits)
 
-
-def dplus_norm_for_width(
-    table: ConstructionTable, x: SparseVec, u: SparseVec, width: Fraction
-) -> Enclosure:
-    """Right-derivative enclosure with width strictly below a rational target."""
-    if width <= 0:
-        raise PreconditionError("width target must be positive")
-    return dplus_norm(table, x, u, bits_for_target(width))

@@ -1,11 +1,10 @@
 """Small exact linear algebra: kernel bases and linear feasibility.
 
-Everything works over `fractions.Fraction`.  Feasibility is decided by
-Gaussian elimination on the equality rows followed by Fourier-Motzkin
-elimination on the inequalities; this is exact and complete, and the
-constraint systems this package generates stay tiny (a handful of
-variables), so the doubly-exponential worst case never bites.  A
-configurable row-count budget guards against misuse.
+Everything works over `fractions.Fraction`.  Feasibility of a system of
+inequalities is decided by Fourier-Motzkin elimination; this is exact and
+complete, and the constraint systems this package generates stay tiny (a
+handful of variables), so the doubly-exponential worst case never bites.
+A configurable row-count budget guards against misuse.
 """
 
 from __future__ import annotations
@@ -78,35 +77,22 @@ def kernel_directions(
     return basis
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    """coeffs . vars  (relation)  rhs, with relation '=' or '<='."""
-
-    coeffs: SparseVec
-    relation: str
-    rhs: Fraction
-
-    def __post_init__(self):
-        if self.relation not in ("=", "<="):
-            raise ValueError(f"relation must be '=' or '<=', got {self.relation!r}")
-
-
 @dataclass
 class LinearSystem:
-    """Finitely many exact linear constraints over named integer variables."""
+    """Finitely many exact constraints coeffs . vars <= rhs over numbered variables."""
 
-    rows: List[ConstraintRow] = field(default_factory=list)
+    rows: List[Tuple[SparseVec, Fraction]] = field(default_factory=list)
     variables: Tuple[int, ...] = ()
 
-    def add(self, coeffs: SparseVec, relation: str, rhs: Fraction | int) -> None:
-        self.rows.append(ConstraintRow(coeffs, relation, Fraction(rhs)))
+    def add(self, coeffs: SparseVec, rhs: Fraction | int) -> None:
+        self.rows.append((coeffs, Fraction(rhs)))
 
     def variable_set(self) -> Tuple[int, ...]:
         if self.variables:
             return tuple(sorted(set(self.variables)))
         seen = set()
-        for row in self.rows:
-            seen.update(row.coeffs.support())
+        for coeffs, _ in self.rows:
+            seen.update(coeffs.support())
         return tuple(sorted(seen))
 
 
@@ -115,66 +101,18 @@ def feasible(
 ) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     """Exact satisfiability of the system, with a witness when satisfiable.
 
-    Equalities are removed by substitution first; the remaining
-    inequalities go through Fourier-Motzkin elimination.  The witness is
-    rebuilt by back-substitution, choosing the midpoint of each variable's
-    final interval (0 for unbounded directions), so it is deterministic
-    and satisfies every original constraint exactly.
+    Fourier-Motzkin elimination decides it.  The witness is rebuilt by
+    back-substitution through the elimination stages, choosing the
+    midpoint of each variable's final interval (0 for unbounded
+    directions), so it is deterministic and satisfies every constraint
+    exactly.
     """
     variables = list(system.variable_set())
 
-    # Normal form: list of ({var: coeff}, rhs) meaning sum <= rhs.
-    ineqs: List[Tuple[Dict[int, Fraction], Fraction]] = []
-    eqs: List[Tuple[Dict[int, Fraction], Fraction]] = []
-    for row in system.rows:
-        lhs = {i: v for i, v in row.coeffs.items()}
-        if row.relation == "=":
-            eqs.append((lhs, row.rhs))
-        else:
-            ineqs.append((lhs, row.rhs))
-
-    # Solve equalities by Gaussian elimination; record substitutions.
-    substitutions: List[Tuple[int, Dict[int, Fraction], Fraction]] = []
-
-    def substitute(lhs, rhs):
-        """The row with every solved variable replaced, zero terms dropped."""
-        lhs = dict(lhs)
-        for var, expr, const in substitutions:
-            c = lhs.pop(var, None)
-            if c:
-                for j, w in expr.items():
-                    lhs[j] = lhs.get(j, Fraction(0)) + c * w
-                rhs = rhs - c * const
-        return {i: v for i, v in lhs.items() if v != 0}, rhs
-
-    for lhs, rhs in eqs:
-        lhs, rhs = substitute(lhs, rhs)
-        if not lhs:
-            if rhs != 0:
-                return False, None
-            continue
-        var = min(lhs)
-        c = lhs.pop(var)
-        # var = (rhs - sum lhs)/c
-        expr = {j: -w / c for j, w in lhs.items()}
-        const = rhs / c
-        for k, (v2, e2, c2) in enumerate(substitutions):
-            coef = e2.pop(var, None)
-            if coef:
-                for j, w in expr.items():
-                    e2[j] = e2.get(j, Fraction(0)) + coef * w
-                substitutions[k] = (v2, {j: w for j, w in e2.items() if w != 0}, c2 + coef * const)
-        substitutions.append((var, expr, const))
-
-    solved = {var for var, _, _ in substitutions}
-    applied = [substitute(lhs, rhs) for lhs, rhs in ineqs]
-
-    free_vars = [v for v in variables if v not in solved]
-
     # Fourier-Motzkin, eliminating the highest-numbered variable first.
     stages: List[Tuple[int, List[Tuple[Dict[int, Fraction], Fraction]]]] = []
-    current = applied
-    for var in sorted(free_vars, reverse=True):
+    current = [(dict(coeffs.items()), rhs) for coeffs, rhs in system.rows]  # sum <= rhs
+    for var in reversed(variables):
         stages.append((var, current))
         lower: List[Tuple[Dict[int, Fraction], Fraction]] = []  # var >= expr
         upper: List[Tuple[Dict[int, Fraction], Fraction]] = []  # var <= expr
@@ -235,19 +173,9 @@ def feasible(
             witness[var] = hi
         else:
             witness[var] = Fraction(0)
-    for var, expr, const in reversed(substitutions):
-        value = const
-        for j, w in expr.items():
-            value += w * witness[j]
-        witness[var] = value
-    for v in variables:
-        witness.setdefault(v, Fraction(0))
 
     assignment = SparseVec({v: witness[v] for v in variables if witness[v] != 0})
-    for row in system.rows:
-        lhs_val = pair(row.coeffs, assignment)
-        if row.relation == "=" and lhs_val != row.rhs:
-            raise RuntimeError("witness violates an equality")
-        if row.relation == "<=" and lhs_val > row.rhs:
+    for coeffs, rhs in system.rows:
+        if pair(coeffs, assignment) > rhs:
             raise RuntimeError("witness violates an inequality")
     return True, witness

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .bits import bits_for_target, dyadic_sum
+from .bits import dyadic_sum
 from .construction import ConstructionTable
 from .errors import DepthBudgetError, PreconditionError
 from .vectors import Enclosure, SparseVec, pair, sup_norm
@@ -44,6 +44,8 @@ def enclosure_at_depth(table: ConstructionTable, x: SparseVec, depth: int) -> En
 
 def _minimal_depth(table: ConstructionTable, scale: Fraction, precision_bits: int) -> int:
     """Minimal K >= 1 with scale * tail_bound(K) < 2^(-precision_bits)."""
+    if precision_bits < 1 or precision_bits > PRECISION_CAP:
+        raise PreconditionError(f"precision_bits must be in [1, {PRECISION_CAP}]")
     if scale == 0:
         return 1
     target = Fraction(1, 1 << precision_bits) / scale
@@ -67,37 +69,19 @@ def _minimal_depth(table: ConstructionTable, scale: Fraction, precision_bits: in
     return K
 
 
-def _depth_for_bits(table: ConstructionTable, x: SparseVec, precision_bits: int) -> int:
-    if precision_bits < 1 or precision_bits > PRECISION_CAP:
-        raise PreconditionError(f"precision_bits must be in [1, {PRECISION_CAP}]")
+def norm_depth(table: ConstructionTable, x: SparseVec, precision_bits: int) -> int:
+    """Truncation depth of :func:`norm_enclosure` at this precision, without
+    summing the series; the enclosure at a depth is deterministic, so an
+    enclosure of x at this depth is the one it would return."""
     return _minimal_depth(table, sup_norm(x), precision_bits)
-
-
-def _width_bits(width: Fraction) -> int:
-    if width <= 0:
-        raise PreconditionError("width target must be positive")
-    return bits_for_target(width)
 
 
 def norm_enclosure(
     table: ConstructionTable, x: SparseVec, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Enclosure:
-    """Certified enclosure of the series norm with width < 2^(-precision_bits)."""
-    return enclosure_at_depth(table, x, _depth_for_bits(table, x, precision_bits))
-
-
-def norm_enclosure_for_width(
-    table: ConstructionTable, x: SparseVec, width: Fraction
-) -> Enclosure:
-    """Enclosure with width strictly below the given rational target."""
-    return norm_enclosure(table, x, _width_bits(width))
-
-
-def depth_for_width(table: ConstructionTable, x: SparseVec, width: Fraction) -> int:
-    """Truncation depth of :func:`norm_enclosure_for_width` at this width,
-    without summing the series; the enclosure at a depth is deterministic,
-    so an enclosure of x at this depth is the one it would return."""
-    return _depth_for_bits(table, x, _width_bits(width))
+    """Certified enclosure of the series norm with width < 2^(-precision_bits).
+    A width target w > 0 is met at ``bits.bits_for_target(w)`` bits."""
+    return enclosure_at_depth(table, x, norm_depth(table, x, precision_bits))
 
 
 def equivalence_check(

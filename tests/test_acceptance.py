@@ -11,7 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
-from proxinorm.approxlin import build_report, coherence_margin, sign_coherence, verify_linearity_bound
+from proxinorm.approxlin import build_report, coherence_margin, verify_linearity_bound
 from proxinorm.bits import bits_for_target, dyadic_lt
 from proxinorm.construction import ConstructionTable
 from proxinorm.demo import SignMatrix, build_fan, demo_points, demo_probes, independence_check, sign_table, theta_blocks
@@ -163,9 +163,9 @@ def test_criterion_4_and_5_linearity_and_sign_coherence(table):
             _, _, ok = verify_linearity_bound(table, x, report, v)
             if not ok:
                 bound_failures += 1
-            if sign_coherence(table, x, report, v):
+            margin = coherence_margin(report, v)
+            if margin > 0:
                 coherent_cases += 1
-                margin = coherence_margin(report, v)
                 bits = bits_for_target(margin / 4)
                 dp = dplus_norm(table, x, v, bits)
                 dm = dminus_norm(table, x, v, bits)

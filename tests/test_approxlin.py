@@ -12,7 +12,6 @@ from proxinorm.approxlin import (
     LinearityReport,
     build_report,
     coherence_margin,
-    sign_coherence,
     span_match_feasible,
     verify_linearity_bound,
 )
@@ -146,7 +145,7 @@ def test_sign_coherence_single_coordinate(table):
     rep = build_report(table, x, std_probes(), DEPTH)
     i = rep.usable[0]
     assert rep.eps_hi[i] < 1
-    assert sign_coherence(table, x, rep, SparseVec.unit(i))
+    assert coherence_margin(rep, SparseVec.unit(i)) > 0
 
 
 def test_sign_coherence_false_on_cancellation(table):
@@ -155,7 +154,7 @@ def test_sign_coherence_false_on_cancellation(table):
     i, j = rep.usable[0], rep.usable[1]
     v = SparseVec({i: 1 / rep.gamma[i], j: -1 / rep.gamma[j]})
     assert pair(v, rep.gamma_vec()) == 0
-    assert not sign_coherence(table, x, rep, v)
+    assert coherence_margin(rep, v) <= 0
 
 
 def test_sign_coherence_implies_matching_definite_signs(table):
@@ -163,8 +162,8 @@ def test_sign_coherence_implies_matching_definite_signs(table):
     rep = build_report(table, x, std_probes(), DEPTH)
     for i in rep.usable:
         v = SparseVec.unit(i)
-        assert sign_coherence(table, x, rep, v)
         margin = coherence_margin(rep, v)
+        assert margin > 0
         bits = bits_for_target(margin / 4)
         dp = dplus_norm(table, x, v, bits)
         dm = dminus_norm(table, x, v, bits)
@@ -222,7 +221,6 @@ def assert_matches_naive(table, report, v):
     budget = {upper: naive_budget(report, v, upper) for upper in (False, True)}
     margin = abs(pair(v, report.gamma_vec())) - budget[True]
     assert coherence_margin(report, v) == margin
-    assert sign_coherence(table, report.x, report, v) == (margin > 0)
     _, rhs, _ = verify_linearity_bound(table, report.x, report, v)
     assert rhs == budget[False]
 
@@ -290,7 +288,7 @@ def test_margin_arithmetic_on_exact_cancellation(table):
     v = SparseVec({3: 2, 5: 1})
     assert pair(v, report.gamma_vec()) == 0
     assert coherence_margin(report, v) == -(Fraction(2, 5) * Fraction(2, 3) + Fraction(3, 7) * Fraction(2, 3))
-    assert not sign_coherence(table, report.x, report, v)
+    assert coherence_margin(report, v) <= 0
     assert_matches_naive(table, report, v)
     assert coherence_margin(report, SparseVec.zero()) == 0
 

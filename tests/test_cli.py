@@ -331,6 +331,41 @@ def test_approxlin_and_feasible_roundtrip(tmp_path):
     assert json.loads(feas2.stdout)["satisfiable"] is False
 
 
+#: ``approxlin`` with 8 trials on REPORT_X against REPORT_PROBES at prefix 60,
+#: and ``feasible`` on that report against two functionals whose
+#: Fourier-Motzkin witness is off the centre of its interval, pinned bytes.
+REPORT_X = {"1": "2/3", "2": "-1/4", "5": "1/2"}
+REPORT_PROBES = ({"1": "1/2", "2": "-1"}, {"1": "1"})
+APPROXLIN_SHA256 = "07df48d1d299bc9384d3d9a623a5b6f81a76c455fbf1dbc73247eeba3ec756c2"
+FEASIBLE_SHA256 = "ff0ba0b171fae8b181e3adca06294c20e09373857e64be94c6ce325f5ee7b2f9"
+
+
+def test_approxlin_and_feasible_golden_bytes(tmp_path):
+    x = write_json(tmp_path / "x.json", REPORT_X)
+    probes = []
+    for j, z in enumerate(REPORT_PROBES):
+        probes += ["--z", write_json(tmp_path / f"z{j}.json", z)]
+    out = run_cli("approxlin", "--x", x, *probes, "--prefix", "60", "--trials", "8")
+    assert out.returncode == 0, out.stderr
+    assert sha256(out.stdout) == APPROXLIN_SHA256
+    report = json.loads(out.stdout)
+    assert report["usable"] == [4, 16, 37]
+    gamma = {i: parse_rational(g) for i, g in report["gamma"].items()}
+    eps16 = parse_rational(report["eps_upper"]["16"])
+    # phi1 misses gamma_37 by the factor 1 + eps_16, so the coefficient of
+    # phi1 lies in an interval centred at 1 / (1 + eps_16), not at 1.
+    phi1 = {"4": report["gamma"]["4"], "16": report["gamma"]["16"],
+            "37": format_rational(gamma["37"] * (1 + eps16))}
+    feas = run_cli(
+        "feasible", "--report", write_json(tmp_path / "report.json", report),
+        "--phi", write_json(tmp_path / "phi1.json", phi1),
+        "--phi", write_json(tmp_path / "phi2.json", {"4": "1"}),
+    )
+    assert feas.returncode == 0, feas.stderr
+    assert sha256(feas.stdout) == FEASIBLE_SHA256
+    assert len(json.loads(feas.stdout)["witness"]) == 2
+
+
 def test_descend_verify_and_tamper(tmp_path):
     e1 = write_json(tmp_path / "e1.json", {"1": "1"})
     e2 = write_json(tmp_path / "e2.json", {"2": "1"})
@@ -350,6 +385,27 @@ def test_descend_verify_and_tamper(tmp_path):
     ver2 = run_cli("verify", "--cert", bad_path)
     assert ver2.returncode == 1
     assert json.loads(ver2.stdout)["valid"] is False
+
+
+def test_feasible_rejects_non_integer_indices(tmp_path, report_with_exclusion):
+    phi = write_json(tmp_path / "phi.json", {"1": "1"})
+    report = write_json(tmp_path / "r.json", report_with_exclusion)
+    feas = run_cli("feasible", "--report", report, "--phi", phi, "--indices", "7.5")
+    assert_input_error(feas, "feasible index must be an integer")
+
+
+@pytest.mark.parametrize("command", ["norm", "deriv"])
+def test_zero_bits_is_an_error(tmp_path, command):
+    """``--bits 0`` is out of range, not the config default."""
+    x = write_json(tmp_path / "x.json", {"1": "1"})
+    args = ["--vec", x] if command == "norm" else ["--x", x, "--u", x]
+    out = run_cli(command, *args, "--bits", "0")
+    assert_input_error(out, "precision_bits must be in [1, ")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_demo_rejects_codimension_below_two(n):
+    assert_input_error(run_cli("demo", "--n", n), "codimension >= 2")
 
 
 def test_malformed_json_exits_one(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxinorm.bits import bits_for_target
 from proxinorm.gateaux import (
     derivative_from_json,
     derivative_to_json,
@@ -175,6 +176,16 @@ def test_convexity_one_sided_order(table, x, u):
     du = dplus_norm(table, x, u, p)
     dnu = dplus_norm(table, x, -u, p)
     assert du.lo + dnu.lo >= -(du.width() + dnu.width())
+
+
+@settings(max_examples=30, deadline=None)
+@given(vectors, vectors, st.fractions(min_value=0, max_value=1, max_denominator=1 << 80).filter(lambda w: 0 < w < 1))
+def test_enclosure_width_below_target_through_bits(table, x, u, w):
+    """A width target becomes a precision with ``bits_for_target``; both
+    enclosures are then strictly narrower than the target."""
+    bits = bits_for_target(w)
+    assert norm_enclosure(table, x, bits).width() < w
+    assert dplus_norm(table, x, u, bits).width() < w
 
 
 def test_derivative_enclosure_json_roundtrip(table):

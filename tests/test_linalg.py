@@ -66,15 +66,17 @@ def test_kernel_against_rank_oracle(constraints, support):
 
 def test_feasible_empty_interval():
     sys_ = LinearSystem()
-    sys_.add(SparseVec({1: 1}), "<=", 1)
-    sys_.add(SparseVec({1: -1}), "<=", -2)
+    sys_.add(SparseVec({1: 1}), 1)
+    sys_.add(SparseVec({1: -1}), -2)
     ok, witness = feasible(sys_)
     assert not ok and witness is None
 
 
 def test_feasible_single_equality():
+    # x1 = 0 as the pair x1 <= 0, -x1 <= 0
     sys_ = LinearSystem()
-    sys_.add(SparseVec({1: 1}), "=", 0)
+    sys_.add(SparseVec({1: 1}), 0)
+    sys_.add(SparseVec({1: -1}), 0)
     ok, witness = feasible(sys_)
     assert ok and witness[1] == 0
 
@@ -82,8 +84,8 @@ def test_feasible_single_equality():
 def test_feasible_interval_witness():
     # |c - (-1/8)| <= 1/16, i.e. c in [-3/16, -1/16]
     sys_ = LinearSystem()
-    sys_.add(SparseVec({1: 1}), "<=", Fraction(-1, 16))
-    sys_.add(SparseVec({1: -1}), "<=", Fraction(3, 16))
+    sys_.add(SparseVec({1: 1}), Fraction(-1, 16))
+    sys_.add(SparseVec({1: -1}), Fraction(3, 16))
     ok, witness = feasible(sys_)
     assert ok
     assert Fraction(-3, 16) <= witness[1] <= Fraction(-1, 16)
@@ -101,9 +103,11 @@ def test_feasible_true_on_satisfiable_systems(rows, point, relations, slacks):
     sys_ = LinearSystem()
     for row, rel, slack in zip(rows, relations, slacks):
         rhs = pair(row, point)
-        if rel == "<=":
-            rhs += slack
-        sys_.add(row, rel, rhs)
+        if rel == "=":  # as the pair row <= rhs, -row <= -rhs
+            sys_.add(row, rhs)
+            sys_.add(-row, -rhs)
+        else:
+            sys_.add(row, rhs + slack)
     ok, witness = feasible(sys_)
     assert ok
     # the witness check inside feasible() already asserts exact satisfaction
@@ -119,9 +123,9 @@ def test_feasible_true_on_satisfiable_systems(rows, point, relations, slacks):
 def test_feasible_false_on_contradictions(rows, row, bound):
     sys_ = LinearSystem()
     for r in rows:
-        sys_.add(r, "<=", Fraction(5))
-    sys_.add(row, "<=", bound)
-    sys_.add(-row, "<=", -bound - 1)
+        sys_.add(r, Fraction(5))
+    sys_.add(row, bound)
+    sys_.add(-row, -bound - 1)
     ok, witness = feasible(sys_)
     assert not ok and witness is None
 
@@ -129,27 +133,26 @@ def test_feasible_false_on_contradictions(rows, row, bound):
 def test_feasible_grid_agreement():
     """Exhaustive quarter-integer grid agreement on up to 3 variables."""
     grid = [Fraction(n, 4) for n in range(-8, 9)]
+    # Each equality is written as the pair of rows c <= r, -c <= -r.
     systems = [
-        [(SparseVec({1: 1, 2: 1}), "<=", Fraction(1)), (SparseVec({1: -1}), "<=", Fraction(0)),
-         (SparseVec({2: -1}), "<=", Fraction(0))],
-        [(SparseVec({1: 2, 2: -1}), "=", Fraction(1, 2)), (SparseVec({1: 1}), "<=", Fraction(1))],
-        [(SparseVec({1: 1}), "<=", Fraction(-2)), (SparseVec({1: -1}), "<=", Fraction(-1))],
-        [(SparseVec({1: 1, 2: 1, 3: 1}), "=", Fraction(3, 4)),
-         (SparseVec({1: 1, 2: -1}), "<=", Fraction(-1, 2)),
-         (SparseVec({3: -1}), "<=", Fraction(0))],
+        [(SparseVec({1: 1, 2: 1}), Fraction(1)), (SparseVec({1: -1}), Fraction(0)),
+         (SparseVec({2: -1}), Fraction(0))],
+        [(SparseVec({1: 2, 2: -1}), Fraction(1, 2)), (SparseVec({1: -2, 2: 1}), Fraction(-1, 2)),
+         (SparseVec({1: 1}), Fraction(1))],
+        [(SparseVec({1: 1}), Fraction(-2)), (SparseVec({1: -1}), Fraction(-1))],
+        [(SparseVec({1: 1, 2: 1, 3: 1}), Fraction(3, 4)),
+         (SparseVec({1: -1, 2: -1, 3: -1}), Fraction(-3, 4)),
+         (SparseVec({1: 1, 2: -1}), Fraction(-1, 2)),
+         (SparseVec({3: -1}), Fraction(0))],
     ]
     for rows in systems:
         sys_ = LinearSystem()
         nvars = 0
-        for coeffs, rel, rhs in rows:
-            sys_.add(coeffs, rel, rhs)
+        for coeffs, rhs in rows:
+            sys_.add(coeffs, rhs)
             nvars = max(nvars, coeffs.max_support())
         grid_hit = any(
-            all(
-                (pair(c, SparseVec(dict(zip(range(1, nvars + 1), pt)))) == r if rel == "=" else
-                 pair(c, SparseVec(dict(zip(range(1, nvars + 1), pt)))) <= r)
-                for c, rel, r in rows
-            )
+            all(pair(c, SparseVec(dict(zip(range(1, nvars + 1), pt)))) <= r for c, r in rows)
             for pt in product(grid, repeat=nvars)
         )
         ok, _ = feasible(sys_)
@@ -162,9 +165,9 @@ def test_elimination_budget_trips():
     # 3 lower and 3 upper bounds on x1 coupled through x2: eliminating x2
     # multiplies rows beyond a budget of 1.
     for i in range(3):
-        sys_.add(SparseVec({1: 1, 2: 1}), "<=", Fraction(i))
-        sys_.add(SparseVec({1: -1, 2: -1}), "<=", Fraction(i))
-        sys_.add(SparseVec({2: 1}), "<=", Fraction(i))
-        sys_.add(SparseVec({2: -1}), "<=", Fraction(i))
+        sys_.add(SparseVec({1: 1, 2: 1}), Fraction(i))
+        sys_.add(SparseVec({1: -1, 2: -1}), Fraction(i))
+        sys_.add(SparseVec({2: 1}), Fraction(i))
+        sys_.add(SparseVec({2: -1}), Fraction(i))
     with pytest.raises(EliminationBudgetError):
         feasible(sys_, budget=1)
