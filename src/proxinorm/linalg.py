@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EliminationBudgetError
@@ -101,9 +102,10 @@ def feasible(
 ) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     """Exact satisfiability of the system, with a witness when satisfiable.
 
-    Fourier-Motzkin elimination decides it.  The witness is rebuilt by
-    back-substitution through the elimination stages, choosing the
-    midpoint of each variable's final interval (0 for unbounded
+    Fourier-Motzkin elimination decides it; a variable pinned by two
+    opposite rows is eliminated through that equality.  The witness is
+    rebuilt by back-substitution through the elimination stages, choosing
+    the midpoint of each variable's final interval (0 for unbounded
     directions), so it is deterministic and satisfies every constraint
     exactly.
     """
@@ -128,15 +130,26 @@ def feasible(
                 upper.append((expr, bound))
             else:
                 lower.append((expr, bound))
+        # A lower and an upper bound that coincide pin var = expr.  Eliminate
+        # var through that equality alone: every other bound is paired only
+        # with it, so an equality written as two rows costs no quadratic
+        # growth.  The projection, and hence the witness, is the same.
+        upper_keys = {(frozenset(expr.items()), bound) for expr, bound in upper}
+        pinned = next(
+            (row for row in lower if (frozenset(row[0].items()), row[1]) in upper_keys), None
+        )
+        if pinned is None:
+            pairs = product(lower, upper)
+        else:
+            pairs = [(pinned, up) for up in upper] + [(low, pinned) for low in lower]
         new = rest
-        for llhs, lrhs in lower:
-            for ulhs, urhs in upper:
-                # lower bound <= upper bound
-                combo = dict(llhs)
-                for j, w in ulhs.items():
-                    combo[j] = combo.get(j, Fraction(0)) - w
-                combo = {j: w for j, w in combo.items() if w != 0}
-                new.append((combo, urhs - lrhs))
+        for (llhs, lrhs), (ulhs, urhs) in pairs:
+            # lower bound <= upper bound
+            combo = dict(llhs)
+            for j, w in ulhs.items():
+                combo[j] = combo.get(j, Fraction(0)) - w
+            combo = {j: w for j, w in combo.items() if w != 0}
+            new.append((combo, urhs - lrhs))
         if len(new) > budget:
             raise EliminationBudgetError(
                 f"elimination produced {len(new)} rows (budget {budget})"

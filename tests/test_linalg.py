@@ -160,6 +160,79 @@ def test_feasible_grid_agreement():
             assert ok, f"grid found a point but feasible() said no: {rows}"
 
 
+def plain_fourier_motzkin_witness(rows, variables):
+    """Reference: textbook Fourier-Motzkin pairing every lower with every
+    upper bound, highest variable first, midpoint back-substitution."""
+    stages, current = [], [(dict(c.items()), r) for c, r in rows]
+    for var in reversed(variables):
+        stages.append((var, current))
+        lower = [(l, r) for l, r in current if l.get(var, 0) < 0]
+        upper = [(l, r) for l, r in current if l.get(var, 0) > 0]
+        current = [(l, r) for l, r in current if not l.get(var)]
+        for (ll, lr), (ul, ur) in product(lower, upper):
+            a, b = -ll[var], ul[var]  # b * lower-row + a * upper-row drops var
+            combo = {j: b * ll.get(j, 0) + a * ul.get(j, 0) for j in set(ll) | set(ul)}
+            current.append(({j: w for j, w in combo.items() if w != 0}, b * lr + a * ur))
+    if any(not l and r < 0 for l, r in current):
+        return None
+    witness = {}
+    for var, constraints in reversed(stages):
+        bounds = [
+            ((r - sum(w * witness[j] for j, w in l.items() if j != var)) / l[var], l[var] > 0)
+            for l, r in constraints
+            if l.get(var)
+        ]
+        his = [b for b, is_upper in bounds if is_upper]
+        los = [b for b, is_upper in bounds if not is_upper]
+        lo, hi = max(los, default=None), min(his, default=None)
+        if lo is not None and hi is not None:
+            witness[var] = (lo + hi) / 2
+        else:
+            witness[var] = lo if lo is not None else hi if hi is not None else Fraction(0)
+    return witness
+
+
+small_functionals = st.dictionaries(st.integers(1, 3), rationals, min_size=1).map(SparseVec)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(small_functionals.filter(lambda f: not f.is_zero()), max_size=3),
+    st.lists(small_functionals.filter(lambda f: not f.is_zero()), max_size=3),
+    st.dictionaries(st.integers(1, 3), rationals, max_size=3).map(SparseVec),
+    st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=4), min_size=3, max_size=3),
+)
+def test_feasible_matches_plain_fourier_motzkin(equalities, inequalities, point, slacks):
+    """Eliminating through an equality pair leaves the decision and the witness
+    unchanged.  Three variables keep the unbudgeted reference small."""
+    sys_ = LinearSystem()
+    for row in equalities:
+        sys_.add(row, pair(row, point))
+        sys_.add(-row, -pair(row, point))
+    for row, slack in zip(inequalities, slacks):
+        sys_.add(row, pair(row, point) + slack)
+    ok, witness = feasible(sys_)
+    expected = plain_fourier_motzkin_witness(sys_.rows, list(sys_.variable_set()))
+    assert ok == (expected is not None)
+    assert witness == expected
+
+
+def test_feasible_dense_equalities_within_budget():
+    """Five dense equalities over five variables, each as two opposite rows:
+    pairing every lower with every upper bound would need ~10^6 rows."""
+    rows = [SparseVec({j: Fraction((7 * i + 3 * j) % 5 + 1, j) for j in range(1, 6)}) for i in range(5)]
+    point = SparseVec({j: Fraction(j, 3) for j in range(1, 6)})
+    sys_ = LinearSystem()
+    for row in rows:
+        sys_.add(row, pair(row, point))
+        sys_.add(-row, -pair(row, point))
+    ok, witness = feasible(sys_)
+    assert ok and SparseVec(witness) == point  # the equalities are independent
+    sys_.add(rows[0], pair(rows[0], point) - 1)
+    ok, witness = feasible(sys_)
+    assert not ok and witness is None
+
+
 def test_elimination_budget_trips():
     sys_ = LinearSystem()
     # 3 lower and 3 upper bounds on x1 coupled through x2: eliminating x2
