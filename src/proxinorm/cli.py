@@ -23,7 +23,7 @@ from .config import Config, load_config
 from .construction import canonical_table
 from .demo import run_demo
 from .descent import DescentChain, Subspace, minimizing_sequence, verify_chain
-from .errors import BudgetError, ProxinormError
+from .errors import BudgetError, PreconditionError, ProxinormError
 from .gateaux import derivative_to_json, dminus_norm, dplus_norm
 from .norms import norm_enclosure
 from .vectors import SparseVec, parse_int
@@ -62,6 +62,8 @@ def _trial_directions(report: LinearityReport, count: int) -> List[SparseVec]:
 
 
 def _cmd_construct(args, config: Config) -> int:
+    if args.k_max < 1:
+        raise PreconditionError("--k-max must be >= 1")
     table = canonical_table(config.depth_budget)
     for k, u, a in table.prefix(args.k_max):
         sys.stdout.write(json.dumps({"k": k, "u": u.to_json(), "a": a}) + "\n")
@@ -122,6 +124,8 @@ def _cmd_descend(args, config: Config) -> int:
     x0 = _load_vec(args.x0)
     chain = minimizing_sequence(table, subspace, x0, args.steps)
     _emit(chain.to_json())
+    if len(chain.certificates) < args.steps:
+        sys.stderr.write(f"descend: certified {len(chain.certificates)} of {args.steps} steps\n")
     return 0
 
 

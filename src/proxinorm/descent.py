@@ -31,6 +31,7 @@ from .bits import bits_for_target, floor_pow2
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError, SearchBudgetError
 from .gateaux import derivative_from_json, derivative_to_json, dplus_norm
+from .kernel import enclosures_match
 from .linalg import kernel_directions
 from .norms import enclosure_at_depth, norm_depth, norm_enclosure
 from .vectors import Enclosure, SparseVec, format_rational, pair, parse_rational, sup_norm
@@ -512,31 +513,23 @@ def verify_certificate(
 ) -> List[str]:
     """Re-derive every certified quantity from scratch; list discrepancies.
 
-    All enclosures are recomputed at the depths stored in the certificate
-    and must match field-for-field (the pipeline is deterministic), the
-    direction must lie exactly in the subspace, the derivative evidence
-    must show matching definite signs, and the decrease must be strict.
-    Returns an empty list when the certificate is genuine.
+    ``kernel`` re-derives the four enclosures at the depths stored in the
+    certificate, from the construction stream alone, and each must match
+    field-for-field (the pipeline is deterministic); the direction must
+    lie exactly in the subspace, the derivative evidence must show
+    matching definite signs, and the decrease must be strict.  Returns an
+    empty list when the certificate is genuine.
     """
-    from .gateaux import dplus_enclosure_at_depth
-
     problems: List[str] = []
     if not subspace.contains(cert.v):
         problems.append("v is not in the subspace")
     if not cert.norm_after.hi < cert.norm_before.lo:
         problems.append("no strict decrease between the stored enclosures")
-    before = enclosure_at_depth(table, cert.x, cert.norm_before.depth)
-    if (before.lo, before.hi) != (cert.norm_before.lo, cert.norm_before.hi):
-        problems.append("norm_before does not recompute")
-    after = enclosure_at_depth(table, cert.next_point(), cert.norm_after.depth)
-    if (after.lo, after.hi) != (cert.norm_after.lo, cert.norm_after.hi):
-        problems.append("norm_after does not recompute")
-    dp = dplus_enclosure_at_depth(table, cert.x, cert.v, cert.d_plus.depth)
-    if (dp.lo, dp.hi) != (cert.d_plus.lo, cert.d_plus.hi):
-        problems.append("d_plus does not recompute")
-    dm = -dplus_enclosure_at_depth(table, cert.x, -cert.v, cert.d_minus.depth)
-    if (dm.lo, dm.hi) != (cert.d_minus.lo, cert.d_minus.hi):
-        problems.append("d_minus does not recompute")
+    stored = (cert.norm_before, cert.norm_after, cert.d_plus, cert.d_minus)
+    names = ("norm_before", "norm_after", "d_plus", "d_minus")
+    for name, ok in zip(names, enclosures_match(table, cert.x, cert.v, cert.h, stored)):
+        if not ok:
+            problems.append(f"{name} does not recompute")
     if cert.d_plus.sign() == 0 or cert.d_plus.sign() != cert.d_minus.sign():
         problems.append("derivative evidence does not determine a shared sign")
     return problems

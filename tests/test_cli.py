@@ -83,6 +83,11 @@ def test_construct_dump(tmp_path):
     assert all(row["a"] >= row["k"] for row in lines)
 
 
+@pytest.mark.parametrize("k_max", ["0", "-3"])
+def test_construct_rejects_k_max_below_one(k_max):
+    assert_input_error(run_cli("construct", "--k-max", k_max), "k-max must be >= 1")
+
+
 def test_deriv_minus_flag(tmp_path):
     x = write_json(tmp_path / "x.json", {"1": "1"})
     u = write_json(tmp_path / "u.json", {"1": "1"})
@@ -197,6 +202,24 @@ def test_verify_golden_bytes(tmp_path, pinned_chain):
     out = run_cli("verify", "--cert", write_json(tmp_path / "tampered.json", tampered))
     assert out.returncode == 1, out.stderr
     assert sha256(out.stdout) == VERIFY_TAMPERED_SHA256
+
+
+#: A stored depth outside [1, depth budget] is a precondition or budget
+#: error of the whole run, not a problem string; recorded before the
+#: verifier had its own kernel.
+OUT_OF_RANGE_DEPTHS = {
+    "zero": (0, 1, "error: depth must be >= 1\n"),
+    "past-budget": (10**7, 2, "budget exhausted: table index 5001 exceeds depth budget 5000\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_DEPTHS))
+def test_verify_out_of_range_depth(tmp_path, pinned_chain, case):
+    depth, code, stderr = OUT_OF_RANGE_DEPTHS[case]
+    chain = copy.deepcopy(pinned_chain)
+    chain["certificates"][0]["norm_before"]["depth"] = depth
+    out = run_cli("verify", "--cert", write_json(tmp_path / "chain.json", chain))
+    assert (out.returncode, out.stdout, out.stderr) == (code, "", stderr)
 
 
 def assert_input_error(out, message):
@@ -442,3 +465,22 @@ def test_unknown_config_key(tmp_path):
     out = run_cli("--config", str(cfg), "construct", "--k-max", "5")
     assert out.returncode == 1
     assert "nonsense" in out.stderr
+
+
+def test_descend_reports_a_short_chain_on_stderr(tmp_path, monkeypatch, capsys):
+    """A chain shorter than ``--steps`` is named on stderr; stdout and the
+    exit code are those of a complete run."""
+    from proxinorm import cli, descent
+
+    e1 = write_json(tmp_path / "e1.json", {"1": "1"})
+    e2 = write_json(tmp_path / "e2.json", {"2": "1"})
+    x0 = write_json(tmp_path / "x0.json", {"1": "2/3", "2": "-1/4", "5": "1/2"})
+    args = ["descend", "--phi", e1, "--phi", e2, "--x0", x0, "--steps", "3"]
+    assert cli.main(args) == 0
+    full = capsys.readouterr()
+    assert full.err == "" and len(json.loads(full.out)["certificates"]) == 3
+    monkeypatch.setattr(descent, "REPORT_DEPTH", 2)  # no admissible probes this early
+    assert cli.main(args) == 0
+    short = capsys.readouterr()
+    assert short.err == "descend: certified 0 of 3 steps\n"
+    assert json.loads(short.out)["certificates"] == []
