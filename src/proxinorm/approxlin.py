@@ -301,7 +301,9 @@ def span_match_feasible(
     coefficient vector assigns a rational weight to each functional
     (1-based).  Uses the upper eps bound, matching the sign analysis.
     """
-    idx = sorted(set(int(i) for i in indices))
+    if any(not isinstance(i, int) or isinstance(i, bool) for i in indices):
+        raise PreconditionError(f"indices must be integers, got {list(indices)}")
+    idx = sorted(set(indices))
     outside = [i for i in idx if i not in report.gamma]
     if outside:
         raise PreconditionError(f"indices outside the usable prefix: {outside}")

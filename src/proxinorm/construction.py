@@ -31,7 +31,7 @@ from .vectors import SparseVec, l1_norm
 
 DEFAULT_DEPTH_BUDGET = 5000
 
-#: Number of exactly summed leading terms in every tail majorant.
+#: Exact head terms of weight_tail_bound's lower bound and of the majorant.
 EXACT_HEAD_TERMS = 50
 
 
@@ -79,25 +79,22 @@ def _vector_stream() -> Iterator[SparseVec]:
 
 def _tail_majorant(m: int, slope: int) -> Fraction:
     """Upper bound for sum over n >= m of (1 + slope*n) * 2^(-n^2), m >= 1,
-    slope 0 or 1.
-
-    The first EXACT_HEAD_TERMS terms are summed exactly; the rest is
-    dominated by 2*(1 + slope*M)*2^(-M^2) at M = m + EXACT_HEAD_TERMS,
-    using (1 + slope*(M+j)) <= (1 + slope*M)*2^j and 2Mj + j^2 >= 2j for
-    M >= 1.  The result is rounded up to granularity 2^(-(m+2)^2-2), which
-    keeps denominators small downstream; the increase is far below the
-    dropped head term (1 + slope*m)*2^(-m^2), so strict decrease in m
-    survives the rounding.
+    slope 0 or 1: the ceiling at the grain 2^(-g), g = (m+2)^2 + 2, of the
+    terms n < M = m + EXACT_HEAD_TERMS plus 2*(1 + slope*M)*2^(-M^2), which
+    dominates the rest as (1 + slope*(M+j)) <= (1 + slope*M)*2^j.
+    That ceiling is three terms plus one grain: terms n <= m+2 are multiples
+    of 2^(-g) (g - n^2 >= 2); the rest is positive and, each term at most
+    half the one before, below (m+4)*2^(-g-2m-2) < 2^(-g).  The numerator
+    is odd, so the Fraction is in lowest terms.  The grain is far below the
+    dropped head term, so strict decrease in m survives the rounding.
     """
     if m < 1:
         raise ValueError("majorant requires m >= 1")
-    M = m + EXACT_HEAD_TERMS
-    E = M * M
-    num = 0
-    for n in range(m, M):
-        num += (1 + slope * n) << (E - n * n)
-    num += 2 * (1 + slope * M)
-    return round_dyadic(Fraction(num, 1 << E), (m + 2) * (m + 2) + 2, up=True)
+    g = (m + 2) * (m + 2) + 2
+    num = 1
+    for n in range(m, m + 3):
+        num += (1 + slope * n) << (g - n * n)
+    return Fraction(num, 1 << g)
 
 
 def growth_tail_majorant(m: int) -> Fraction:

@@ -194,6 +194,18 @@ def test_span_match_monotone_in_indices(table):
     assert not ok_small and not ok_full  # growing the set never flips to sat
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda i: i + 0.5,  # used to be truncated back to a usable index
+    lambda i: Fraction(2 * i + 1, 2),
+    str,
+    lambda i: True,
+], ids=["float", "fraction", "string", "bool"])
+def test_span_match_rejects_non_integer_indices(table, spoil):
+    rep = build_report(table, std_x(), std_probes(), DEPTH)
+    with pytest.raises(PreconditionError, match="indices must be integers"):
+        span_match_feasible(rep, [rep.gamma_vec()], [spoil(rep.usable[0])])
+
+
 def test_report_json_roundtrip(table):
     x = std_x()
     rep = build_report(table, x, std_probes(), DEPTH)

@@ -132,7 +132,8 @@ def naive_tail_majorant(m, weight):
 
 
 def test_tail_majorants_match_naive_derivation():
-    for m in range(1, 61):
+    # up to m = 364: a 2^17-bit norm enclosure's tail starts near m = 363
+    for m in (*range(1, 62), 100, 200, 364):
         assert growth_tail_majorant(m) == naive_tail_majorant(m, lambda n: 1 + n)
         assert square_tail_majorant(m) == naive_tail_majorant(m, lambda n: 1)
 

@@ -82,7 +82,7 @@ def test_rejects_a_moved_depth(table, x, v, h, ds, which, delta):
 
 
 def test_majorant_matches_the_producer():
-    for m in range(1, 81):
+    for m in range(1, 401):  # a 2^17-bit norm enclosure's tail starts near m = 363
         t, g = growth_majorant(m)
         assert Fraction(t, 1 << g) == growth_tail_majorant(m), m
 
@@ -113,6 +113,10 @@ def test_kernel_shares_only_the_stream_with_the_producer():
             imported.update(alias.name for alias in node.names)
     package = {name for name in imported if name.startswith(".")}
     assert package == {".construction", ".errors", ".vectors"}
+    from_construction = {alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.module == "construction"
+                         for alias in node.names}
+    assert from_construction == {"EXACT_HEAD_TERMS", "ConstructionTable"}
     assert not imported & {"functools", "proxinorm.norms", "proxinorm.gateaux",
                            "proxinorm.bits", "proxinorm.approxlin"}
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
