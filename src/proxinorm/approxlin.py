@@ -42,6 +42,7 @@ from .vectors import (
     sup_norm,
 )
 
+REPORT_DEPTH = 500  # stream depth of the linearity report and of probe visibility
 REASON_SUP_ACTIVE = "sup-active"
 REASON_PROBE_SUPPORT = "probe-support"
 REASON_DOMINATED = "probe-dominated"
@@ -267,9 +268,7 @@ def verify_linearity_bound(
         trial = Trial(v, lhs, rhs, True)
         report.trials.append(trial)
         return lhs, rhs, True
-    denc = dplus_norm(table, x, v, precision_bits)
-    lo, hi = denc.lo - gv, denc.hi - gv
-    lhs = Enclosure(max(lo, -hi, Fraction(0)), max(hi, -lo), denc.depth)  # |[lo, hi]|
+    lhs = abs(dplus_norm(table, x, v, precision_bits) - Enclosure.point(gv))
     passed = lhs.hi <= rhs
     report.trials.append(Trial(v, lhs, rhs, passed))
     return lhs, rhs, passed

@@ -40,11 +40,6 @@ def round_dyadic(value: Fraction, bits: int, up: bool = False) -> Fraction:
     return Fraction(num, 1 << bits)
 
 
-def dyadic_lt(num: int, exp: int, bound: Fraction) -> bool:
-    """Exact comparison num / 2^exp < bound."""
-    return num * bound.denominator < bound.numerator << exp
-
-
 def split_pow2(d: int) -> Tuple[int, int]:
     """(q, s) with d = q * 2^s and q odd, for d > 0."""
     s = (d & -d).bit_length() - 1
@@ -60,7 +55,7 @@ def scale_pow2(value: Fraction, e: int) -> Fraction:
     return Fraction(value.numerator << (e - s), q)
 
 
-def _accumulate(terms: Iterable[Tuple[int, int, int]]) -> Tuple[int, int, int]:
+def dyadic_parts(terms: Iterable[Tuple[int, int, int]]) -> Tuple[int, int, int]:
     """(num, L, E) with the sum of n / (q * 2^e) over the terms equal to
     num / (L * 2^E): L = lcm(q), E = max(e), integer shifts only."""
     terms = list(terms)
@@ -75,7 +70,7 @@ def _accumulate(terms: Iterable[Tuple[int, int, int]]) -> Tuple[int, int, int]:
 def dyadic_sign(terms: Iterable[Tuple[int, int, int]]) -> int:
     """Sign (-1, 0 or 1) of :func:`dyadic_sum` of the same terms, without
     building the Fraction."""
-    num = _accumulate(terms)[0]
+    num = dyadic_parts(terms)[0]
     return (num > 0) - (num < 0)
 
 
@@ -85,7 +80,7 @@ def dyadic_sum(terms: Iterable[Tuple[int, int, int]]) -> Fraction:
     Accumulated over the denominator lcm(q) * 2^max(e) in integer
     arithmetic, so the Fraction normalization happens once.
     """
-    num, lcm_q, E = _accumulate(terms)
+    num, lcm_q, E = dyadic_parts(terms)
     if num == 0:
         return Fraction(0)
     shift = min((num & -num).bit_length() - 1, E)

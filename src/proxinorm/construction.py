@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterator, List, Tuple
 
-from .bits import round_dyadic
+from .bits import dyadic_parts, round_dyadic
 from .errors import DepthBudgetError
 from .vectors import SparseVec, l1_norm
 
@@ -217,10 +217,7 @@ class ConstructionTable:
         if J <= k:
             raise DepthBudgetError(f"no room past index {k} within budget")
         self._extend_to(J)
-        E = self._tags[J - 1] ** 2
-        num = 0
-        for l in range(k + 1, J + 1):
-            num += 1 << (E - self._tags[l - 1] ** 2)
+        num, _, E = dyadic_parts((1, 1, a * a) for a in self._tags[k:J])
         majorant = square_tail_majorant(self._tags[J - 1] + 1)
         a = self.tag(k)
         g = a * a + 4 * a + 16
@@ -238,12 +235,7 @@ class ConstructionTable:
         Pure integer accumulation; avoids giant gcd normalizations.
         """
         self._extend_to(k_max)
-        num = 0
-        exp = 0
-        for k in range(1, k_max + 1):
-            e = self._tags[k - 1] ** 2
-            num = (num << (e - exp)) + (1 + self._tags[k - 1])
-            exp = e
+        num, _, exp = dyadic_parts((1 + a, 1, a * a) for a in self._tags[:k_max])
         return num, exp
 
 

@@ -7,24 +7,29 @@ sin(zeta_s - beta_r), so its sign is +1 exactly when s > r.  The
 resulting sign rows (-1 repeated r times, then +1) are linearly
 independent with determinant of magnitude 2^n, which is the hinge of the
 non-proximinality argument.  Everything trigonometric is certified
-interval arithmetic; everything else is exact.
+interval arithmetic; everything else is exact.  Rational roundings of the
+fan are the probes of the linearity reports, here and in descent
+(:func:`fan_probes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from functools import lru_cache
+from itertools import combinations
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
-from .approxlin import LinearityReport
+from .approxlin import REPORT_DEPTH, LinearityReport, build_report
 from .bits import round_dyadic
-from .descent import REPORT_DEPTH, ROUNDING_DENOMINATOR_BITS, _fan_probes
+from .construction import ConstructionTable
 from .errors import PrecisionBudgetError, PreconditionError
 from .trig import base_angles, cos_enclosure, fan_angles, sin_enclosure
 from .vectors import Enclosure, SparseVec, format_rational, pair, sgn
 
 DEFAULT_ANGLE_BITS = 44
 SIGN_TABLE_BITS_CAP = 4096
+ROUNDING_DENOMINATOR_BITS = 16  # finest fan-probe rounding, 2^-16
 
 
 @dataclass(frozen=True)
@@ -107,19 +112,87 @@ class FanFunctional:
         return tuple(sorted(set(self.phi1.support()) | set(self.phi2.support())))
 
 
+@lru_cache
 def build_fan(
     n: int, phi1: SparseVec, phi2: SparseVec, bits: int = DEFAULT_ANGLE_BITS
-) -> List[FanFunctional]:
+) -> Tuple[FanFunctional, ...]:
     """The n+1 midpoint-angle functionals with interval coefficients.
 
     All midpoint angles lie strictly inside (0, pi/2), so both
     coefficients are certified positive at any reasonable precision.
+    Cached: a descent asks for the same fan at every step.
     """
     if n < 2:
         raise PreconditionError("the fan construction needs codimension >= 2")
     if phi1 == phi2:
         raise PreconditionError("the two anchor functionals must differ")
-    return [FanFunctional.build(n, s, phi1, phi2, bits) for s in range(1, n + 2)]
+    return tuple(FanFunctional.build(n, s, phi1, phi2, bits) for s in range(1, n + 2))
+
+
+# -- probes -------------------------------------------------------------------
+
+
+def _probe_pool(support: Sequence[int]) -> Iterator[SparseVec]:
+    """Deterministic stream of low-height candidate probes."""
+    grid = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-2)]
+    base = [i for i in sorted(support) if i <= 3] or [1]
+    singles = [SparseVec({i: g}) for i in base for g in grid]
+    yield from singles
+    for i, j in combinations(base + [m for m in (1, 2) if m not in base], 2):
+        for gi in grid:
+            for gj in grid:
+                yield SparseVec({i: gi, j: gj})
+
+
+@lru_cache(maxsize=1024)
+def _roundings(f: FanFunctional) -> Tuple[SparseVec, ...]:
+    """The midpoints of ``f``'s coefficient intervals, every entry rounded
+    by ``limit_denominator(2^b)``, at index b for b = 0 ..
+    ROUNDING_DENOMINATOR_BITS.  Cached: a descent asks for the same fan at
+    every step."""
+    target = {i: f.coefficient_interval(i).midpoint() for i in f.support()}
+    return tuple(
+        SparseVec({i: v.limit_denominator(1 << b) for i, v in target.items()})
+        for b in range(ROUNDING_DENOMINATOR_BITS + 1)
+    )
+
+
+def fan_probes(
+    table: ConstructionTable, fan: Sequence[FanFunctional], count: int, depth: int,
+    admissible: Callable[[SparseVec, List[int]], bool], pool_support: Sequence[int],
+) -> List[SparseVec]:
+    """Up to ``count`` distinct nonzero probes that occur within ``depth``
+    stream entries and pass ``admissible(z, positions)``, positions being
+    their occurrences.
+
+    The midpoints of the fan's coefficient intervals are rounded with
+    denominators up to 2^b, b = ROUNDING_DENOMINATOR_BITS .. 0, until all of
+    them pass; the best partial fan is topped up from a deterministic pool
+    of low-height probes over ``pool_support``.
+    """
+    def accept(z: SparseVec, chosen: List[SparseVec]) -> bool:
+        if z.is_zero() or z in chosen:
+            return False
+        positions = table.occurrence_positions(z, depth)
+        return bool(positions) and admissible(z, positions)
+
+    ladders = [_roundings(f) for f in fan]
+    chosen: List[SparseVec] = []
+    for bits in range(ROUNDING_DENOMINATOR_BITS, -1, -1):
+        attempt: List[SparseVec] = []
+        for ladder in ladders:
+            if accept(ladder[bits], attempt):
+                attempt.append(ladder[bits])
+        if len(attempt) > len(chosen):
+            chosen = attempt
+        if len(attempt) == len(ladders):
+            break
+    for z in _probe_pool(pool_support):
+        if len(chosen) >= count:
+            break
+        if accept(z, chosen):
+            chosen.append(z)
+    return chosen
 
 
 def demo_points(n: int) -> List[SparseVec]:
@@ -191,30 +264,16 @@ def theta_blocks(report: LinearityReport, phi: SparseVec) -> Dict[int, List[Frac
 
 
 def demo_probes(
-    table, points: Sequence[SparseVec], fan: Sequence[FanFunctional], depth: int
+    table: ConstructionTable, points: Sequence[SparseVec], fan: Sequence[FanFunctional],
+    depth: int,
 ) -> List[SparseVec]:
-    """Distinct stream-visible probes pairing nonzero with every point.
-
-    Rational roundings of the fan coefficients are tried first, coarsening
-    the denominator until the vectors occur within the stream prefix; the
-    deterministic low-height pool tops up whatever is missing (collisions
-    and zero pairings push towards the pool).
-    """
-    def admissible(z: SparseVec, chosen: List[SparseVec]) -> bool:
-        return (
-            not z.is_zero()
-            and z not in chosen
-            and all(pair(x, z) != 0 for x in points)
-            and bool(table.occurrence_positions(z, depth))
-        )
-
+    """Distinct stream-visible probes pairing nonzero with every point:
+    :func:`fan_probes` of the fan, topped up from the pool over its support."""
     n_probes = len(fan)
-    targets = [
-        SparseVec({i: f.coefficient_interval(i).midpoint() for i in f.support()})
-        for f in fan
-    ]
     support = fan[0].support() if fan else (1, 2)
-    chosen = _fan_probes(targets, ROUNDING_DENOMINATOR_BITS, admissible, n_probes, support)
+    chosen = fan_probes(
+        table, fan, n_probes, depth, lambda z, _: all(pair(x, z) != 0 for x in points), support
+    )
     if len(chosen) < n_probes:
         raise PreconditionError(
             f"could not assemble {n_probes} demo probes within depth {depth}"
@@ -235,16 +294,6 @@ def _interval_json(iv: Enclosure) -> Dict[str, str]:
     return {"lo": _display(iv.lo), "hi": _display(iv.hi, up=True)}
 
 
-def _abs_upper(iv: Enclosure) -> Fraction:
-    return max(abs(iv.lo), abs(iv.hi))
-
-
-def _abs_lower(iv: Enclosure) -> Fraction:
-    if iv.sign() == 0:
-        return Fraction(0)
-    return min(abs(iv.lo), abs(iv.hi))
-
-
 def run_demo(table, n: int) -> Dict:
     """Full sign-apparatus walkthrough at codimension n; JSON-ready output.
 
@@ -254,8 +303,6 @@ def run_demo(table, n: int) -> Dict:
     tag-weight-scaled traces of the approximate derivative (constant per
     probe block, no tolerance involved).
     """
-    from .approxlin import build_report
-
     phi1, phi2 = SparseVec.unit(1), SparseVec.unit(2)
     fan = build_fan(n, phi1, phi2)
     betas = base_angles(n, DEFAULT_ANGLE_BITS)
@@ -270,14 +317,12 @@ def run_demo(table, n: int) -> Dict:
     # Rounding quality: the sign transfer from the fan to the probes is
     # guaranteed when every l1 distance stays under half the smallest
     # certified pairing magnitude.
-    threshold = min(
-        _abs_lower(f.pair_interval(x)) for x in points for f in fan
-    ) / 2
+    threshold = min(abs(f.pair_interval(x)).lo for x in points for f in fan) / 2
     distances = []
     for f, z in zip(fan, probes):
         dist = Fraction(0)
         for i in sorted(set(f.support()) | set(z.support())):
-            dist += _abs_upper(f.coefficient_interval(i) - Enclosure.point(z[i]))
+            dist += abs(f.coefficient_interval(i) - Enclosure.point(z[i])).hi
         distances.append(dist)
     sign_guarantee = all(d < threshold for d in distances)
 

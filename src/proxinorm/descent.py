@@ -21,26 +21,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .approxlin import LinearityReport, build_report, coherence_margin
+from .approxlin import REPORT_DEPTH, LinearityReport, build_report, coherence_margin
 from .bits import bits_for_target, floor_pow2
 from .construction import ConstructionTable
+from .demo import build_fan, fan_probes
 from .errors import InputFormatError, PreconditionError, SearchBudgetError
-from .gateaux import derivative_from_json, derivative_to_json, dplus_norm
+from .gateaux import derivative_from_json, derivative_to_json, dminus_norm, dplus_norm
 from .kernel import enclosures_match
 from .linalg import kernel_directions
 from .norms import enclosure_at_depth, norm_depth, norm_enclosure
 from .vectors import Enclosure, SparseVec, format_rational, pair, parse_rational, sup_norm
 
 # Desk-scale search budgets (no mathematical content).
-REPORT_DEPTH = 500  # stream depth of the linearity report and of probe visibility
 MAX_CANDIDATES = 200  # candidate supports scored per step
 MAX_LINE_SEARCH = 200  # step halvings per line search
-ROUNDING_DENOMINATOR_BITS = 16  # finest fan-probe rounding, 2^-16
 SIGN_GUARD_BITS = 4  # derivative enclosures refined to margin / 2^4
 
 
@@ -97,7 +95,7 @@ class SignEvidence:
     d_plus: Enclosure
     d_minus: Enclosure
     margin: Fraction
-    step_cap: Optional[Fraction] = None
+    step_cap: Fraction
 
     @property
     def shared_sign(self) -> int:
@@ -108,7 +106,7 @@ class SignEvidence:
             raise PreconditionError("d_plus enclosure does not determine a sign")
         if self.d_plus.sign() != self.d_minus.sign():
             raise PreconditionError("one-sided derivative signs disagree")
-        if self.step_cap is not None and self.step_cap <= 0:
+        if self.step_cap <= 0:
             raise PreconditionError("step cap must be positive")
 
 
@@ -175,108 +173,29 @@ def primitive(v: SparseVec) -> SparseVec:
 # -- probe construction -----------------------------------------------------
 
 
-@lru_cache
-def _fan_targets(n_probes: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    """Rational approximations of (sin, cos) at the midpoint fan angles.
-
-    Uses the interval sine/cosine from the trig module at 64 bits and
-    takes midpoints; exactness is not needed here because probes are
-    rounded much more coarsely anyway.  Cached: it depends on n alone.
-    """
-    from .trig import fan_angles, cos_enclosure, sin_enclosure
-
-    return tuple(
-        (sin_enclosure(zeta, 64).midpoint(), cos_enclosure(zeta, 64).midpoint())
-        for zeta in fan_angles(n_probes - 1, 64)
-    )
-
-
-def probe_pool(support: Sequence[int]) -> Iterator[SparseVec]:
-    """Deterministic stream of low-height candidate probes."""
-    grid = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-2)]
-    base = [i for i in sorted(support) if i <= 3] or [1]
-    singles = [SparseVec({i: g}) for i in base for g in grid]
-    yield from singles
-    for i, j in combinations(base + [m for m in (1, 2) if m not in base], 2):
-        for gi in grid:
-            for gj in grid:
-                yield SparseVec({i: gi, j: gj})
-
-
-@lru_cache(maxsize=1024)
-def _roundings(target: SparseVec, max_bits: int) -> Tuple[SparseVec, ...]:
-    """``target`` with every entry rounded by ``limit_denominator(2^b)``, at
-    index b for b = 0 .. max_bits.  Cached: fan targets recur every step."""
-    return tuple(
-        SparseVec({i: v.limit_denominator(1 << b) for i, v in target.items()})
-        for b in range(max_bits + 1)
-    )
-
-
-def _fan_probes(
-    targets: Sequence[SparseVec], max_denominator_bits: int,
-    admissible: Callable[[SparseVec, List[SparseVec]], bool], count: int,
-    pool_support: Sequence[int],
-) -> List[SparseVec]:
-    """Up to ``count`` admissible probes: the targets rounded with denominators
-    up to 2^b, b = ``max_denominator_bits`` .. 0, until all of them pass; the
-    best partial fan is topped up from :func:`probe_pool` over ``pool_support``.
-    """
-    rounded = [_roundings(t, max_denominator_bits) for t in targets]
-    chosen: List[SparseVec] = []
-    for bits in range(max_denominator_bits, -1, -1):
-        attempt: List[SparseVec] = []
-        for ladder in rounded:
-            z = ladder[bits]
-            if admissible(z, attempt):
-                attempt.append(z)
-        if len(attempt) > len(chosen):
-            chosen = attempt
-        if len(attempt) == len(targets):
-            break
-    for z in probe_pool(pool_support):
-        if len(chosen) >= count:
-            break
-        if admissible(z, chosen):
-            chosen.append(z)
-    return chosen
-
-
 def build_probes(table: ConstructionTable, subspace: Subspace, x: SparseVec) -> List[SparseVec]:
     """Probe family for the linearity report at x: distinct, visible in the
     stream prefix, and pairing to exactly nonzero values with x.
 
-    Tries the rotated-functional fan first, reducing the rounding
-    denominator from 2^ROUNDING_DENOMINATOR_BITS until the probes occur
-    within the report depth; tops up from the deterministic pool if needed.
+    :func:`demo.fan_probes` of the rotated-functional fan of the first two
+    functionals (at 64 bits; none for codimension 1), topped up from the
+    pool over the functionals' support.
     """
     n = subspace.codimension + 1
     depth = REPORT_DEPTH
     s = sup_norm(x)
 
-    def admissible(z: SparseVec, chosen: List[SparseVec]) -> bool:
-        if z.is_zero() or z in chosen:
-            return False
-        positions = table.occurrence_positions(z, depth)
-        if not positions:
-            return False
-        p = pair(x, z)
-        if p == 0:
-            return False
+    def admissible(z: SparseVec, positions: List[int]) -> bool:
         # demand a usable occurrence: a tag whose coordinate of x clears
-        # both the domination and sup-activity thresholds
-        return any(abs(x[table.tag(k)]) < min(abs(p), s) for k in positions)
+        # both the domination and sup-activity thresholds (none if <x, z> = 0)
+        bound = min(abs(pair(x, z)), s)
+        return any(abs(x[table.tag(k)]) < bound for k in positions)
 
-    targets = []
+    fan = ()
     if subspace.codimension >= 2:
-        phi1, phi2 = subspace.functionals[0], subspace.functionals[1]
-        support = sorted(set(phi1.support()) | set(phi2.support()))
-        targets = [
-            SparseVec({i: s_mid * phi1[i] - c_mid * phi2[i] for i in support})
-            for s_mid, c_mid in _fan_targets(n)
-        ]
+        fan = build_fan(subspace.codimension, *subspace.functionals[:2], 64)
     pool_support = [i for phi in subspace.functionals for i in phi.support()]
-    chosen = _fan_probes(targets, ROUNDING_DENOMINATOR_BITS, admissible, n, pool_support)
+    chosen = fan_probes(table, fan, n, depth, admissible, pool_support)
     if len(chosen) < n:
         raise SearchBudgetError(
             f"could not assemble {n} admissible probes within depth {depth}"
@@ -354,11 +273,10 @@ def find_descent_direction(
         cap = bound if cap is None or bound < cap else cap
 
     bits = bits_for_target(margin / (1 << SIGN_GUARD_BITS))
-    d_plus = dplus_norm(table, x, v, bits)
-    d_minus = -dplus_norm(table, x, -v, bits)
-    if d_plus.sign() == 0 or d_plus.sign() != d_minus.sign():
-        return None  # defensive; the margin certifies this cannot happen
-    return v, SignEvidence(d_plus, d_minus, margin, cap), report
+    evidence = SignEvidence(
+        dplus_norm(table, x, v, bits), dminus_norm(table, x, v, bits), margin, cap
+    )
+    return v, evidence, report
 
 
 def certify_descent(
@@ -391,9 +309,7 @@ def certify_descent(
         raise RuntimeError("sign evidence gives no positive decrease rate")
     before_scale = norm_enclosure(table, x, 8)  # width < 2^-8
     start = before_scale.lo / (16 * max(Fraction(1), sup_norm(v)))
-    if evidence.step_cap is not None:
-        start = min(start, evidence.step_cap)
-    t = floor_pow2(start)
+    t = floor_pow2(min(start, evidence.step_cap))
     for _ in range(MAX_LINE_SEARCH):
         h = -s * t
         y = x + v.scale(h)

@@ -90,8 +90,9 @@ def parse_int(value: object, what: str, key: bool = False) -> int:
 class Enclosure:
     """Closed interval [lo, hi] with exact rational endpoints, certified to
     contain a real quantity.  ``depth`` is the series truncation depth it
-    was computed at; 0 for values that are not series sums.  Negation and
-    scaling keep the depth; a difference takes the larger one."""
+    was computed at; 0 for values that are not series sums.  Negation,
+    absolute value and scaling keep the depth; a difference takes the
+    larger one."""
 
     lo: Fraction
     hi: Fraction
@@ -122,6 +123,10 @@ class Enclosure:
 
     def __neg__(self) -> "Enclosure":
         return Enclosure(-self.hi, -self.lo, self.depth)
+
+    def __abs__(self) -> "Enclosure":
+        """{|t| : t in [lo, hi]}."""
+        return Enclosure(max(self.lo, -self.hi, _FRAC_ZERO), max(self.hi, -self.lo), self.depth)
 
     def __sub__(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo - other.hi, self.hi - other.lo, max(self.depth, other.depth))
@@ -245,10 +250,7 @@ class SparseVec:
             raise InputFormatError(f"sparse vector must be a JSON object, got {type(obj).__name__}")
         data: Dict[int, Fraction] = {}
         for key, val in obj.items():
-            try:
-                idx = int(key)
-            except ValueError as exc:
-                raise InputFormatError(f"bad vector index {key!r}") from exc
+            idx = parse_int(key, "vector index", key=True)
             if idx < 1:
                 raise InputFormatError(f"vector index {key!r} must be >= 1")
             if not isinstance(val, str):

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from proxinorm.approxlin import build_report, coherence_margin, verify_linearity_bound
-from proxinorm.bits import bits_for_target, dyadic_lt
+from proxinorm.bits import bits_for_target
 from proxinorm.construction import ConstructionTable
 from proxinorm.demo import SignMatrix, build_fan, demo_points, demo_probes, independence_check, sign_table, theta_blocks
 from proxinorm.descent import DescentChain, Subspace, minimizing_sequence, verify_chain
@@ -69,7 +69,7 @@ def test_criterion_2_norm_equivalence(table):
         if not (enc.lo >= s and enc.hi <= 3 * s):
             failures += 1
     num, exp = table.growth_prefix_dyadic(2000)
-    series_ok = dyadic_lt(num, exp, Fraction(2))
+    series_ok = num < 2 << exp
     report_line(
         2,
         failures == 0 and series_ok,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxinorm.bits import (
-    dyadic_lt,
+    dyadic_parts,
     dyadic_sign,
     dyadic_sum,
     floor_pow2,
@@ -105,10 +105,13 @@ def test_floor_pow2_rejects_nonpositive(bad):
         floor_pow2(bad)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**12), st.integers(0, 80), positive)
-def test_dyadic_lt_matches_fraction_comparison(num, exp, bound):
-    assert dyadic_lt(num, exp, bound) == (Fraction(num, 2**exp) < bound)
+@settings(max_examples=300, deadline=None)
+@given(terms)
+def test_dyadic_parts_are_a_common_denominator_form_of_the_sum(ts):
+    num, lcm_q, E = dyadic_parts(ts)
+    assert Fraction(num, lcm_q << E) == naive_sum(ts)
+    assert all(lcm_q % q == 0 for _, q, _ in ts)
+    assert E == max((e for _, _, e in ts), default=0)
 
 
 @settings(max_examples=300, deadline=None)

@@ -229,6 +229,11 @@ def assert_input_error(out, message):
     assert out.stderr.startswith("error: ") and message in out.stderr, out.stderr
 
 
+def test_norm_rejects_an_underscored_vector_key(tmp_path):
+    out = run_cli("norm", "--vec", write_json(tmp_path / "x.json", {"1_0": "1"}))
+    assert_input_error(out, "vector index must be an integer, got '1_0'")
+
+
 def test_verify_rejects_flipped_sign_field(tmp_path, pinned_chain):
     chain = copy.deepcopy(pinned_chain)
     d_plus = chain["certificates"][0]["d_plus"]

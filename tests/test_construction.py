@@ -6,7 +6,6 @@ import pytest
 
 from proxinorm import construction
 from proxinorm.approxlin import build_report
-from proxinorm.bits import dyadic_lt
 from proxinorm.construction import (
     EXACT_HEAD_TERMS,
     ConstructionTable,
@@ -177,7 +176,7 @@ def test_growth_prefix_dyadic_matches_fractions(table):
         Fraction(1 + a, 1 << a * a) for _, _, a in table.prefix(25)
     )
     assert Fraction(num, 1 << exp) == direct
-    assert dyadic_lt(num, exp, Fraction(2)) == (direct < 2)
+    assert (num < 2 << exp) == (direct < 2)
 
 
 def test_depth_budget_enforced():

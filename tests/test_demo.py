@@ -1,8 +1,11 @@
+import ast
+import inspect
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from proxinorm import demo
 from proxinorm.approxlin import build_report, span_match_feasible
 from proxinorm.demo import (
     DEFAULT_ANGLE_BITS,
@@ -162,3 +165,13 @@ def test_run_demo_narrative(table):
 def test_determinant_rejects_non_square():
     with pytest.raises(PreconditionError):
         int_determinant([[1, 2], [3]])
+
+
+def test_demo_imports_nothing_from_descent():
+    """The fan and its probe builder live here; descent builds on them."""
+    tree = ast.parse(inspect.getsource(demo))
+    imported = {"." * node.level + (node.module or "")
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not imported & {".descent", "proxinorm.descent"}

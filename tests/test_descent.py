@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from proxinorm import descent
+from proxinorm import demo, descent
 from proxinorm.approxlin import coherence_margin
 from proxinorm.construction import canonical_table
 from proxinorm.demo import build_fan, demo_points, demo_probes
@@ -260,25 +260,14 @@ def test_sequence_partial_chain_on_tiny_budget(table, monkeypatch):
     assert chain.certificates == []
 
 
-def fresh_fan_probes(targets, max_denominator_bits, admissible, count, pool_support):
-    """The fan-probe loop with every target rounded afresh at every level."""
-    chosen = []
-    for bits in range(max_denominator_bits, -1, -1):
-        attempt = []
-        for target in targets:
-            z = SparseVec({i: v.limit_denominator(1 << bits) for i, v in target.items()})
-            if admissible(z, attempt):
-                attempt.append(z)
-        if len(attempt) > len(chosen):
-            chosen = attempt
-        if len(attempt) == len(targets):
-            break
-    for z in descent.probe_pool(pool_support):
-        if len(chosen) >= count:
-            break
-        if admissible(z, chosen):
-            chosen.append(z)
-    return chosen
+def fresh_roundings(f):
+    """The rounding ladder of a fan functional's coefficient midpoints,
+    computed afresh at every call."""
+    target = {i: f.coefficient_interval(i).midpoint() for i in f.support()}
+    return tuple(
+        SparseVec({i: v.limit_denominator(1 << b) for i, v in target.items()})
+        for b in range(demo.ROUNDING_DENOMINATOR_BITS + 1)
+    )
 
 
 def test_cached_fan_rounding_matches_fresh_rounding(table, criterion6_starts, monkeypatch):
@@ -298,7 +287,8 @@ def test_cached_fan_rounding_matches_fresh_rounding(table, criterion6_starts, mo
     cached = [build_probes(table, H, x) for x in points]
     cached_demo = all_demo_probes()
     assert all_demo_probes() == cached_demo
-    monkeypatch.setattr(descent, "_fan_probes", fresh_fan_probes)
+    # the one rounding step both probe builders share
+    monkeypatch.setattr(demo, "_roundings", fresh_roundings)
     assert [build_probes(table, H, x) for x in points] == cached
     assert all_demo_probes() == cached_demo
 

@@ -94,6 +94,13 @@ def test_bad_json_rejected():
         SparseVec.from_json({"x": "1"})
 
 
+@pytest.mark.parametrize("key", ["1_0", " 3", "3 ", "+3", "\u0663"])
+def test_vector_keys_are_plain_decimal_digits(key):
+    """``int`` would read these as 10 or 3; a key is an integer's digits."""
+    with pytest.raises(InputFormatError, match="vector index must be an integer"):
+        SparseVec.from_json({key: "1"})
+
+
 def test_bad_rational_echo_is_capped():
     with pytest.raises(InputFormatError) as short:
         parse_rational("1/x")
@@ -123,6 +130,22 @@ def test_enclosure_sign_and_reflection():
     assert Enclosure(Fraction(-1), Fraction(0)).sign() == 0
     assert Enclosure.point(0).sign() == 0
     assert pos.scale(-2) == Enclosure(Fraction(-1), Fraction(-2, 3), 7)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, expected",
+    [
+        (Fraction(-3), Fraction(-1, 2), (Fraction(1, 2), Fraction(3))),  # left of 0
+        (Fraction(-2), Fraction(1, 3), (Fraction(0), Fraction(2))),  # across 0
+        (Fraction(-1, 5), Fraction(4), (Fraction(0), Fraction(4))),
+        (Fraction(0), Fraction(0), (Fraction(0), Fraction(0))),
+        (Fraction(1, 7), Fraction(5), (Fraction(1, 7), Fraction(5))),  # right of 0
+    ],
+)
+def test_enclosure_abs_is_the_image_of_abs(lo, hi, expected):
+    enc = abs(Enclosure(lo, hi, 9))
+    assert (enc.lo, enc.hi, enc.depth) == (*expected, 9)
+    assert abs(-Enclosure(lo, hi, 9)) == enc
 
 
 def test_enclosure_json_roundtrip_and_depth_type():
