@@ -144,12 +144,15 @@ def build_report(
 ) -> LinearityReport:
     """Materialize the approximate-linearity structure up to a stream depth.
 
-    Requires exact nonzero pairings <x, z_j> and pairwise distinct probes.
+    Requires depth >= 1, exact nonzero pairings <x, z_j> and pairwise
+    distinct probes.
     Exclusions (with reasons) follow the derivative-bound bookkeeping:
     indices where |x_i| attains the sup norm, indices inside any probe's
     support, and occurrence tags dominated by the coordinate of x there
     (|x_{a_k}| >= |<x, z_j>| for the probe listed at position k).
     """
+    if depth < 1:
+        raise PreconditionError("depth must be >= 1")
     if not probes:
         raise PreconditionError("at least one probe vector is required")
     if len(set(probes)) != len(probes):

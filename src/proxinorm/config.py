@@ -9,7 +9,7 @@ enclosure depths come from the descent margins.
 
 Sources, later wins: dataclass defaults, a config file of ``key = value``
 lines (# comments allowed), then ``PROXINORM_<KEY>`` environment
-variables.
+variables.  Values are decimal digits, parsed as JSON keys are.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .construction import DEFAULT_DEPTH_BUDGET
 from .errors import InputFormatError
 from .linalg import DEFAULT_ELIMINATION_BUDGET
 from .norms import DEFAULT_PRECISION_BITS
+from .vectors import parse_int
 
 ENV_PREFIX = "PROXINORM_"
 
@@ -66,10 +67,5 @@ def load_config(path: Optional[str] = None, env: Optional[dict] = None) -> Confi
         env_key = ENV_PREFIX + name.upper()
         if env_key in env:
             raw[name] = env[env_key]
-    parsed = {}
-    for key, val in raw.items():
-        try:
-            parsed[key] = int(val)
-        except ValueError as exc:
-            raise InputFormatError(f"config key {key!r} must be an integer, got {val!r}") from exc
-    return Config(**parsed)
+    return Config(**{key: parse_int(val.strip(), f"config key {key!r}", key=True)
+                     for key, val in raw.items()})

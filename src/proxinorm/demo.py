@@ -24,6 +24,7 @@ from .approxlin import REPORT_DEPTH, LinearityReport, build_report
 from .bits import round_dyadic
 from .construction import ConstructionTable
 from .errors import PrecisionBudgetError, PreconditionError
+from .linalg import int_determinant
 from .trig import base_angles, cos_enclosure, fan_angles, sin_enclosure
 from .vectors import Enclosure, SparseVec, format_rational, pair, sgn
 
@@ -43,31 +44,6 @@ class SignMatrix:
     def predicted(n: int) -> "SignMatrix":
         rows = tuple(tuple([-1] * r + [1] * (n + 1 - r)) for r in range(1, n + 2))
         return SignMatrix(n, rows)
-
-
-def int_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    m = [list(map(int, row)) for row in rows]
-    size = len(m)
-    if any(len(row) != size for row in m):
-        raise PreconditionError("determinant needs a square matrix")
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(size - 1):
-        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        for r in range(col + 1, size):
-            for c in range(col + 1, size):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[size - 1][size - 1]
 
 
 def independence_check(matrix: SignMatrix) -> Tuple[bool, int]:

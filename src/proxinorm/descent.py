@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .approxlin import REPORT_DEPTH, LinearityReport, build_report, coherence_margin
@@ -32,7 +31,7 @@ from .demo import build_fan, fan_probes
 from .errors import InputFormatError, PreconditionError, SearchBudgetError
 from .gateaux import derivative_from_json, derivative_to_json, dminus_norm, dplus_norm
 from .kernel import enclosures_match
-from .linalg import kernel_directions
+from .linalg import kernel_directions, rank
 from .norms import enclosure_at_depth, norm_depth, norm_enclosure
 from .vectors import Enclosure, SparseVec, format_rational, pair, parse_rational, sup_norm
 
@@ -40,12 +39,6 @@ from .vectors import Enclosure, SparseVec, format_rational, pair, parse_rational
 MAX_CANDIDATES = 200  # candidate supports scored per step
 MAX_LINE_SEARCH = 200  # step halvings per line search
 SIGN_GUARD_BITS = 4  # derivative enclosures refined to margin / 2^4
-
-
-def _rank(functionals: Sequence[SparseVec]) -> int:
-    support = sorted({i for phi in functionals for i in phi.support()})
-    dim = len(kernel_directions(functionals, support))
-    return len(support) - dim
 
 
 class Subspace:
@@ -57,7 +50,7 @@ class Subspace:
             raise PreconditionError("a subspace needs at least one functional")
         if any(phi.is_zero() for phi in funcs):
             raise PreconditionError("defining functionals must be nonzero")
-        if _rank(funcs) != len(funcs):
+        if rank(funcs) != len(funcs):
             raise PreconditionError("defining functionals must be linearly independent")
         self.functionals = funcs
 
@@ -158,18 +151,6 @@ class DescentCertificate:
             raise InputFormatError(f"certificate missing field {exc.args[0]!r}") from exc
 
 
-def primitive(v: SparseVec) -> SparseVec:
-    """Scale to coprime integer entries with positive leading entry."""
-    if v.is_zero():
-        return v
-    den = lcm(*(val.denominator for _, val in v.items()))
-    scale = Fraction(den, gcd(*((val * den).numerator for _, val in v.items())))
-    first = next(iter(v.items()))[1]
-    if first < 0:
-        scale = -scale
-    return v.scale(scale)
-
-
 # -- probe construction -----------------------------------------------------
 
 
@@ -230,7 +211,7 @@ def find_descent_direction(
     below it.  Returns None when the budgeted search finds no positive
     margin -- never a disproof of existence.
 
-    Each distinct primitive direction is scored once per call: supports
+    Each distinct kernel direction is scored once per call: supports
     often share a direction (unit vectors, when the functionals vanish on
     the usable indices), and a repeat has the same margin, so under the
     strict ``>`` the first occurrence wins either way.  ``MAX_CANDIDATES``
@@ -247,8 +228,7 @@ def find_descent_direction(
     best: Optional[Tuple[Fraction, SparseVec]] = None
     scored = set()
     for support in _candidate_supports(report.usable, size, MAX_CANDIDATES):
-        for b in kernel_directions(subspace.functionals, support):
-            v = primitive(b)
+        for v in kernel_directions(subspace.functionals, support):
             if v in scored:
                 continue
             scored.add(v)

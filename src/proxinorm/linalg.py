@@ -1,6 +1,8 @@
-"""Small exact linear algebra: kernel bases and linear feasibility.
+"""Small exact linear algebra: kernel bases, rank, determinants and linear
+feasibility.
 
-Everything works over `fractions.Fraction`.  Feasibility of a system of
+One fraction-free elimination over integer rows gives primitive integer
+kernel bases, ranks and determinants.  Feasibility of a system of
 inequalities is decided by Fourier-Motzkin elimination; this is exact and
 complete, and the constraint systems this package generates stay tiny (a
 handful of variables), so the doubly-exponential worst case never bites.
@@ -12,12 +14,56 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import EliminationBudgetError
+from .errors import EliminationBudgetError, PreconditionError
 from .vectors import SparseVec, pair
 
 DEFAULT_ELIMINATION_BUDGET = 10_000
+
+
+def _row_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int], int, int]:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of integer rows.
+
+    Returns (reduced rows, pivot columns, p, s).  Row r < len(pivots)
+    holds p at pivots[r] and 0 at every other pivot column; p is the minor
+    of the pivot rows and columns (1 when there is no pivot) and s the sign
+    of the row swaps.  Every division is exact.
+    """
+    m = [list(row) for row in rows]
+    pivots: List[int] = []
+    prev, sign = 1, 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        p, prow = m[r][col], m[r]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        pivots.append(col)
+        prev = p
+    return m, pivots, prev, sign
+
+
+def _reduce_functionals(functionals: Sequence[SparseVec], cols: Sequence[int]):
+    """:func:`_row_reduce` of the functionals on cols, denominators cleared."""
+    col_of = {c: j for j, c in enumerate(cols)}
+    rows = []
+    for phi in functionals:
+        entries = [(col_of[i], v) for i, v in phi.items() if i in col_of]
+        den = lcm(*(v.denominator for _, v in entries))
+        row = [0] * len(cols)
+        for j, v in entries:
+            row[j] = v.numerator * (den // v.denominator)
+        rows.append(row)
+    return _row_reduce(rows)
 
 
 def kernel_directions(
@@ -25,57 +71,36 @@ def kernel_directions(
 ) -> List[SparseVec]:
     """Basis of {v : supp v within allowed_support, <v, phi> = 0 for all phi}.
 
-    Exact reduced row echelon form over the rationals; free columns (in
-    increasing index order) generate the basis, so the output is
-    deterministic.  Returns [] when only the zero solution exists.
+    One vector per free column of the fraction-free elimination, in
+    increasing index order: p at the free column and -row[f] at each pivot,
+    divided by their gcd with the leading entry made positive.  So each
+    vector is primitive, and the basis is deterministic.  Returns [] when
+    only the zero solution exists.
     """
     cols = sorted(set(int(i) for i in allowed_support))
-    if not cols:
-        return []
-    ncols = len(cols)
-    col_of = {c: j for j, c in enumerate(cols)}
-    rows: List[List[Fraction]] = []
-    for phi in constraints:
-        row = [Fraction(0)] * ncols
-        nonzero = False
-        for i, v in phi.items():
-            j = col_of.get(i)
-            if j is not None:
-                row[j] = v
-                nonzero = True
-        if nonzero:
-            rows.append(row)
-
-    pivots: List[Tuple[int, List[Fraction]]] = []  # (pivot column, normalized row)
-    for row in rows:
-        for pcol, prow in pivots:
-            if row[pcol] != 0:
-                f = row[pcol]
-                for j in range(ncols):
-                    row[j] -= f * prow[j]
-        lead = next((j for j in range(ncols) if row[j] != 0), None)
-        if lead is None:
-            continue
-        inv = 1 / row[lead]
-        row = [v * inv for v in row]
-        for pcol, prow in pivots:
-            if prow[lead] != 0:
-                f = prow[lead]
-                for j in range(ncols):
-                    prow[j] -= f * row[j]
-        pivots.append((lead, row))
-    pivots.sort(key=lambda t: t[0])
-
-    pivot_cols = [pcol for pcol, _ in pivots]
-    free_cols = [j for j in range(ncols) if j not in pivot_cols]
+    m, pivots, p, _ = _reduce_functionals(constraints, cols)
     basis: List[SparseVec] = []
-    for fcol in free_cols:
-        entries: Dict[int, Fraction] = {cols[fcol]: Fraction(1)}
-        for pcol, prow in pivots:
-            if prow[fcol] != 0:
-                entries[cols[pcol]] = -prow[fcol]
-        basis.append(SparseVec(entries))
+    for f in (j for j in range(len(cols)) if j not in pivots):
+        entries = {cols[f]: p}
+        entries.update((cols[c], -row[f]) for c, row in zip(pivots, m) if row[f])
+        g = gcd(*entries.values())
+        g = -g if entries[min(entries)] < 0 else g
+        basis.append(SparseVec({i: v // g for i, v in entries.items()}))
     return basis
+
+
+def rank(functionals: Sequence[SparseVec]) -> int:
+    """Rank of the functionals over their joint support."""
+    support = sorted({i for phi in functionals for i in phi.support()})
+    return len(_reduce_functionals(functionals, support)[1])
+
+
+def int_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix."""
+    if any(len(row) != len(rows) for row in rows):
+        raise PreconditionError("determinant needs a square matrix")
+    _, pivots, p, sign = _row_reduce(rows)
+    return sign * p if len(pivots) == len(rows) else 0
 
 
 @dataclass

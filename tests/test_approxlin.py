@@ -107,6 +107,12 @@ def test_duplicate_probes_rejected(table):
         build_report(table, std_x(), [SparseVec.unit(1), SparseVec.unit(1)], DEPTH)
 
 
+@pytest.mark.parametrize("depth", [0, -5])
+def test_depth_below_one_rejected(table, depth):
+    with pytest.raises(PreconditionError, match="depth must be >= 1"):
+        build_report(table, std_x(), [SparseVec.unit(1)], depth)
+
+
 def test_verify_zero_direction(table):
     rep = build_report(table, std_x(), std_probes(), DEPTH)
     lhs, rhs, ok = verify_linearity_bound(table, std_x(), rep, SparseVec.zero())

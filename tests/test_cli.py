@@ -301,6 +301,14 @@ def test_feasible_rejects_non_integer_report_depth(tmp_path, depth):
     assert_input_error(feas, "report depth must be an integer")
 
 
+@pytest.mark.parametrize("prefix", ["0", "-5"])
+def test_approxlin_rejects_prefix_below_one(tmp_path, prefix):
+    x = write_json(tmp_path / "x.json", {"1": "2/3", "2": "-1/4", "5": "1/2"})
+    z = write_json(tmp_path / "z.json", {"1": "1"})
+    out = run_cli("approxlin", "--x", x, "--z", z, "--prefix", prefix)
+    assert_input_error(out, "depth must be >= 1")
+
+
 @pytest.fixture(scope="module")
 def report_with_exclusion(tmp_path_factory):
     """An ``approxlin`` report whose index 4 is excluded and 16 usable."""
@@ -462,6 +470,23 @@ def test_config_file(tmp_path):
     cfg.write_text("# comment\ndepth_budget = 10\n")
     out = run_cli("--config", str(cfg), "construct", "--k-max", "50")
     assert out.returncode == 2
+
+
+#: Values ``int()`` accepts but that are not decimal digits.
+NON_DIGIT_VALUES = {"underscore": "1_0", "plus": "+5", "arabic-indic": "\u0663"}
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+@pytest.mark.parametrize("case", sorted(NON_DIGIT_VALUES))
+def test_config_value_must_be_decimal_digits(tmp_path, case, source):
+    value = NON_DIGIT_VALUES[case]
+    if source == "file":
+        cfg = tmp_path / "proxinorm.toml"
+        cfg.write_text(f"depth_budget = {value}\n", encoding="utf-8")
+        out = run_cli("--config", str(cfg), "construct", "--k-max", "5")
+    else:
+        out = run_cli("construct", "--k-max", "5", env_extra={"PROXINORM_DEPTH_BUDGET": value})
+    assert_input_error(out, f"error: config key 'depth_budget' must be an integer, got {value!r}")
 
 
 def test_unknown_config_key(tmp_path):

@@ -15,7 +15,6 @@ from proxinorm.descent import (
     certify_descent,
     find_descent_direction,
     minimizing_sequence,
-    primitive,
     verify_certificate,
     verify_chain,
 )
@@ -46,13 +45,6 @@ def test_subspace_membership():
     assert not H.contains(SparseVec.unit(1))
 
 
-def test_primitive_normalization():
-    v = SparseVec({3: Fraction(-2, 3), 7: Fraction(4, 9)})
-    p = primitive(v)
-    assert p[3] == -3 or p[3] > 0  # leading entry positive
-    assert p[3] == 3 and p[7] == -2
-
-
 def test_probes_are_admissible(table):
     H = codim2_subspace()
     x = generic_point()
@@ -80,8 +72,7 @@ def test_find_direction_codim2(table):
 def _candidates(report, subspace):
     size = subspace.codimension + 1
     for support in _candidate_supports(report.usable, size, descent.MAX_CANDIDATES):
-        for b in kernel_directions(subspace.functionals, support):
-            yield primitive(b)
+        yield from kernel_directions(subspace.functionals, support)
 
 
 def _reference_best(report, subspace):

@@ -1,12 +1,13 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxinorm.errors import EliminationBudgetError
-from proxinorm.linalg import LinearSystem, feasible, kernel_directions
+from proxinorm.linalg import LinearSystem, feasible, int_determinant, kernel_directions, rank
 from proxinorm.vectors import SparseVec, pair
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -29,6 +30,53 @@ def brute_rank(constraints, support):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def rref_kernel(constraints, support):
+    """Independent kernel oracle: reduced row echelon form over Fraction,
+    then each basis vector scaled to coprime integers with a positive
+    leading entry."""
+    cols = sorted(support)
+    rows = [[phi[i] for i in cols] for phi in constraints]
+    pivots = []  # (pivot column, row normalised to 1 there)
+    for row in rows:
+        for pcol, prow in pivots:
+            row = [a - row[pcol] * b for a, b in zip(row, prow)]
+        lead = next((j for j, v in enumerate(row) if v != 0), None)
+        if lead is None:
+            continue
+        row = [v / row[lead] for v in row]
+        pivots = [(pcol, [a - prow[lead] * b for a, b in zip(prow, row)]) for pcol, prow in pivots]
+        pivots.append((lead, row))
+    basis = []
+    for f in range(len(cols)):
+        if any(pcol == f for pcol, _ in pivots):
+            continue
+        v = {cols[f]: Fraction(1)}
+        v.update((cols[pcol], -prow[f]) for pcol, prow in pivots if prow[f] != 0)
+        den = lcm(*(x.denominator for x in v.values()))
+        scale = Fraction(den, gcd(*(int(x * den) for x in v.values())))
+        scale = -scale if v[min(v)] < 0 else scale
+        basis.append(SparseVec({i: x * scale for i, x in v.items()}))
+    return basis
+
+
+def fraction_determinant(rows):
+    """Independent determinant oracle: Gaussian elimination over Fraction."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
 
 
 def test_kernel_of_coordinate_functional():
@@ -62,6 +110,46 @@ def test_kernel_against_rank_oracle(constraints, support):
     assert len(basis) == len(support) - brute_rank(constraints, support)
     # basis vectors are independent: each has a private free coordinate
     assert brute_rank(basis, support) == len(basis)
+    joint = {i for phi in constraints for i in phi.support()}
+    assert rank(constraints) == brute_rank(constraints, joint)
+
+
+def test_kernel_after_a_row_swap():
+    """The first pivot sits in the second row, so elimination swaps rows;
+    the free column still carries the pivot value, not its signed form."""
+    constraints = [SparseVec.unit(2), SparseVec({1: 2, 3: 3})]
+    expected = [SparseVec({1: 3, 3: -2})]
+    assert rref_kernel(constraints, [1, 2, 3]) == expected
+    assert kernel_directions(constraints, [1, 2, 3]) == expected
+
+
+def test_kernel_basis_is_primitive():
+    """Coprime integer entries with a positive leading entry."""
+    phi = SparseVec({3: Fraction(2, 3), 7: 1})
+    assert kernel_directions([phi], [3, 7]) == [SparseVec({3: 3, 7: -2})]
+
+
+@settings(max_examples=300)
+@given(st.lists(functionals, max_size=4), st.sets(st.integers(1, 5), max_size=5))
+def test_kernel_matches_rref_oracle(constraints, support):
+    assert kernel_directions(constraints, sorted(support)) == rref_kernel(constraints, support)
+
+
+square_matrices = st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=200)
+@given(square_matrices)
+@example([])
+@example([[0]])
+@example([[-7]])
+@example([[1, 2], [2, 4]])
+@example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
+@example([[0, 1], [1, 0]])
+def test_int_determinant_against_fraction_oracle(rows):
+    assert int_determinant(rows) == fraction_determinant(rows)
 
 
 def test_feasible_empty_interval():
