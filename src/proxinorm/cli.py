@@ -9,24 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import List, Optional
 
-from .approxlin import (
-    LinearityReport,
-    build_report,
-    span_match_feasible,
-    verify_linearity_bound,
-)
+# Only what ``config`` loads anyway is imported here; each command imports the
+# rest of the stack it calls, so the light commands start fast.
 from .config import Config, load_config
 from .construction import canonical_table
-from .demo import run_demo
-from .descent import DescentChain, Subspace, minimizing_sequence, verify_chain
 from .errors import BudgetError, PreconditionError, ProxinormError
-from .gateaux import derivative_to_json, dminus_norm, dplus_norm
 from .norms import norm_enclosure
 from .vectors import SparseVec, parse_int
+
 
 def _load_json(path: str):
     try:
@@ -46,8 +39,10 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=1) + "\n")
 
 
-def _trial_directions(report: LinearityReport, count: int) -> List[SparseVec]:
+def _trial_directions(report, count: int) -> List[SparseVec]:
     """Deterministic pseudo-random directions on the usable indices."""
+    import random
+
     rng = random.Random(0)
     values = [1, -1, 2, -2, "1/2", "-1/2"]
     out = []
@@ -79,6 +74,8 @@ def _cmd_norm(args, config: Config) -> int:
 
 
 def _cmd_deriv(args, config: Config) -> int:
+    from .gateaux import derivative_to_json, dminus_norm, dplus_norm
+
     table = canonical_table(config.depth_budget)
     x, u = _load_vec(args.x), _load_vec(args.u)
     bits = config.precision_bits if args.bits is None else args.bits
@@ -88,6 +85,10 @@ def _cmd_deriv(args, config: Config) -> int:
 
 
 def _cmd_approxlin(args, config: Config) -> int:
+    from .approxlin import build_report, verify_linearity_bound
+
+    if args.trials < 0:
+        raise PreconditionError("--trials must be >= 0")
     table = canonical_table(config.depth_budget)
     x = _load_vec(args.x)
     probes = [_load_vec(p) for p in args.z]
@@ -99,6 +100,8 @@ def _cmd_approxlin(args, config: Config) -> int:
 
 
 def _cmd_feasible(args, config: Config) -> int:
+    from .approxlin import LinearityReport, span_match_feasible
+
     report = LinearityReport.from_json(_load_json(args.report))
     functionals = [_load_vec(p) for p in args.phi]
     indices = (
@@ -119,6 +122,8 @@ def _cmd_feasible(args, config: Config) -> int:
 
 
 def _cmd_descend(args, config: Config) -> int:
+    from .descent import Subspace, minimizing_sequence
+
     table = canonical_table(config.depth_budget)
     subspace = Subspace([_load_vec(p) for p in args.phi])
     x0 = _load_vec(args.x0)
@@ -130,6 +135,8 @@ def _cmd_descend(args, config: Config) -> int:
 
 
 def _cmd_verify(args, config: Config) -> int:
+    from .descent import DescentChain, verify_chain
+
     chain = DescentChain.from_json(_load_json(args.cert))
     table = canonical_table(config.depth_budget)
     problems = verify_chain(table, chain)
@@ -138,6 +145,8 @@ def _cmd_verify(args, config: Config) -> int:
 
 
 def _cmd_demo(args, config: Config) -> int:
+    from .demo import run_demo
+
     table = canonical_table(config.depth_budget)
     _emit(run_demo(table, args.n))
     return 0

@@ -43,8 +43,12 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str):
         raise InputFormatError(f"rational must be a string, got {type(text).__name__}")
+    num, slash, den = text.partition("/")
+    plain = len(text) < 4300 and text.isascii() and num.removeprefix("-").isdigit()
     try:
         try:
+            if plain and (den.isdigit() or not slash):  # ASCII "-p/q" skips both regexes
+                return Fraction(int(num), int(den or 1))
             return Fraction(text.strip())
         except ValueError:
             match = _RATIONAL.fullmatch(text)

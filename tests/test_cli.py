@@ -309,6 +309,23 @@ def test_approxlin_rejects_prefix_below_one(tmp_path, prefix):
     assert_input_error(out, "depth must be >= 1")
 
 
+@pytest.mark.parametrize("trials", ["-1", "-3"])
+def test_approxlin_rejects_negative_trials(tmp_path, trials):
+    x = write_json(tmp_path / "x.json", {"1": "2/3", "2": "-1/4", "5": "1/2"})
+    z = write_json(tmp_path / "z.json", {"1": "1"})
+    out = run_cli("approxlin", "--x", x, "--z", z, "--prefix", "60", "--trials", trials)
+    assert_input_error(out, "--trials must be >= 0")
+
+
+def test_approxlin_accepts_zero_trials(tmp_path):
+    x = write_json(tmp_path / "x.json", {"1": "2/3", "2": "-1/4", "5": "1/2"})
+    z = write_json(tmp_path / "z.json", {"1": "1"})
+    zero = run_cli("approxlin", "--x", x, "--z", z, "--prefix", "60", "--trials", "0")
+    default = run_cli("approxlin", "--x", x, "--z", z, "--prefix", "60")
+    assert zero.returncode == default.returncode == 0, zero.stderr
+    assert zero.stdout == default.stdout
+
+
 @pytest.fixture(scope="module")
 def report_with_exclusion(tmp_path_factory):
     """An ``approxlin`` report whose index 4 is excluded and 16 usable."""

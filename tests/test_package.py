@@ -1,0 +1,112 @@
+"""The package namespace: every exported name resolves lazily to its owning
+module's object, and the cold-start paths load only the modules they use."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import proxinorm
+
+#: The names ``proxinorm`` exports, by owning module.
+EXPORTS = {
+    "approxlin": [
+        "LinearityReport", "build_report", "coherence_margin", "span_match_feasible",
+        "verify_linearity_bound",
+    ],
+    "config": ["Config", "load_config"],
+    "construction": ["ConstructionTable", "canonical_table"],
+    "demo": ["SignMatrix", "independence_check", "run_demo", "sign_table", "theta_values"],
+    "descent": [
+        "DescentCertificate", "DescentChain", "Subspace", "certify_descent",
+        "find_descent_direction", "minimizing_sequence", "verify_certificate", "verify_chain",
+    ],
+    "errors": [
+        "BudgetError", "DepthBudgetError", "EliminationBudgetError", "HypothesisError",
+        "InputFormatError", "PrecisionBudgetError", "PreconditionError", "ProxinormError",
+        "SearchBudgetError",
+    ],
+    "gateaux": [
+        "derivative_from_json", "derivative_to_json", "dminus_norm", "dplus_abs_pairing",
+        "dplus_norm", "dplus_sup", "term_lipschitz",
+    ],
+    "linalg": ["LinearSystem", "feasible", "kernel_directions"],
+    "norms": ["equivalence_check", "norm_difference_sign", "norm_enclosure"],
+    "vectors": ["Enclosure", "SparseVec", "l1_norm", "pair", "sgn", "sup_norm"],
+}
+OWNED = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+def test_all_lists_the_fifty_exports():
+    assert len(OWNED) == 50
+    assert sorted(proxinorm.__all__) == sorted(name for _, name in OWNED)
+    assert proxinorm.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("module,name", OWNED, ids=[name for _, name in OWNED])
+def test_from_import_returns_the_owning_modules_object(module, name):
+    namespace = {}
+    exec(f"from proxinorm import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"proxinorm.{module}"), name)
+    assert getattr(proxinorm, name) is namespace[name]
+
+
+def test_submodules_are_attributes():
+    import proxinorm.descent as descent
+
+    assert proxinorm.descent is descent
+    for module in (*EXPORTS, "bits", "kernel", "trig"):
+        assert getattr(proxinorm, module) is importlib.import_module(f"proxinorm.{module}")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        proxinorm.no_such_name
+    assert not hasattr(proxinorm, "DEFAULT_PRECISION_BITS")  # not exported
+    with pytest.raises(ImportError):
+        exec("from proxinorm import no_such_name", {})
+
+
+def test_dir_lists_the_exports():
+    listing = dir(proxinorm)
+    assert set(proxinorm.__all__) <= set(listing)
+    assert {"descent", "__version__"} <= set(listing)
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from proxinorm import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(proxinorm.__all__)
+
+
+def loaded_modules(script, *args):
+    """The ``proxinorm`` modules a fresh interpreter has loaded after
+    running ``script``, which ends by printing them (stdout's last line)."""
+    probe = "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('proxinorm'))))"
+    out = subprocess.run(
+        [sys.executable, "-c", script + probe, *args],
+        capture_output=True, text=True, env=dict(os.environ),
+    )
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_first_table_loads_only_the_stream_modules():
+    loaded = loaded_modules("import proxinorm\nproxinorm.canonical_table().entry(1)")
+    assert loaded == {
+        "proxinorm", "proxinorm.construction", "proxinorm.vectors", "proxinorm.bits",
+        "proxinorm.errors",
+    }
+
+
+def test_norm_command_skips_the_producer_stack(tmp_path):
+    vec = tmp_path / "x.json"
+    vec.write_text(json.dumps({"1": "2/3", "4": "-1/5"}))
+    script = "import sys\nimport proxinorm.cli\nif proxinorm.cli.main(sys.argv[1:]):\n    sys.exit(1)"
+    loaded = loaded_modules(script, "norm", "--vec", str(vec), "--bits", "64")
+    assert "proxinorm.norms" in loaded
+    heavy = {"approxlin", "demo", "descent", "gateaux", "kernel", "trig"}
+    assert not loaded & {f"proxinorm.{m}" for m in heavy}

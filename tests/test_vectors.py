@@ -1,3 +1,6 @@
+import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -5,7 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proxinorm.errors import InputFormatError
-from proxinorm.vectors import Enclosure, SparseVec, l1_norm, pair, parse_rational, sgn, sup_norm
+from proxinorm.vectors import (
+    Enclosure,
+    SparseVec,
+    _echo,
+    l1_norm,
+    pair,
+    parse_rational,
+    sgn,
+    sup_norm,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 vectors = st.dictionaries(st.integers(1, 12), rationals, max_size=5).map(SparseVec)
@@ -116,6 +128,72 @@ def test_parse_rational_rejects_non_strings():
     for value in (5, 0.5, None, [1]):
         with pytest.raises(InputFormatError):
             parse_rational(value)
+
+
+_REFERENCE_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def reference_parse_rational(text):
+    """``parse_rational`` before its regex-free fast path: the oracle."""
+    try:
+        try:
+            return Fraction(text.strip())
+        except ValueError:
+            match = _REFERENCE_RATIONAL.fullmatch(text)
+            if match is None:
+                raise
+            num, den = match.groups()
+            return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputFormatError(f"bad rational literal {_echo(text)}") from exc
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except InputFormatError as exc:
+        return ("error", str(exc))
+
+
+#: Literals near the fast path's edges: signs, separators, non-ASCII
+#: digits, zero denominators, and lengths around the 4300-digit limit.
+EDGE_LITERALS = [
+    "١/٢", "²/3", "1_0/3", "+1/2", "1/-2", "--1/2", "1/0", "-0/0", "0/5", "-0", "007/014",
+    "1/2/3", "-", "/", "1/", "/2", "", " 1/2", "1/2 ", "1 / 2", "1.5", "1e3", "-1/2",
+    *("9" * n for n in (4299, 4300, 4301, 4400)),
+    *("-" + "8" * n for n in (4298, 4299, 4300)),
+    *("1" * n + "/" + "3" * 7 for n in (4291, 4292, 4293)),
+]
+
+
+@pytest.mark.parametrize("text", EDGE_LITERALS, ids=range(len(EDGE_LITERALS)))
+def test_parse_rational_matches_the_reference_on_edge_literals(text):
+    assert parse_outcome(parse_rational, text) == parse_outcome(reference_parse_rational, text)
+
+
+#: Strings over the literal alphabet. ``Fraction`` reads "1e<exp>" by
+#: computing 10**exp, so exponents stay under five digits.
+literal_texts = st.text(alphabet="0123456789-/+_.e ", max_size=14).filter(
+    lambda text: not re.search(r"e[-+]?[0-9_]{5}", text)
+)
+
+
+@given(literal_texts)
+def test_parse_rational_matches_the_reference(text):
+    assert parse_outcome(parse_rational, text) == parse_outcome(reference_parse_rational, text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_parse_rational_under_a_lowered_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text in ("7" * 1000 + "/3", "-" + "5" * 700, "1/" + "2" * 641, "4" * 1000 + "/0"):
+            expected = parse_outcome(reference_parse_rational, text)
+            assert parse_outcome(parse_rational, text) == expected
+            assert not isinstance(expected, tuple) or text.endswith("/0")
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_crossed_enclosure_raises():
