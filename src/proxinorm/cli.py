@@ -10,25 +10,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from typing import List, Optional
 
-# Only what ``config`` loads anyway is imported here; each command imports the
-# rest of the stack it calls, so the light commands start fast.
-from .config import Config, load_config
+# Only the stream (``config`` loads it anyway) and ``norms`` (the ``--bits``
+# default) load here; each command imports the rest of the stack it calls.
+from .config import Config, _read_text, load_config
 from .construction import canonical_table
 from .errors import BudgetError, PreconditionError, ProxinormError
-from .norms import norm_enclosure
+from .norms import DEFAULT_PRECISION_BITS, norm_enclosure
 from .vectors import SparseVec, parse_int
 
 
 def _load_json(path: str):
+    text = _read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ProxinormError(f"no such file: {path}")
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProxinormError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError:  # the only other ValueError json raises
+        raise ProxinormError(f"{path}: JSON integer past the int/str digit limit")
+    except RecursionError:
+        raise ProxinormError(f"{path}: JSON nested too deeply")
 
 
 def _load_vec(path: str) -> SparseVec:
@@ -44,7 +47,7 @@ def _trial_directions(report, count: int) -> List[SparseVec]:
     import random
 
     rng = random.Random(0)
-    values = [1, -1, 2, -2, "1/2", "-1/2"]
+    values = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)]
     out = []
     usable = list(report.usable)
     for _ in range(count):
@@ -67,8 +70,7 @@ def _cmd_construct(args, config: Config) -> int:
 
 def _cmd_norm(args, config: Config) -> int:
     table = canonical_table(config.depth_budget)
-    bits = config.precision_bits if args.bits is None else args.bits
-    enc = norm_enclosure(table, _load_vec(args.vec), bits)
+    enc = norm_enclosure(table, _load_vec(args.vec), args.bits)
     _emit(enc.to_json())
     return 0
 
@@ -78,8 +80,7 @@ def _cmd_deriv(args, config: Config) -> int:
 
     table = canonical_table(config.depth_budget)
     x, u = _load_vec(args.x), _load_vec(args.u)
-    bits = config.precision_bits if args.bits is None else args.bits
-    enc = dminus_norm(table, x, u, bits) if args.minus else dplus_norm(table, x, u, bits)
+    enc = dminus_norm(table, x, u, args.bits) if args.minus else dplus_norm(table, x, u, args.bits)
     _emit(derivative_to_json(enc))
     return 0
 
@@ -94,7 +95,7 @@ def _cmd_approxlin(args, config: Config) -> int:
     probes = [_load_vec(p) for p in args.z]
     report = build_report(table, x, probes, args.prefix)
     for v in _trial_directions(report, args.trials):
-        verify_linearity_bound(table, x, report, v, config.precision_bits)
+        verify_linearity_bound(table, x, report, v)
     _emit(report.to_json())
     return 0
 
@@ -109,9 +110,7 @@ def _cmd_feasible(args, config: Config) -> int:
         if args.indices
         else list(report.usable)
     )
-    ok, coeffs = span_match_feasible(
-        report, functionals, indices, budget=config.elimination_budget
-    )
+    ok, coeffs = span_match_feasible(report, functionals, indices)
     _emit(
         {
             "satisfiable": ok,
@@ -167,14 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="certified norm enclosure of a vector")
     p.add_argument("--vec", required=True)
-    p.add_argument("--bits", type=int)
+    p.add_argument("--bits", type=int, default=DEFAULT_PRECISION_BITS)
     p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("deriv", help="one-sided derivative enclosure")
     p.add_argument("--x", required=True)
     p.add_argument("--u", required=True)
     p.add_argument("--minus", action="store_true", help="left derivative")
-    p.add_argument("--bits", type=int)
+    p.add_argument("--bits", type=int, default=DEFAULT_PRECISION_BITS)
     p.set_defaults(func=_cmd_deriv)
 
     p = sub.add_parser("approxlin", help="approximate-linearity report")

@@ -1,15 +1,8 @@
-"""Flat key=value configuration with environment overrides.
-
-Three keys, all positive integers: ``depth_budget`` (the construction
-table's depth limit), ``precision_bits`` (the enclosure precision of
-``norm`` and ``deriv`` without ``--bits``, and of the ``approxlin``
-trials) and ``elimination_budget`` (the Fourier-Motzkin row budget of
-``feasible``).  ``descend`` does not read ``precision_bits``: its
-enclosure depths come from the descent margins.
-
-Sources, later wins: dataclass defaults, a config file of ``key = value``
-lines (# comments allowed), then ``PROXINORM_<KEY>`` environment
-variables.  Values are decimal digits, parsed as JSON keys are.
+"""Flat key=value configuration with environment overrides, and the reader
+of every input file.  One key: ``depth_budget``, the construction table's
+depth limit, a positive integer.  Sources, later wins: the default, a file
+of ``key = value`` lines (# comments allowed), then ``PROXINORM_<KEY>``.
+Values are decimal digits, parsed as JSON keys are.
 """
 
 from __future__ import annotations
@@ -20,8 +13,6 @@ from typing import Optional
 
 from .construction import DEFAULT_DEPTH_BUDGET
 from .errors import InputFormatError
-from .linalg import DEFAULT_ELIMINATION_BUDGET
-from .norms import DEFAULT_PRECISION_BITS
 from .vectors import parse_int
 
 ENV_PREFIX = "PROXINORM_"
@@ -30,27 +21,35 @@ ENV_PREFIX = "PROXINORM_"
 @dataclass
 class Config:
     depth_budget: int = DEFAULT_DEPTH_BUDGET
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    elimination_budget: int = DEFAULT_ELIMINATION_BUDGET
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, int) or value < 1:
-                raise InputFormatError(f"config key {f.name!r} must be a positive integer")
+        if not isinstance(self.depth_budget, int) or self.depth_budget < 1:
+            raise InputFormatError("config key 'depth_budget' must be a positive integer")
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file; an unreadable file is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise InputFormatError(f"no such file: {path}")
+    except OSError as exc:
+        raise InputFormatError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text (byte {exc.start})")
 
 
 def _parse_file(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputFormatError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputFormatError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
     return values
 
 

@@ -31,7 +31,7 @@ class DepthBudgetError(BudgetError):
 
 
 class EliminationBudgetError(BudgetError):
-    """Fourier-Motzkin elimination exceeded the configured constraint cap."""
+    """Fourier-Motzkin elimination exceeded its row budget."""
 
 
 class PrecisionBudgetError(BudgetError):

@@ -11,7 +11,6 @@ is exact: no rounding exists anywhere in this module.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import Dict, Iterator, Mapping, Tuple, Union
 
 from .errors import InputFormatError
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Union[Fraction, int]
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -27,37 +26,31 @@ def _as_fraction(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
     raise TypeError(f"not a rational value: {value!r}")
 
 
-_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+def _is_int_literal(text: str) -> bool:  # what str(int) writes
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
+def _to_int(literal: str) -> int:
+    try:
+        return int(literal)
+    except ValueError:  # past the int/str digit limit; Decimal converts exactly
+        return int(Decimal(literal))
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (arbitrary-precision integers).
-
-    Past the int/str digit limit (4300 by default) the integers go through
-    ``decimal``, which converts exactly and has no such limit.
-    """
+    """Parse ``"p/q"`` or ``"p"`` as :func:`format_rational` writes them: ``p``
+    an optional ``-`` and ASCII digits, ``q`` ASCII digits, nonzero."""
     if not isinstance(text, str):
         raise InputFormatError(f"rational must be a string, got {type(text).__name__}")
     num, slash, den = text.partition("/")
-    plain = len(text) < 4300 and text.isascii() and num.removeprefix("-").isdigit()
-    try:
-        try:
-            if plain and (den.isdigit() or not slash):  # ASCII "-p/q" skips both regexes
-                return Fraction(int(num), int(den or 1))
-            return Fraction(text.strip())
-        except ValueError:
-            match = _RATIONAL.fullmatch(text)
-            if match is None:
-                raise
-            num, den = match.groups()
-            return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError(f"bad rational literal {_echo(text)}") from exc
+    if _is_int_literal(num) and (not slash or den.isascii() and den.isdigit()):
+        q = _to_int(den) if slash else 1
+        if q:
+            return Fraction(_to_int(num), q)
+    raise InputFormatError(f"bad rational literal {_echo(text)}")
 
 
 def _echo(text: str, limit: int = 40) -> str:
@@ -77,14 +70,11 @@ def format_rational(value: Fraction) -> str:
     return num if den == "1" else f"{num}/{den}"
 
 
-_INT_KEY = re.compile(r"-?[0-9]+")
-
-
 def parse_int(value: object, what: str, key: bool = False) -> int:
     """A JSON integer (not a bool, not a float); ``what`` names it in errors.
     A ``key`` (JSON keys are strings) must be an integer's decimal digits."""
-    if key and isinstance(value, str) and _INT_KEY.fullmatch(value):
-        return int(value)
+    if key and isinstance(value, str) and _is_int_literal(value):
+        return _to_int(value)
     if key or not isinstance(value, int) or isinstance(value, bool):
         raise InputFormatError(f"{what} must be an integer, got {value!r}")
     return value

@@ -274,6 +274,8 @@ MALFORMED_CHAINS = {
     "hi-number": (_set_field(("certificates", 0, "d_plus", "hi"), 0.5),
                   "rational must be a string"),
     "h-number": (_set_field(("certificates", 0, "h"), 5), "rational must be a string"),
+    "h-exponent": (_set_field(("certificates", 0, "h"), "1e3"),
+                   "error: bad rational literal '1e3'\n"),
     "certificates-object": (_set_field(("certificates",), {}),
                             "certificates must be a JSON array"),
 }
@@ -469,6 +471,36 @@ def test_malformed_json_exits_one(tmp_path):
     assert "malformed JSON" in out.stderr
 
 
+def _write_bytes(data):
+    def write(path):
+        path.write_bytes(data)
+        return path
+    return write
+
+
+#: Input files ``json`` or ``open`` cannot read, and the message each gives.
+UNREADABLE_INPUTS = {
+    "directory": (lambda path: path.mkdir() or path, "Is a directory"),
+    "not-utf8": (_write_bytes(b'{"1": "\xff"}'), "not UTF-8 text (byte 7)"),
+    "long-integer": (_write_bytes(b'{"1": ' + b"7" * 5000 + b"}"),
+                     "JSON integer past the int/str digit limit"),
+    "deep-nesting": (_write_bytes(b"[" * 100_000), "JSON nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_json_input_exits_one(tmp_path, case):
+    make, message = UNREADABLE_INPUTS[case]
+    path = str(make(tmp_path / "x.json"))
+    out = run_cli("norm", "--vec", path)
+    assert_input_error(out, f"error: {path}: {message}\n")
+
+
+def test_missing_json_input_exits_one(tmp_path):
+    path = tmp_path / "absent.json"
+    assert_input_error(run_cli("norm", "--vec", str(path)), f"error: no such file: {path}\n")
+
+
 def test_bad_field_named_in_diagnostic(tmp_path):
     vec = write_json(tmp_path / "vec.json", {"0": "1"})
     out = run_cli("norm", "--vec", vec)
@@ -512,6 +544,36 @@ def test_unknown_config_key(tmp_path):
     out = run_cli("--config", str(cfg), "construct", "--k-max", "5")
     assert out.returncode == 1
     assert "nonsense" in out.stderr
+
+
+@pytest.mark.parametrize("key", ["precision_bits", "elimination_budget"])
+def test_removed_config_keys_are_unknown(tmp_path, key):
+    cfg = tmp_path / "proxinorm.toml"
+    cfg.write_text(f"{key} = 64\n")
+    out = run_cli("--config", str(cfg), "construct", "--k-max", "5")
+    assert_input_error(out, f"error: unknown config key {key!r}\n")
+
+
+def test_precision_environment_variable_is_ignored(tmp_path):
+    """``--bits`` is the one way to set the precision of ``norm``."""
+    vec = write_json(tmp_path / "x.json", {"1": "2/3", "4": "-1/5"})
+    plain = run_cli("norm", "--vec", vec)
+    assert plain.returncode == 0, plain.stderr
+    env = run_cli("norm", "--vec", vec, env_extra={"PROXINORM_PRECISION_BITS": "8"})
+    assert (env.returncode, env.stdout, env.stderr) == (0, plain.stdout, "")
+    assert run_cli("norm", "--vec", vec, "--bits", "8").stdout != plain.stdout
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_exits_one(tmp_path, case):
+    cfg = tmp_path / "proxinorm.toml"
+    if case == "missing":
+        message = f"no such file: {cfg}"
+    else:
+        make, reason = UNREADABLE_INPUTS[case]
+        message = f"{make(cfg)}: {reason}"
+    out = run_cli("--config", str(cfg), "construct", "--k-max", "5")
+    assert_input_error(out, f"error: {message}\n")
 
 
 def test_descend_reports_a_short_chain_on_stderr(tmp_path, monkeypatch, capsys):
