@@ -19,7 +19,7 @@ _EXPORTS = {
     "bits": (),
     "config": ("Config", "load_config"),
     "construction": ("ConstructionTable", "canonical_table"),
-    "demo": ("SignMatrix", "independence_check", "run_demo", "sign_table", "theta_values"),
+    "demo": ("SignMatrix", "independence_check", "run_demo", "sign_table"),
     "descent": (
         "DescentCertificate", "DescentChain", "Subspace", "certify_descent",
         "find_descent_direction", "minimizing_sequence", "verify_certificate", "verify_chain",
@@ -30,12 +30,11 @@ _EXPORTS = {
         "SearchBudgetError",
     ),
     "gateaux": (
-        "derivative_from_json", "derivative_to_json", "dminus_norm", "dplus_abs_pairing",
-        "dplus_norm", "dplus_sup", "term_lipschitz",
+        "derivative_from_json", "derivative_to_json", "dminus_norm", "dplus_norm", "dplus_sup",
     ),
     "kernel": (),
     "linalg": ("LinearSystem", "feasible", "kernel_directions"),
-    "norms": ("equivalence_check", "norm_difference_sign", "norm_enclosure"),
+    "norms": ("norm_enclosure",),
     "trig": (),
     "vectors": ("Enclosure", "SparseVec", "l1_norm", "pair", "sgn", "sup_norm"),
 }

@@ -163,10 +163,6 @@ class ConstructionTable:
         self._extend_to(k)
         return self._tags[k - 1]
 
-    def vector(self, k: int) -> SparseVec:
-        self._extend_to(k)
-        return self._vectors[k - 1]
-
     def prefix(self, k_max: int) -> Iterator[Tuple[int, SparseVec, int]]:
         """(k, vector, tag) for k = 1..k_max."""
         self._extend_to(k_max)

@@ -216,18 +216,6 @@ def sign_table(
     return [[certified_sign(x, f) for f in functionals] for x in points]
 
 
-def theta_values(
-    report: LinearityReport, phi: SparseVec, indices: Sequence[int]
-) -> Dict[int, Fraction]:
-    """Tag-weight-scaled coordinates 2^(a_k^2) * phi_{a_k} on the prefix."""
-    out: Dict[int, Fraction] = {}
-    for i in indices:
-        if i not in report.index_position:
-            raise PreconditionError(f"index {i} is outside the report prefix")
-        out[i] = phi[i] * (1 << i * i)
-    return out
-
-
 def theta_blocks(report: LinearityReport, phi: SparseVec) -> Dict[int, List[Fraction]]:
     """theta values of phi grouped by owning probe, usable indices only."""
     blocks: Dict[int, List[Fraction]] = {}

@@ -16,7 +16,7 @@ from .bits import dyadic_sum
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError
 from .norms import DEFAULT_PRECISION_BITS, _minimal_depth
-from .vectors import Enclosure, SparseVec, l1_norm, pair, sgn, sup_norm
+from .vectors import Enclosure, SparseVec, pair, sgn, sup_norm
 
 
 _SIGN_NAMES = {1: "positive", -1: "negative", 0: "straddles_zero"}
@@ -60,27 +60,6 @@ def dplus_sup(x: SparseVec, u: SparseVec) -> Fraction:
     if outward:
         return max(outward)
     return -min(inward)
-
-
-def dplus_abs_pairing(phi: SparseVec, x: SparseVec, u: SparseVec) -> Fraction:
-    """Right derivative of t -> |<x + t u, phi>| at t = 0 (exact)."""
-    pu = pair(u, phi)
-    return abs(pu) * sgn(pu * pair(x, phi))
-
-
-def term_lipschitz(table: ConstructionTable, k: int) -> Fraction:
-    """Lipschitz constant of the k-th summand of the norm.
-
-    1 for the sup-norm part (k = 0); otherwise the weight times the l1
-    norm of u_k - e_{a_k}, which is 1 + l1(u_k) since the tag lies off
-    the support.
-    """
-    if k < 0:
-        raise PreconditionError("k must be >= 0")
-    if k == 0:
-        return Fraction(1)
-    u, a = table.entry(k)
-    return Fraction(1 + l1_norm(u), 1) / (1 << a * a)
 
 
 def derivative_series_sum(

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EliminationBudgetError, PreconditionError
-from .vectors import SparseVec, pair
+from .vectors import RationalLike, SparseVec, _as_fraction, _as_index, pair
 
 DEFAULT_ELIMINATION_BUDGET = 10_000
 
@@ -77,7 +77,7 @@ def kernel_directions(
     vector is primitive, and the basis is deterministic.  Returns [] when
     only the zero solution exists.
     """
-    cols = sorted(set(int(i) for i in allowed_support))
+    cols = sorted(set(map(_as_index, allowed_support)))
     m, pivots, p, _ = _reduce_functionals(constraints, cols)
     basis: List[SparseVec] = []
     for f in (j for j in range(len(cols)) if j not in pivots):
@@ -110,8 +110,8 @@ class LinearSystem:
     rows: List[Tuple[SparseVec, Fraction]] = field(default_factory=list)
     variables: Tuple[int, ...] = ()
 
-    def add(self, coeffs: SparseVec, rhs: Fraction | int) -> None:
-        self.rows.append((coeffs, Fraction(rhs)))
+    def add(self, coeffs: SparseVec, rhs: RationalLike) -> None:
+        self.rows.append((coeffs, _as_fraction(rhs)))
 
     def variable_set(self) -> Tuple[int, ...]:
         if self.variables:

@@ -10,7 +10,6 @@ source is truncation, and it is one-sided, so an enclosure is always
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from .bits import dyadic_sum
 from .construction import ConstructionTable
@@ -19,7 +18,6 @@ from .vectors import Enclosure, SparseVec, pair, sup_norm
 
 DEFAULT_PRECISION_BITS = 64
 PRECISION_CAP = 1 << 20
-DEFAULT_COMPARISON_CAP_BITS = 8192
 
 
 def series_partial_sum(table: ConstructionTable, x: SparseVec, depth: int) -> Fraction:
@@ -83,43 +81,3 @@ def norm_enclosure(
     A width target w > 0 is met at ``bits.bits_for_target(w)`` bits."""
     return enclosure_at_depth(table, x, norm_depth(table, x, precision_bits))
 
-
-def equivalence_check(
-    table: ConstructionTable, x: SparseVec, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> bool:
-    """Certified two-sided comparison against the sup norm:
-    sup_norm(x) <= lo and hi <= 3 * sup_norm(x)."""
-    if x.is_zero():
-        raise PreconditionError("equivalence_check requires x != 0")
-    enc = norm_enclosure(table, x, precision_bits)
-    s = sup_norm(x)
-    return enc.lo >= s and enc.hi <= 3 * s
-
-
-def norm_difference_sign(
-    table: ConstructionTable,
-    x: SparseVec,
-    y: SparseVec,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_precision_bits: int = DEFAULT_COMPARISON_CAP_BITS,
-) -> Tuple[str, Optional[Fraction]]:
-    """Certified strict comparison of the norms of x and y.
-
-    Returns ("less", None) when hi(norm x) < lo(norm y) at some precision,
-    ("greater", None) symmetrically, else ("unknown", residual) where
-    residual is the remaining interval overlap at the deepest precision
-    tried.  Identical inputs short-circuit to "unknown".
-    """
-    p = precision_bits
-    residual: Optional[Fraction] = None
-    while True:
-        ex = norm_enclosure(table, x, p)
-        ey = norm_enclosure(table, y, p)
-        if ex.hi < ey.lo:
-            return "less", None
-        if ey.hi < ex.lo:
-            return "greater", None
-        residual = min(ex.hi, ey.hi) - max(ex.lo, ey.lo)
-        if x == y or p >= max_precision_bits:
-            return "unknown", residual
-        p = min(2 * p, max_precision_bits)

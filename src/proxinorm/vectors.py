@@ -29,6 +29,16 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not a rational value: {value!r}")
 
 
+def _as_index(value: object) -> int:
+    """A coordinate index: an ``int`` (not a ``bool`` or other subclass), at
+    least 1."""
+    if type(value) is not int:
+        raise TypeError(f"not an index: {value!r}")
+    if value < 1:
+        raise ValueError(f"index {value} is not a positive integer")
+    return value
+
+
 def _is_int_literal(text: str) -> bool:  # what str(int) writes
     return text.isascii() and text.removeprefix("-").isdigit()
 
@@ -107,9 +117,6 @@ class Enclosure:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def intersects(self, other: "Enclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def sign(self) -> int:
         """+1 or -1 when the interval lies on one side of 0; 0 when it
         contains 0."""
@@ -158,10 +165,9 @@ class SparseVec:
     def __init__(self, entries: Mapping[int, RationalLike] | None = None):
         data: Dict[int, Fraction] = {}
         if entries:
-            for idx, val in entries.items():
-                i = int(idx)
-                if i < 1:
-                    raise ValueError(f"index {i} is not a positive integer")
+            for i, val in entries.items():
+                if type(i) is not int or i < 1:
+                    _as_index(i)  # raises
                 f = _as_fraction(val)
                 if f != 0:
                     data[i] = f

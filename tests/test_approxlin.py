@@ -42,7 +42,7 @@ def test_report_basic_shape(table):
     for i in rep.usable:
         k = rep.index_position[i]
         assert table.tag(k) == i
-        assert table.vector(k) == rep.probes[rep.block[i]]
+        assert table.entry(k)[0] == rep.probes[rep.block[i]]
 
 
 def test_gamma_signs_oppose_pairings(table):

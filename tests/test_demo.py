@@ -18,7 +18,6 @@ from proxinorm.demo import (
     run_demo,
     sign_table,
     theta_blocks,
-    theta_values,
 )
 from proxinorm.errors import PreconditionError
 from proxinorm.trig import base_angles
@@ -118,17 +117,9 @@ def test_theta_of_zero_functional(table):
     fan = build_fan(2, SparseVec.unit(1), SparseVec.unit(2))
     probes = demo_probes(table, points, fan, 500)
     rep = build_report(table, points[0], probes, 500)
-    vals = theta_values(rep, SparseVec.zero(), rep.usable)
-    assert all(v == 0 for v in vals.values())
-
-
-def test_theta_outside_prefix_rejected(table):
-    points = demo_points(2)
-    fan = build_fan(2, SparseVec.unit(1), SparseVec.unit(2))
-    probes = demo_probes(table, points, fan, 500)
-    rep = build_report(table, points[0], probes, 500)
-    with pytest.raises(PreconditionError):
-        theta_values(rep, SparseVec.zero(), [99999])
+    blocks = theta_blocks(rep, SparseVec.zero())
+    assert sum(map(len, blocks.values())) == len(rep.usable)
+    assert all(v == 0 for vals in blocks.values() for v in vals)
 
 
 def test_theta_of_feasibility_witness_within_eps(table):
@@ -140,10 +131,11 @@ def test_theta_of_feasibility_witness_within_eps(table):
     ok, coeffs = span_match_feasible(rep, [gvec], rep.usable)
     assert ok
     phi = gvec.scale(coeffs[1])
-    vals = theta_values(rep, phi, rep.usable)
-    for i, val in vals.items():
-        center = Fraction(-sgn(pair(x, probes[rep.block[i]])))
-        assert abs(val - center) <= rep.eps_hi[i]
+    for j, vals in theta_blocks(rep, phi).items():
+        center = Fraction(-sgn(pair(x, probes[j])))
+        owned = [i for i in rep.usable if rep.block[i] == j]
+        for i, val in zip(owned, vals):
+            assert abs(val - center) <= rep.eps_hi[i]
 
 
 def test_run_demo_narrative(table):

@@ -9,11 +9,9 @@ from proxinorm.gateaux import (
     derivative_from_json,
     derivative_to_json,
     dminus_norm,
-    dplus_abs_pairing,
     dplus_enclosure_at_depth,
     dplus_norm,
     dplus_sup,
-    term_lipschitz,
 )
 from proxinorm.norms import norm_enclosure
 from proxinorm.vectors import SparseVec, sup_norm
@@ -60,15 +58,6 @@ def test_dplus_sup_matches_small_step_quotient(x, u):
     first kink, so a tiny exact dyadic step is an exact oracle."""
     h = Fraction(1, 1 << 40)
     assert sup_quotient(x, u, h) == dplus_sup(x, u)
-
-
-def test_abs_pairing_examples():
-    e1 = SparseVec.unit(1)
-    assert dplus_abs_pairing(e1, e1, e1) == 1
-    assert dplus_abs_pairing(e1, e1, -e1) == -1
-    phi = SparseVec({1: 1, 2: 1})
-    u = SparseVec({1: -1, 2: 1})
-    assert dplus_abs_pairing(phi, e1, u) == 0
 
 
 def test_derivative_zero_direction(table):
@@ -136,17 +125,6 @@ def test_dminus_positive_along_growing_ray(table):
     nb = norm_enclosure(table, x + x.scale(-t), 60)
     quotient_lo = (na.lo - nb.hi) / t
     assert quotient_lo > 0
-
-
-def test_lipschitz_values(table):
-    assert term_lipschitz(table, 0) == 1
-    for k in range(1, 60):
-        _, a = table.entry(k)
-        assert term_lipschitz(table, k) <= Fraction(1 + a, 1 << a * a)
-
-
-def test_lipschitz_sum_below_three(table):
-    assert sum(term_lipschitz(table, k) for k in range(101)) < 3
 
 
 @settings(max_examples=20, deadline=None)

@@ -152,6 +152,30 @@ def test_int_determinant_against_fraction_oracle(rows):
     assert int_determinant(rows) == fraction_determinant(rows)
 
 
+@pytest.mark.parametrize("index", ["2", True, 3.9, 2.0])
+def test_kernel_support_indices_are_ints(index):
+    """``int`` would read ``["2", True, 3.9]`` as columns 2, 1 and 3."""
+    with pytest.raises(TypeError, match="not an index"):
+        kernel_directions([SparseVec.unit(1)], [index])
+    with pytest.raises(TypeError, match="not an index"):
+        kernel_directions([SparseVec.unit(1)], [1, 3, index])
+
+
+def test_kernel_support_indices_below_one_rejected():
+    with pytest.raises(ValueError, match="index 0 is not a positive integer"):
+        kernel_directions([SparseVec.unit(1)], [0, 1])
+
+
+@pytest.mark.parametrize("rhs", ["1e3", 0.1, " 1_0 ", "1/2", None])
+def test_linear_system_rhs_is_a_fraction_or_int(rhs):
+    """``Fraction`` would read the strings as 1000, 10 and 1/2, and 0.1 as
+    3602879701896397/2^55."""
+    system = LinearSystem()
+    with pytest.raises(TypeError, match="not a rational value"):
+        system.add(SparseVec.unit(1), rhs)
+    assert system.rows == []
+
+
 def test_feasible_empty_interval():
     sys_ = LinearSystem()
     sys_.add(SparseVec({1: 1}), 1)

@@ -139,6 +139,22 @@ def test_library_rationals_are_fractions_or_ints(value):
         Enclosure.point(value)
 
 
+@pytest.mark.parametrize("key", ["1_0", " 3", "1", True, False, 2.7, 2.0, Fraction(2), None])
+def test_library_indices_are_ints(key):
+    """``int`` would read these as 10, 3, 1, 1, 0, 2, 2 and 2: an index is an
+    ``int`` (not a ``bool``); strings are parsed only at the JSON edge."""
+    with pytest.raises(TypeError, match="not an index"):
+        SparseVec({key: 1})
+    with pytest.raises(TypeError, match="not an index"):
+        SparseVec({key: 0})  # checked even where the entry is dropped
+
+
+def test_library_indices_below_one_are_value_errors():
+    for key in (0, -3):
+        with pytest.raises(ValueError, match=f"index {key} is not a positive integer"):
+            SparseVec({key: 1})
+
+
 #: The documented literal grammar, ASCII only (``[0-9]`` is no ``\d``).
 _LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
