@@ -29,7 +29,7 @@ from .bits import bits_for_target, dyadic_sign, dyadic_sum, scale_pow2, split_po
 from .construction import ConstructionTable
 from .errors import HypothesisError, InputFormatError, PreconditionError
 from .gateaux import dplus_norm
-from .linalg import DEFAULT_ELIMINATION_BUDGET, LinearSystem, feasible
+from .linalg import LinearSystem, feasible
 from .norms import DEFAULT_PRECISION_BITS
 from .vectors import (
     Enclosure,
@@ -251,7 +251,6 @@ def verify_linearity_bound(
     x: SparseVec,
     report: LinearityReport,
     v: SparseVec,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Tuple[Enclosure, Fraction, bool]:
     """Certify |d_plus(x; v) - <v, gamma>| <= sum eps_i |v_i gamma_i|.
 
@@ -264,13 +263,9 @@ def verify_linearity_bound(
     pairing, budget = _terms(report, v, report.eps_lo)
     rhs = dyadic_sum(budget)
     gv = dyadic_sum(pairing)
+    precision_bits = DEFAULT_PRECISION_BITS
     if rhs > 0:
         precision_bits = max(precision_bits, bits_for_target(rhs / 16))
-    if v.is_zero():
-        lhs = Enclosure(Fraction(0), Fraction(0), 1)
-        trial = Trial(v, lhs, rhs, True)
-        report.trials.append(trial)
-        return lhs, rhs, True
     lhs = abs(dplus_norm(table, x, v, precision_bits) - Enclosure.point(gv))
     passed = lhs.hi <= rhs
     report.trials.append(Trial(v, lhs, rhs, passed))
@@ -293,7 +288,6 @@ def span_match_feasible(
     report: LinearityReport,
     functionals: Sequence[SparseVec],
     indices: Sequence[int],
-    budget: int = DEFAULT_ELIMINATION_BUDGET,
 ) -> Tuple[bool, Optional[SparseVec]]:
     """Decide whether some combination of the functionals matches gamma.
 
@@ -309,13 +303,13 @@ def span_match_feasible(
     outside = [i for i in idx if i not in report.gamma]
     if outside:
         raise PreconditionError(f"indices outside the usable prefix: {outside}")
-    system = LinearSystem(variables=tuple(range(1, len(functionals) + 1)))
+    system = LinearSystem()
     for i in idx:
         coeffs = SparseVec({t + 1: phi[i] for t, phi in enumerate(functionals)})
         bound = report.eps_hi[i] * abs(report.gamma[i])
         system.add(coeffs, report.gamma[i] + bound)
         system.add(-coeffs, bound - report.gamma[i])
-    ok, witness = feasible(system, budget=budget)
+    ok, witness = feasible(system)
     if not ok:
         return False, None
     return True, SparseVec({t: c for t, c in witness.items() if c != 0})

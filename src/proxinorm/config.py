@@ -53,8 +53,7 @@ def _parse_file(path: str) -> dict:
     return values
 
 
-def load_config(path: Optional[str] = None, env: Optional[dict] = None) -> Config:
-    env = os.environ if env is None else env
+def load_config(path: Optional[str] = None) -> Config:
     known = {f.name for f in fields(Config)}
     raw = {}
     if path is not None:
@@ -64,7 +63,7 @@ def load_config(path: Optional[str] = None, env: Optional[dict] = None) -> Confi
             raw[key] = val
     for name in known:
         env_key = ENV_PREFIX + name.upper()
-        if env_key in env:
-            raw[name] = env[env_key]
+        if env_key in os.environ:
+            raw[name] = os.environ[env_key]
     return Config(**{key: parse_int(val.strip(), f"config key {key!r}", key=True)
                      for key, val in raw.items()})

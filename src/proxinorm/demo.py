@@ -29,7 +29,6 @@ from .trig import base_angles, cos_enclosure, fan_angles, sin_enclosure
 from .vectors import Enclosure, SparseVec, format_rational, pair, sgn
 
 DEFAULT_ANGLE_BITS = 44
-SIGN_TABLE_BITS_CAP = 4096
 ROUNDING_DENOMINATOR_BITS = 16  # finest fan-probe rounding, 2^-16
 
 
@@ -73,9 +72,6 @@ class FanFunctional:
         return FanFunctional(
             n, index, bits, sin_enclosure(zeta, bits), cos_enclosure(zeta, bits), phi1, phi2
         )
-
-    def at_bits(self, bits: int) -> "FanFunctional":
-        return FanFunctional.build(self.n, self.index, self.phi1, self.phi2, bits)
 
     def pair_interval(self, x: SparseVec) -> Enclosure:
         p1, p2 = pair(x, self.phi1), pair(x, self.phi2)
@@ -190,23 +186,18 @@ def demo_points(n: int) -> List[SparseVec]:
 def certified_sign(x: SparseVec, f: Union[FanFunctional, SparseVec]) -> int:
     """Certified sign of the pairing of x with an exact or fan functional.
 
-    Exact probes give exact signs (sign of 0 is +1 by convention); fan
-    functionals escalate interval precision from DEFAULT_ANGLE_BITS until
-    the sign is certified, raising PrecisionBudgetError at
-    SIGN_TABLE_BITS_CAP.
+    Exact probes give exact signs (sign of 0 is +1 by convention); a fan
+    functional's sign is read at the fan's own precision, and
+    PrecisionBudgetError is raised when its pairing interval contains 0.
     """
     if isinstance(f, SparseVec):
         return sgn(pair(x, f))
-    fan = f if f.bits >= DEFAULT_ANGLE_BITS else f.at_bits(DEFAULT_ANGLE_BITS)
-    while True:
-        sign = fan.pair_interval(x).sign()
-        if sign:
-            return sign
-        if fan.bits >= SIGN_TABLE_BITS_CAP:
-            raise PrecisionBudgetError(
-                f"sign undetermined at {fan.bits} bits (point {x!r}, fan index {fan.index})"
-            )
-        fan = fan.at_bits(min(2 * fan.bits, SIGN_TABLE_BITS_CAP))
+    sign = f.pair_interval(x).sign()
+    if not sign:
+        raise PrecisionBudgetError(
+            f"sign undetermined at {f.bits} bits (point {x!r}, fan index {f.index})"
+        )
+    return sign
 
 
 def sign_table(

@@ -35,7 +35,7 @@ class EliminationBudgetError(BudgetError):
 
 
 class PrecisionBudgetError(BudgetError):
-    """Interval refinement hit its precision cap before deciding a sign."""
+    """An interval at its fixed precision contains 0, so no sign is certified."""
 
 
 class SearchBudgetError(BudgetError):

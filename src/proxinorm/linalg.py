@@ -6,7 +6,7 @@ kernel bases, ranks and determinants.  Feasibility of a system of
 inequalities is decided by Fourier-Motzkin elimination; this is exact and
 complete, and the constraint systems this package generates stay tiny (a
 handful of variables), so the doubly-exponential worst case never bites.
-A configurable row-count budget guards against misuse.
+A fixed row-count budget, ``ELIMINATION_BUDGET``, guards against misuse.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import EliminationBudgetError, PreconditionError
 from .vectors import RationalLike, SparseVec, _as_fraction, _as_index, pair
 
-DEFAULT_ELIMINATION_BUDGET = 10_000
+ELIMINATION_BUDGET = 10_000
 
 
 def _row_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int], int, int]:
@@ -108,23 +108,18 @@ class LinearSystem:
     """Finitely many exact constraints coeffs . vars <= rhs over numbered variables."""
 
     rows: List[Tuple[SparseVec, Fraction]] = field(default_factory=list)
-    variables: Tuple[int, ...] = ()
 
     def add(self, coeffs: SparseVec, rhs: RationalLike) -> None:
         self.rows.append((coeffs, _as_fraction(rhs)))
 
     def variable_set(self) -> Tuple[int, ...]:
-        if self.variables:
-            return tuple(sorted(set(self.variables)))
         seen = set()
         for coeffs, _ in self.rows:
             seen.update(coeffs.support())
         return tuple(sorted(seen))
 
 
-def feasible(
-    system: LinearSystem, budget: int = DEFAULT_ELIMINATION_BUDGET
-) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
+def feasible(system: LinearSystem) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
     """Exact satisfiability of the system, with a witness when satisfiable.
 
     Fourier-Motzkin elimination decides it; a variable pinned by two
@@ -175,9 +170,9 @@ def feasible(
                 combo[j] = combo.get(j, Fraction(0)) - w
             combo = {j: w for j, w in combo.items() if w != 0}
             new.append((combo, urhs - lrhs))
-        if len(new) > budget:
+        if len(new) > ELIMINATION_BUDGET:
             raise EliminationBudgetError(
-                f"elimination produced {len(new)} rows (budget {budget})"
+                f"elimination produced {len(new)} rows (budget {ELIMINATION_BUDGET})"
             )
         current = new
 

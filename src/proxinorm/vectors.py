@@ -24,7 +24,7 @@ RationalLike = Union[Fraction, int]
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:  # not a bool or other subclass
         return Fraction(value)
     raise TypeError(f"not a rational value: {value!r}")
 

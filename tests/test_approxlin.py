@@ -118,6 +118,9 @@ def test_verify_zero_direction(table):
     lhs, rhs, ok = verify_linearity_bound(table, std_x(), rep, SparseVec.zero())
     assert ok and lhs.hi == 0 and rhs == 0
     assert rep.trials and rep.trials[-1].passed
+    assert rep.trials[-1].to_json() == {
+        "v": {}, "lhs": {"lo": "0", "hi": "0", "depth": 1}, "rhs": "0", "pass": True,
+    }
 
 
 def test_verify_single_coordinates(table):
@@ -189,6 +192,18 @@ def test_span_match_unreachable_functional(table):
     assert any(rep.eps_hi[i] < 1 for i in rep.usable)
     ok, coeffs = span_match_feasible(rep, [SparseVec.unit(999)], rep.usable)
     assert not ok and coeffs is None
+
+
+def test_span_match_witness_omits_a_functional_off_the_indices(table):
+    """A functional with no coefficient on the chosen indices is in no row;
+    it gets weight 0, which the witness omits."""
+    rep = build_report(table, std_x(), std_probes(), DEPTH)
+    off = SparseVec.unit(999)
+    assert all(off[i] == 0 for i in rep.usable)
+    ok, coeffs = span_match_feasible(rep, [off, rep.gamma_vec()], rep.usable)
+    assert ok and coeffs == SparseVec({2: 1})
+    ok, coeffs = span_match_feasible(rep, [rep.gamma_vec(), off], rep.usable)
+    assert ok and coeffs == SparseVec({1: 1})
 
 
 def test_span_match_monotone_in_indices(table):

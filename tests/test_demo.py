@@ -19,7 +19,7 @@ from proxinorm.demo import (
     sign_table,
     theta_blocks,
 )
-from proxinorm.errors import PreconditionError
+from proxinorm.errors import PrecisionBudgetError, PreconditionError
 from proxinorm.trig import base_angles
 from proxinorm.vectors import SparseVec, pair, sgn
 
@@ -80,6 +80,19 @@ def test_sign_table_invariant_under_positive_scaling():
     points = demo_points(n)
     scaled = [x.scale(Fraction(7, 3)) for x in points]
     assert sign_table(points, fan) == sign_table(scaled, fan)
+
+
+def test_sign_table_raises_near_a_fan_kernel():
+    """A fan's sign is read at the fan's own precision: a point within
+    2^-60 of a 44-bit fan functional's kernel has no certified sign there."""
+    e1, e2 = SparseVec.unit(1), SparseVec.unit(2)
+    fine = build_fan(2, e1, e2, 96)[0]
+    x = SparseVec({1: fine.cos_coeff.midpoint(), 2: fine.sin_coeff.midpoint()})
+    assert abs(fine.pair_interval(x)).hi < Fraction(1, 1 << 60)
+    fan = build_fan(2, e1, e2)
+    assert fan[0].bits == DEFAULT_ANGLE_BITS == 44
+    with pytest.raises(PrecisionBudgetError, match="sign undetermined at 44 bits"):
+        sign_table([x], fan)
 
 
 def test_independence_small_hand_values():

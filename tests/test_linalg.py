@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from proxinorm import linalg
 from proxinorm.errors import EliminationBudgetError
 from proxinorm.linalg import LinearSystem, feasible, int_determinant, kernel_directions, rank
 from proxinorm.vectors import SparseVec, pair
@@ -170,6 +171,15 @@ def test_kernel_support_indices_below_one_rejected():
 def test_linear_system_rhs_is_a_fraction_or_int(rhs):
     """``Fraction`` would read the strings as 1000, 10 and 1/2, and 0.1 as
     3602879701896397/2^55."""
+    system = LinearSystem()
+    with pytest.raises(TypeError, match="not a rational value"):
+        system.add(SparseVec.unit(1), rhs)
+    assert system.rows == []
+
+
+@pytest.mark.parametrize("rhs", [True, False])
+def test_linear_system_rhs_rejects_bools(rhs):
+    """``add(row, True)`` used to store the bound 1."""
     system = LinearSystem()
     with pytest.raises(TypeError, match="not a rational value"):
         system.add(SparseVec.unit(1), rhs)
@@ -345,7 +355,8 @@ def test_feasible_dense_equalities_within_budget():
     assert not ok and witness is None
 
 
-def test_elimination_budget_trips():
+def test_elimination_budget_trips(monkeypatch):
+    monkeypatch.setattr(linalg, "ELIMINATION_BUDGET", 1)
     sys_ = LinearSystem()
     # 3 lower and 3 upper bounds on x1 coupled through x2: eliminating x2
     # multiplies rows beyond a budget of 1.
@@ -355,4 +366,4 @@ def test_elimination_budget_trips():
         sys_.add(SparseVec({2: 1}), Fraction(i))
         sys_.add(SparseVec({2: -1}), Fraction(i))
     with pytest.raises(EliminationBudgetError):
-        feasible(sys_, budget=1)
+        feasible(sys_)

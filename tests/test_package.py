@@ -93,6 +93,66 @@ def test_every_export_has_a_user():
     assert sorted(set(proxinorm.__all__) - used) == []
 
 
+def defaulted_parameters(path):
+    """(def name, parameter name, position or None) for every parameter with
+    a default of a public function or of a public method of a public class;
+    the position counts from the first argument a call writes (a method's
+    ``self`` is skipped, a keyword-only parameter has none)."""
+    found = []
+
+    def scan(fn, method):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        skip = int(method and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list))
+        first = len(positional) - len(args.defaults)
+        found.extend((fn.name, positional[i].arg, i - skip) for i in range(first, len(positional)))
+        found.extend((fn.name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d)
+
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            scan(node, method=False)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    scan(item, method=True)
+    return found
+
+
+def passes(call, parameter, position):
+    """Whether the call may set the parameter: by keyword or ``**``, or by
+    position or ``*``."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_is_passed():
+    """A default that no module, script, bench file or acceptance criterion
+    ever overrides is a setting with one value in use: a constant."""
+    files = [*(ROOT / "src" / "proxinorm").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    files += [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    calls = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    # cli.main(argv=None) reads sys.argv; the CLI tests pass their argv here.
+    exempt = {("main", "argv")}
+    unpassed = sorted(
+        (fn, parameter)
+        for path in (ROOT / "src" / "proxinorm").glob("*.py")
+        for fn, parameter, position in defaulted_parameters(path)
+        if (fn, parameter) not in exempt
+        and not any(passes(call, parameter, position) for call in calls.get(fn, []))
+    )
+    assert unpassed == []
+
+
 def test_submodules_are_attributes():
     import proxinorm.descent as descent
 

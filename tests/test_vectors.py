@@ -139,6 +139,18 @@ def test_library_rationals_are_fractions_or_ints(value):
         Enclosure.point(value)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_library_rationals_reject_bools(value):
+    """``isinstance(True, int)`` holds, but a ``bool`` is no rational value:
+    ``{1: True, 2: False}`` would build ``{1: 1}`` and ``point(True)`` [1, 1]."""
+    with pytest.raises(TypeError, match="not a rational value"):
+        SparseVec({1: value})
+    with pytest.raises(TypeError, match="not a rational value"):
+        SparseVec({1: 1, 2: value})
+    with pytest.raises(TypeError, match="not a rational value"):
+        Enclosure.point(value)
+
+
 @pytest.mark.parametrize("key", ["1_0", " 3", "1", True, False, 2.7, 2.0, Fraction(2), None])
 def test_library_indices_are_ints(key):
     """``int`` would read these as 10, 3, 1, 1, 0, 2, 2 and 2: an index is an
