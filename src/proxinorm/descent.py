@@ -410,7 +410,8 @@ def verify_certificate(
     """Re-derive every certified quantity from scratch; list discrepancies.
 
     ``kernel`` re-derives the four enclosures at the depths stored in the
-    certificate, from the construction stream alone, and each must match
+    certificate from its own enumeration of the construction stream (of
+    ``table`` it reads only the depth budget), and each must match
     field-for-field (the pipeline is deterministic); the direction must
     lie exactly in the subspace, the derivative evidence must show
     matching definite signs, and the decrease must be strict.  Returns an

@@ -1,29 +1,45 @@
 """Independent re-derivation of the four enclosures of a descent certificate.
 
-This is the verifier's trusted base.  It reads the (vector, tag) stream,
-which defines the norm, and nothing else of the producer: no series or
-derivative sums from ``norms`` and ``gateaux``, no ``bits`` helpers and no
-tail memo.  A fault in a producer fast path therefore cannot hide in its
-own check.
+This is the verifier's trusted base.  It enumerates the canonical (vector,
+tag) stream itself, in integers, from the definition in the
+``construction`` module docstring, and shares only ``EXACT_HEAD_TERMS``
+with the producer: it reads no ``ConstructionTable`` entry (the table it
+is given supplies only its ``depth_budget``), no series or derivative sums
+from ``norms`` and ``gateaux``, no ``bits`` helpers and no tail memo.  A
+fault in a producer fast path therefore cannot hide in its own check.
+
+A stream entry is a tuple of (index, p, q), p/q in lowest terms, with its
+tag; the tag's ceil(l1) is taken over the lcm of its level's denominators,
+and the growth rules are checked on every tag.  The kernel keeps one
+prefix per table, weakly keyed so that it lives no longer than the table,
+and extends it lazily to the deepest stored depth asked for.  Per entry it
+holds the integer pairing coefficients of w_k = u_k - e_{a_k} over the lcm
+L of the prefix's denominators, and per depth the tail majorant, so every
+certificate of a chain reuses them.
 
 Points are integer vectors over a common denominator.  One walk over
 k = 1..K, K the deepest stored depth, forms the integer pairings of x and
-v with w_k = u_k - e_{a_k} over the lcm L of the stream denominators;
-y = x + h v pairs as <x, w_k> + h <v, w_k>.  Four series (the norm at x
-and at y, the right derivative along v and along -v) are accumulated
-unreduced over L * 2^(a_K^2), each cut off at its own stored depth.  The
-stored endpoints are compared by cross-multiplication, so no gcd runs.
+v with w_k; y = x + h v pairs as <x, w_k> + h <v, w_k>.  Four series (the
+norm at x and at y, the right derivative along v and along -v) are
+accumulated unreduced over L * 2^(a_K^2), each cut off at its own stored
+depth.  The stored endpoints are compared by cross-multiplication, so no
+gcd runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain, product
+from math import gcd, lcm
+from typing import Dict, Iterator, List, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
-from .construction import EXACT_HEAD_TERMS, ConstructionTable
-from .errors import PreconditionError
+from .construction import EXACT_HEAD_TERMS
+from .errors import DepthBudgetError, PreconditionError
 from .vectors import Enclosure, SparseVec
+
+#: A listed vector as its (index, p, q) entries, ascending in index.
+_Entries = Tuple[Tuple[int, int, int], ...]
 
 
 def growth_majorant(m: int) -> Tuple[int, int]:
@@ -38,6 +54,86 @@ def growth_majorant(m: int) -> Tuple[int, int]:
         num += (1 + n) << (E - n * n)
     g = (m + 2) * (m + 2) + 2
     return -((-num) >> (E - g)), g
+
+
+def _supports(top: int, start: int = 1) -> Iterator[Tuple[int, ...]]:
+    """Nonempty ascending index tuples over start..top, in lex order."""
+    for i in range(start, top + 1):
+        yield (i,)
+        for rest in _supports(top, i + 1):
+            yield (i,) + rest
+
+
+def _stream() -> Iterator[Tuple[_Entries, int, int]]:
+    """The canonical stream as (entries, tag, D), D the lcm of the listed
+    vector's level denominators.
+
+    Level h lists the zero vector, then, for every support over 1..h in lex
+    order, every tuple of entries from the ascending grid of p/q with
+    |p| + q <= h.  Each tag is the least the growth rules allow.
+    """
+    prev, h = 0, 1
+    while True:
+        D = lcm(*range(1, h))
+        grid = sorted(  # p/q = (p * D/q) / D orders the grid
+            (p * (D // q), p, q)
+            for q in range(1, h) for p in range(q - h, h - q + 1) if p and gcd(p, q) == 1
+        )
+        cells = [[(i, p, q) for _, p, q in grid] for i in range(h + 1)]
+        nonzero = (product(*[cells[i] for i in supp]) for supp in _supports(h))
+        for entries in chain([()], chain.from_iterable(nonzero)):
+            top = entries[-1][0] if entries else 0
+            l1 = 0  # D * l1 norm
+            for _, p, q in entries:
+                l1 += abs(p) * (D // q)
+            tag = max(prev + 1, top + 1, -(-l1 // D))
+            if not (tag > prev and tag > top and tag * D >= l1):
+                raise RuntimeError(f"tag {tag} for {entries} breaks the growth rules")
+            prev = tag
+            yield entries, tag, D
+        h += 1
+
+
+class _Prefix:
+    """One table's stream prefix as the kernel walks it: per entry k the
+    tag a_k and the pairing row of w_k = u_k - e_{a_k}, as (index,
+    coefficient) pairs over L, the lcm of the prefix's level denominators."""
+
+    def __init__(self) -> None:
+        self._stream = _stream()
+        self._entries: List[_Entries] = []
+        self.tags: List[int] = []
+        self.rows: List[List[Tuple[int, int]]] = []
+        self.L = 1
+        self._tails: Dict[int, Tuple[int, int]] = {}
+
+    def extend(self, K: int) -> None:
+        """Walk the stream to K entries."""
+        n = len(self.tags)
+        L = self.L
+        for _ in range(K - n):
+            entries, tag, D = next(self._stream)
+            self._entries.append(entries)
+            self.tags.append(tag)
+            L = lcm(L, D)
+        if L != self.L:  # a new level: every row is re-expressed over the new lcm
+            self.L, n = L, 0
+        # a_k exceeds every index of u_k, so the -L at a_k is a separate pair
+        self.rows[n:] = [
+            [(i, p * (L // q)) for i, p, q in entries] + [(a, -L)]
+            for entries, a in zip(self._entries[n:], self.tags[n:])
+        ]
+
+    def tail(self, depth: int) -> Tuple[int, int]:
+        """growth_majorant past the tag at ``depth``."""
+        cached = self._tails.get(depth)
+        if cached is None:
+            cached = self._tails[depth] = growth_majorant(self.tags[depth - 1] + 1)
+        return cached
+
+
+#: Each table's prefix, dropped with the table.
+_PREFIXES: WeakKeyDictionary[object, _Prefix] = WeakKeyDictionary()
 
 
 def _integral(x: SparseVec) -> Tuple[Dict[int, int], int]:
@@ -70,7 +166,7 @@ def _equals(stored: Fraction, num: int, den: int) -> bool:
 
 
 def enclosures_match(
-    table: ConstructionTable,
+    table,
     x: SparseVec,
     v: SparseVec,
     h: Fraction,
@@ -80,19 +176,24 @@ def enclosures_match(
     the right derivative at x along v, the left derivative at x along v)
     is the one the stream gives at its stored depth.
 
-    Each depth is checked in that order: below 1 is a PreconditionError,
-    past the table's budget the DepthBudgetError a walk in increasing k
-    would raise.
+    Of ``table`` only ``depth_budget`` is read.  Each depth is checked in
+    that order: below 1 is a PreconditionError, past the budget the
+    DepthBudgetError a walk in increasing k would raise.
     """
     depths = [e.depth for e in stored]
+    budget = table.depth_budget
     for depth in depths:
         if depth < 1:
             raise PreconditionError("depth must be >= 1")
-        if depth > table.depth_budget:
-            table.entry(table.depth_budget + 1)  # raises, naming index budget + 1
-    entries = list(table.prefix(max(depths)))
-    L = lcm(*(f.denominator for _, u, _ in entries for _, f in u.items()))
-    A = entries[-1][2] ** 2
+        if depth > budget:
+            raise DepthBudgetError(f"table index {budget + 1} exceeds depth budget {budget}")
+    K = max(depths)
+    prefix = _PREFIXES.get(table)
+    if prefix is None:
+        prefix = _PREFIXES[table] = _Prefix()
+    prefix.extend(K)
+    L, tags = prefix.L, prefix.tags
+    A = tags[K - 1] ** 2
     X, dx = _integral(x)
     V, dv = _integral(v)
     # y = Y / dy with Y = X * dv * hd + hn * dx * V
@@ -102,14 +203,11 @@ def enclosures_match(
 
     d_x, d_y, d_plus, d_minus = depths
     sx = sy = sp = sm = 0  # the four series times d * L * 2^A, d the denominator of x, y or v
-    for k, u, a in entries:
+    for k, (row, a) in enumerate(zip(prefix.rows[:K], tags), 1):
         px = pv = 0
-        for i, f in u.items():
-            c = f.numerator * (L // f.denominator)
+        for i, c in row:
             px += c * X.get(i, 0)
             pv += c * V.get(i, 0)
-        px -= L * X.get(a, 0)
-        pv -= L * V.get(a, 0)
         shift = A - a * a
         if k <= d_x:
             sx += abs(px) << shift
@@ -122,7 +220,7 @@ def enclosures_match(
             sm += (abs(pv) if pv * px <= 0 else -abs(pv)) << shift
 
     scale = L << A
-    tails = {depth: growth_majorant(entries[depth - 1][2] + 1) for depth in set(depths)}
+    tails = {depth: prefix.tail(depth) for depth in set(depths)}
 
     def norm_matches(enc: Enclosure, Z: Dict[int, int], dz: int, series: int) -> bool:
         t, g = tails[enc.depth]

@@ -11,7 +11,6 @@ is exact: no rounding exists anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Tuple, Union
@@ -90,21 +89,41 @@ def parse_int(value: object, what: str, key: bool = False) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class Enclosure:
     """Closed interval [lo, hi] with exact rational endpoints, certified to
     contain a real quantity.  ``depth`` is the series truncation depth it
     was computed at; 0 for values that are not series sums.  Negation,
     absolute value and scaling keep the depth; a difference takes the
-    larger one."""
+    larger one.  Immutable; equal fields make equal enclosures."""
 
+    __slots__ = ("lo", "hi", "depth")
     lo: Fraction
     hi: Fraction
-    depth: int = 0
+    depth: int
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction, depth: int = 0):
+        if lo > hi:
             raise ValueError("enclosure with lo > hi")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "depth", depth)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self.depth) == (other.lo, other.hi, other.depth)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.depth))
+
+    def __repr__(self) -> str:
+        return f"Enclosure(lo={self.lo!r}, hi={self.hi!r}, depth={self.depth!r})"
 
     @staticmethod
     def point(value: RationalLike) -> "Enclosure":

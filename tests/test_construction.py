@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -235,13 +234,3 @@ def test_extension_takes_one_l1_norm_per_nonzero_entry(monkeypatch):
     t = canonical_table()
     t.entry(300)
     assert len(calls) == sum(1 for _, u, _ in t.prefix(300) if not u.is_zero())
-
-
-def test_extension_growth_check_is_an_explicit_raise(monkeypatch):
-    # a broken tag rule must trip the check, also under python -O
-    broken_math = SimpleNamespace(**vars(math))
-    broken_math.ceil = lambda value: 0
-    monkeypatch.setattr(construction, "math", broken_math)
-    monkeypatch.setattr(construction, "l1_norm", lambda u: Fraction(10**6))
-    with pytest.raises(RuntimeError, match="growth rules"):
-        canonical_table().entry(5)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proxinorm import demo, descent
 from proxinorm.approxlin import coherence_margin
@@ -19,7 +21,7 @@ from proxinorm.descent import (
     verify_chain,
 )
 from proxinorm.errors import PreconditionError
-from proxinorm.linalg import kernel_directions
+from proxinorm.linalg import kernel_directions, rank
 from proxinorm.norms import enclosure_at_depth
 from proxinorm.vectors import SparseVec, pair
 
@@ -307,3 +309,24 @@ def test_certify_descent_reuses_a_known_norm_only_at_its_depth(table):
     known = enclosure_at_depth(table, x, fresh.norm_before.depth)
     cert = certify_descent(table, H, x, v, evidence, norm_x=known)
     assert cert == fresh and cert.norm_before is known
+
+
+nonzero_rationals = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4))
+dense_functionals = st.lists(nonzero_rationals, min_size=4, max_size=4).map(
+    lambda entries: SparseVec(dict(zip(range(1, 5), entries)))
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda n: st.lists(dense_functionals, min_size=n, max_size=n)),
+    st.dictionaries(st.integers(1, 6), nonzero_rationals, min_size=1, max_size=6).map(SparseVec),
+)
+def test_every_emitted_certificate_verifies_at_codimension_2_to_4(table, functionals, x0):
+    """Dense functionals over indices 1..4 and a start that pairs nonzero
+    with each of them: whatever chain the descent emits re-verifies on a
+    fresh table."""
+    assume(rank(functionals) == len(functionals))
+    assume(all(pair(x0, phi) != 0 for phi in functionals))
+    chain = minimizing_sequence(table, Subspace(functionals), x0, 3)
+    assert verify_chain(canonical_table(), chain) == []

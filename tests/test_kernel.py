@@ -1,6 +1,7 @@
 """The verifier's re-derivation kernel against the producer's enclosures."""
 
 import ast
+import gc
 import inspect
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from proxinorm import kernel
 from proxinorm.construction import canonical_table, growth_tail_majorant
+from proxinorm.descent import DescentChain, Subspace, minimizing_sequence, verify_chain
 from proxinorm.errors import DepthBudgetError, PreconditionError
 from proxinorm.gateaux import dplus_enclosure_at_depth
 from proxinorm.kernel import enclosures_match, growth_majorant
@@ -104,6 +106,8 @@ def test_out_of_range_depth_raises_in_field_order(bad, error, message):
 
 
 def test_kernel_shares_only_the_stream_with_the_producer():
+    """The kernel enumerates the stream itself: of ``construction`` it
+    imports only EXACT_HEAD_TERMS, and it reads no table entry."""
     tree = ast.parse(inspect.getsource(kernel))
     imported = set()
     for node in ast.walk(tree):
@@ -116,9 +120,66 @@ def test_kernel_shares_only_the_stream_with_the_producer():
     from_construction = {alias.name for node in ast.walk(tree)
                          if isinstance(node, ast.ImportFrom) and node.module == "construction"
                          for alias in node.names}
-    assert from_construction == {"EXACT_HEAD_TERMS", "ConstructionTable"}
+    assert from_construction == {"EXACT_HEAD_TERMS"}
     assert not imported & {"functools", "proxinorm.norms", "proxinorm.gateaux",
                            "proxinorm.bits", "proxinorm.approxlin"}
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    producer_paths = {"tail_bound", "weight_tail_bound", "_tail_memo", "growth_prefix_dyadic"}
+    producer_paths = {"tail_bound", "weight_tail_bound", "_tail_memo", "growth_prefix_dyadic",
+                      "prefix", "entry", "tag", "occurrence_positions", "_vectors", "_tags"}
     assert not attributes & producer_paths
+
+
+def test_kernel_stream_equals_the_producer_stream():
+    """Both enumerations list the same vectors and tags over the default
+    budget: the first 5,000 entries."""
+    table = canonical_table()
+    stream = kernel._stream()
+    for k in range(1, table.depth_budget + 1):
+        entries, tag, D = next(stream)
+        u = SparseVec({i: Fraction(p, q) for i, p, q in entries})
+        assert (u, tag) == table.entry(k), k
+        assert all(D % q == 0 for _, _, q in entries)
+
+
+def test_stream_growth_check_is_an_explicit_raise(monkeypatch):
+    # a broken tag rule must trip the check, also under python -O
+    monkeypatch.setattr(kernel, "max", lambda *args: 0, raising=False)
+    with pytest.raises(RuntimeError, match="growth rules"):
+        next(kernel._stream())
+
+
+def test_prefix_extended_across_levels_matches_the_producer():
+    """One table's prefix grown in steps that cross into levels 3 and 4,
+    where the lcm of the denominators changes from 1 to 2 to 6."""
+    table = canonical_table()
+    x, v, h = SparseVec({1: Fraction(2, 3), 2: -1, 5: Fraction(1, 7)}), SparseVec({3: 1, 4: -2}), Fraction(1, 4)
+    for depth in (4, 10, 11, 40, 354, 355, 12):
+        stored = producer_enclosures(table, x, v, h, [depth] * 4)
+        assert enclosures_match(table, x, v, h, stored) == [True] * 4, depth
+
+
+def test_prefix_lives_no_longer_than_its_table():
+    held = len(kernel._PREFIXES)
+    table = canonical_table()
+    x, v, h = SparseVec({1: 1, 2: Fraction(1, 2)}), SparseVec({3: 1}), Fraction(1, 8)
+    enclosures_match(table, x, v, h, producer_enclosures(table, x, v, h, [6] * 4))
+    assert len(kernel._PREFIXES) == held + 1
+    del table
+    gc.collect()
+    assert len(kernel._PREFIXES) == held
+
+
+@pytest.mark.parametrize("tamper", ["none", "norm_after.lo", "d_plus.depth"])
+def test_verify_chain_leaves_a_fresh_table_empty(table, tamper):
+    """The kernel reads only ``depth_budget`` of the table it is given."""
+    H = Subspace([SparseVec.unit(1), SparseVec.unit(2)])
+    chain = minimizing_sequence(table, H, SparseVec({1: Fraction(1, 3), 2: 1, 6: Fraction(-2, 5)}), 2)
+    data = chain.to_json()
+    if tamper != "none":
+        field, key = tamper.split(".")
+        enc = data["certificates"][1][field]
+        enc[key] = "0" if key == "lo" else enc[key] + 1
+    fresh = canonical_table()
+    problems = verify_chain(fresh, DescentChain.from_json(data))
+    assert (problems == []) == (tamper == "none")
+    assert len(fresh) == 0

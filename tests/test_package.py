@@ -201,6 +201,17 @@ def test_first_table_loads_only_the_stream_modules():
     }
 
 
+def test_first_table_loads_neither_dataclasses_nor_inspect():
+    script = (
+        "import sys, proxinorm\nproxinorm.canonical_table().entry(1)\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_norm_command_skips_the_producer_stack(tmp_path):
     vec = tmp_path / "x.json"
     vec.write_text(json.dumps({"1": "2/3", "4": "-1/5"}))

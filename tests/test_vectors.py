@@ -236,6 +236,19 @@ def test_crossed_enclosure_raises():
         Enclosure(Fraction(1), Fraction(0))
 
 
+def test_enclosure_is_an_immutable_value():
+    enc = Enclosure(Fraction(1, 3), Fraction(1, 2), 7)
+    same = Enclosure(Fraction(1, 3), Fraction(1, 2), 7)
+    assert enc == same and hash(enc) == hash(same) and len({enc, same}) == 1
+    assert enc != Enclosure(Fraction(1, 3), Fraction(1, 2)) and enc != (enc.lo, enc.hi, enc.depth)
+    assert repr(enc) == "Enclosure(lo=Fraction(1, 3), hi=Fraction(1, 2), depth=7)"
+    for mutate in (lambda: setattr(enc, "lo", Fraction(0)), lambda: delattr(enc, "hi"),
+                   lambda: setattr(enc, "width_cache", 1)):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert (enc.lo, enc.hi, enc.depth) == (Fraction(1, 3), Fraction(1, 2), 7)
+
+
 def test_enclosure_sign_and_reflection():
     pos = Enclosure(Fraction(1, 3), Fraction(1, 2), 7)
     assert pos.sign() == 1 and (-pos).sign() == -1
