@@ -116,7 +116,7 @@ class DescentCertificate:
     d_minus: Enclosure
 
     def __post_init__(self):
-        if not self.norm_after.hi < self.norm_before.lo:
+        if not self.norm_after.below(self.norm_before):
             raise PreconditionError("certificate does not show a strict decrease")
 
     def next_point(self) -> SparseVec:
@@ -413,21 +413,21 @@ def verify_certificate(
     certificate from its own enumeration of the construction stream (of
     ``table`` it reads only the depth budget), and each must match
     field-for-field (the pipeline is deterministic); the direction must
-    lie exactly in the subspace, the derivative evidence must show
-    matching definite signs, and the decrease must be strict.  Returns an
+    lie exactly in the subspace and the derivative evidence must show
+    matching definite signs.  The strict decrease needs no check here:
+    a ``DescentCertificate`` without one cannot be built.  Returns an
     empty list when the certificate is genuine.
     """
     problems: List[str] = []
     if not subspace.contains(cert.v):
         problems.append("v is not in the subspace")
-    if not cert.norm_after.hi < cert.norm_before.lo:
-        problems.append("no strict decrease between the stored enclosures")
     stored = (cert.norm_before, cert.norm_after, cert.d_plus, cert.d_minus)
     names = ("norm_before", "norm_after", "d_plus", "d_minus")
     for name, ok in zip(names, enclosures_match(table, cert.x, cert.v, cert.h, stored)):
         if not ok:
             problems.append(f"{name} does not recompute")
-    if cert.d_plus.sign() == 0 or cert.d_plus.sign() != cert.d_minus.sign():
+    sign = cert.d_plus.sign()
+    if sign == 0 or sign != cert.d_minus.sign():
         problems.append("derivative evidence does not determine a shared sign")
     return problems
 
@@ -447,6 +447,6 @@ def verify_chain(table: ConstructionTable, chain: DescentChain) -> List[str]:
             problems.append(f"step {t}: iterate left the coset")
     encs = chain.iterate_enclosures()
     for t in range(len(encs) - 1):
-        if not encs[t + 1].hi < encs[t].lo:
+        if not encs[t + 1].below(encs[t]):
             problems.append(f"step {t}: iterate enclosures fail the strict chain")
     return problems

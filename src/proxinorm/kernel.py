@@ -22,8 +22,10 @@ k = 1..K, K the deepest stored depth, forms the integer pairings of x and
 v with w_k; y = x + h v pairs as <x, w_k> + h <v, w_k>.  Four series (the
 norm at x and at y, the right derivative along v and along -v) are
 accumulated unreduced over L * 2^(a_K^2), each cut off at its own stored
-depth.  The stored endpoints are compared by cross-multiplication, so no
-gcd runs.
+depth.  An endpoint's denominator is then a small odd number times a power
+of 2, so ``vectors._lowest_terms`` reduces it with shifts and one gcd with
+that odd part, and it matches when its lowest terms are the stored
+endpoint's numerator and denominator.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from weakref import WeakKeyDictionary
 
 from .construction import EXACT_HEAD_TERMS
 from .errors import DepthBudgetError, PreconditionError
-from .vectors import Enclosure, SparseVec
+from .vectors import Enclosure, SparseVec, _lowest_terms
 
 #: A listed vector as its (index, p, q) entries, ascending in index.
 _Entries = Tuple[Tuple[int, int, int], ...]
@@ -80,17 +82,17 @@ def _stream() -> Iterator[Tuple[_Entries, int, int]]:
             for q in range(1, h) for p in range(q - h, h - q + 1) if p and gcd(p, q) == 1
         )
         cells = [[(i, p, q) for _, p, q in grid] for i in range(h + 1)]
-        nonzero = (product(*[cells[i] for i in supp]) for supp in _supports(h))
-        for entries in chain([()], chain.from_iterable(nonzero)):
-            top = entries[-1][0] if entries else 0
-            l1 = 0  # D * l1 norm
-            for _, p, q in entries:
-                l1 += abs(p) * (D // q)
-            tag = max(prev + 1, top + 1, -(-l1 // D))
-            if not (tag > prev and tag > top and tag * D >= l1):
-                raise RuntimeError(f"tag {tag} for {entries} breaks the growth rules")
-            prev = tag
-            yield entries, tag, D
+        weights = [abs(n) for n, _, _ in grid]  # D * |p/q|
+        for supp in chain([()], _supports(h)):
+            top = supp[-1] if supp else 0
+            listed = product(*[cells[i] for i in supp])
+            for entries, ws in zip(listed, product(weights, repeat=len(supp))):
+                l1 = sum(ws)  # D * l1 norm
+                tag = max(prev + 1, top + 1, -(-l1 // D))
+                if not (tag > prev and tag > top and tag * D >= l1):
+                    raise RuntimeError(f"tag {tag} for {entries} breaks the growth rules")
+                prev = tag
+                yield entries, tag, D
         h += 1
 
 
@@ -162,7 +164,9 @@ def _sup_derivative(X: Dict[int, int], V: Dict[int, int]) -> int:
 
 
 def _equals(stored: Fraction, num: int, den: int) -> bool:
-    return stored.numerator * den == stored.denominator * num
+    # den is a small odd number times a power of 2, so its lowest terms cost
+    # shifts and one small gcd; equal rationals have equal lowest terms
+    return _lowest_terms(num, den) == (stored.numerator, stored.denominator)
 
 
 def enclosures_match(
@@ -213,11 +217,13 @@ def enclosures_match(
             sx += abs(px) << shift
         if k <= d_y:
             sy += abs(px * fx + pv * fv) << shift
-        # sign of <+-v, w_k> <x, w_k>, with the sign of 0 counted +1
-        if k <= d_plus:
-            sp += (abs(pv) if pv * px >= 0 else -abs(pv)) << shift
-        if k <= d_minus:
-            sm += (abs(pv) if pv * px <= 0 else -abs(pv)) << shift
+        if pv:  # a direction of small support pairs to 0 with most w_k
+            term = abs(pv) << shift
+            # sign of <+-v, w_k> <x, w_k>, with the sign of 0 counted +1
+            if k <= d_plus:
+                sp += term if pv * px >= 0 else -term
+            if k <= d_minus:
+                sm += term if pv * px <= 0 else -term
 
     scale = L << A
     tails = {depth: prefix.tail(depth) for depth in set(depths)}

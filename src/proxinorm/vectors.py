@@ -11,8 +11,10 @@ is exact: no rounding exists anywhere in this module.
 
 from __future__ import annotations
 
+import numbers
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterator, Mapping, Tuple, Union
 
 from .errors import InputFormatError
@@ -38,15 +40,59 @@ def _as_index(value: object) -> int:
     return value
 
 
+def _is_digits(text: str) -> bool:
+    # bytes.isdigit accepts only ASCII digits, and scans them faster than str.isdigit
+    return text.isascii() and text.encode().isdigit()
+
+
 def _is_int_literal(text: str) -> bool:  # what str(int) writes
-    return text.isascii() and text.removeprefix("-").isdigit()
+    return _is_digits(text.removeprefix("-"))
 
 
 def _to_int(literal: str) -> int:
+    """``int(literal)`` for an integer literal of any length: past the int/str
+    digit limit, the halves are converted and joined."""
     try:
         return int(literal)
-    except ValueError:  # past the int/str digit limit; Decimal converts exactly
-        return int(Decimal(literal))
+    except ValueError:
+        pass
+    if literal.startswith("-"):
+        return -_to_int(literal[1:])
+    mid = len(literal) // 2
+    return _to_int(literal[:mid]) * 10 ** (len(literal) - mid) + _to_int(literal[mid:])
+
+
+def _lowest_terms(p: int, q: int) -> Tuple[int, int]:
+    """p / q, q > 0, in lowest terms.  With q = odd * 2^e, the power of 2
+    that p and q share is shifted out and the one gcd taken is with the
+    odd part, so a denominator with a small odd part needs no big gcd."""
+    e = (q & -q).bit_length() - 1
+    odd = q >> e
+    z = (p & -p).bit_length() - 1  # -1 when p == 0
+    if 0 <= z < e:
+        p >>= z
+        e -= z
+    else:
+        p >>= e
+        e = 0
+    g = gcd(p, odd)
+    if g != 1:
+        p //= g
+        odd //= g
+    return p, odd << e
+
+
+class _LowestTerms:
+    """A ``numbers.Rational`` already in lowest terms, as ``Fraction(r)``
+    takes it: ``r.numerator`` and ``r.denominator`` are copied unchanged."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, p: int, q: int):
+        self.numerator, self.denominator = _lowest_terms(p, q)
+
+
+numbers.Rational.register(_LowestTerms)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -55,10 +101,10 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise InputFormatError(f"rational must be a string, got {type(text).__name__}")
     num, slash, den = text.partition("/")
-    if _is_int_literal(num) and (not slash or den.isascii() and den.isdigit()):
+    if _is_int_literal(num) and (not slash or _is_digits(den)):
         q = _to_int(den) if slash else 1
         if q:
-            return Fraction(_to_int(num), q)
+            return Fraction(_LowestTerms(_to_int(num), q))
     raise InputFormatError(f"bad rational literal {_echo(text)}")
 
 
@@ -89,6 +135,18 @@ def parse_int(value: object, what: str, key: bool = False) -> int:
     return value
 
 
+def _less(a: RationalLike, b: RationalLike) -> bool:
+    """a < b, cross-multiplying by the odd parts of the denominators only:
+    their powers of 2 become one shift, so dyadic endpoints compare in
+    linear time."""
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    e = (q & -q).bit_length() - 1
+    f = (s & -s).bit_length() - 1
+    if f >= e:
+        return (p * (s >> f)) << (f - e) < r * (q >> e)
+    return p * (s >> f) < (r * (q >> e)) << (e - f)
+
+
 class Enclosure:
     """Closed interval [lo, hi] with exact rational endpoints, certified to
     contain a real quantity.  ``depth`` is the series truncation depth it
@@ -102,7 +160,7 @@ class Enclosure:
     depth: int
 
     def __init__(self, lo: Fraction, hi: Fraction, depth: int = 0):
-        if lo > hi:
+        if _less(hi, lo):
             raise ValueError("enclosure with lo > hi")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -136,10 +194,14 @@ class Enclosure:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
+    def below(self, other: "Enclosure") -> bool:
+        """Whether this interval lies strictly below ``other``: hi < other.lo."""
+        return _less(self.hi, other.lo)
+
     def sign(self) -> int:
         """+1 or -1 when the interval lies on one side of 0; 0 when it
         contains 0."""
-        return (self.lo > 0) - (self.hi < 0)
+        return (self.lo.numerator > 0) - (self.hi.numerator < 0)
 
     def __neg__(self) -> "Enclosure":
         return Enclosure(-self.hi, -self.lo, self.depth)
@@ -190,9 +252,20 @@ class SparseVec:
                 f = _as_fraction(val)
                 if f != 0:
                     data[i] = f
+        self._init(data)
+
+    def _init(self, data: Dict[int, Fraction]) -> None:
         self._entries = data
         self._key: Tuple[Tuple[int, Fraction], ...] = tuple(sorted(data.items()))
-        self._hash = hash(self._key)
+        self._hash: int | None = None  # taken when first asked for
+
+    @staticmethod
+    def _checked(data: Dict[int, Fraction]) -> "SparseVec":
+        """The vector of ``data``, whose indices and entries are already
+        checked; zero entries are dropped."""
+        vec = SparseVec.__new__(SparseVec)
+        vec._init({i: f for i, f in data.items() if f})
+        return vec
 
     @staticmethod
     def unit(index: int) -> "SparseVec":
@@ -225,6 +298,8 @@ class SparseVec:
         return self._key == other._key
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._key)
         return self._hash
 
     def __add__(self, other: "SparseVec") -> "SparseVec":
@@ -275,7 +350,7 @@ class SparseVec:
             if not isinstance(val, str):
                 raise InputFormatError(f"entry at index {key!r} must be a rational string")
             data[idx] = parse_rational(val)
-        return SparseVec(data)
+        return SparseVec._checked(data)
 
 
 _FRAC_ZERO = Fraction(0)

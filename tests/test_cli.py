@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from proxinorm.construction import canonical_table
+from proxinorm.descent import DescentChain, verify_chain
 from proxinorm.vectors import format_rational, parse_rational
 
 CLI = [sys.executable, "-m", "proxinorm.cli"]
@@ -202,6 +205,81 @@ def test_verify_golden_bytes(tmp_path, pinned_chain):
     out = run_cli("verify", "--cert", write_json(tmp_path / "tampered.json", tampered))
     assert out.returncode == 1, out.stderr
     assert sha256(out.stdout) == VERIFY_TAMPERED_SHA256
+
+
+def _shift(delta):
+    return lambda text: format_rational(parse_rational(text) + delta)
+
+
+def _scale(factor):
+    return lambda text: format_rational(parse_rational(text) * factor)
+
+
+#: One tamper of each kind in the bench's verify corpus, applied to the
+#: pinned chain (``None`` as the last key: the vector's lowest index), and
+#: the verdict of ``from_json`` then ``verify_chain``: the outcome and its
+#: problems, or the exception's type and message.  A crossed ``lo``/``hi``
+#: still raises ValueError; these verdicts were recorded before the
+#: verifier's decoding was reworked for speed.
+PINNED_TAMPERS = {
+    "lo-raised": (("certificates", 1, "norm_after", "lo"), _shift(1),
+                  ("ValueError", "enclosure with lo > hi")),
+    "lo-lowered": (("certificates", 1, "norm_after", "lo"), _shift(-Fraction(1, 2**64)),
+                   ("rejected", ["step 1: norm_after does not recompute"])),
+    "hi-raised": (("certificates", 3, "norm_before", "hi"), _shift(Fraction(1, 2**64)),
+                  ("rejected", ["step 3: norm_before does not recompute"])),
+    "hi-lowered": (("certificates", 3, "norm_before", "hi"), _shift(-1),
+                   ("ValueError", "enclosure with lo > hi")),
+    "depth-raised": (("certificates", 0, "d_minus", "depth"), lambda d: d + 1,
+                     ("rejected", ["step 0: d_minus does not recompute"])),
+    "depth-lowered": (("certificates", 0, "d_minus", "depth"), lambda d: d - 1,
+                      ("rejected", ["step 0: d_minus does not recompute"])),
+    "h-doubled": (("certificates", 1, "h"), _scale(2),
+                  ("rejected", ["step 1: norm_after does not recompute",
+                                "step 2: base point does not chain"])),
+    "h-halved": (("certificates", 1, "h"), _scale(Fraction(1, 2)),
+                 ("rejected", ["step 1: norm_after does not recompute",
+                               "step 2: base point does not chain"])),
+    "x-entry": (("certificates", 1, "x", None), _shift(Fraction(1, 3)),
+                ("rejected", ["step 1: base point does not chain",
+                              "step 1: norm_before does not recompute",
+                              "step 1: norm_after does not recompute",
+                              "step 1: iterate left the coset",
+                              "step 2: base point does not chain"])),
+    "v-entry": (("certificates", 1, "v", None), _shift(Fraction(1, 3)),
+                ("rejected", ["step 1: norm_after does not recompute",
+                              "step 1: d_plus does not recompute",
+                              "step 1: d_minus does not recompute",
+                              "step 2: base point does not chain"])),
+    "x0-entry": (("x0", None), _shift(Fraction(1, 3)),
+                 ("rejected", ["step 0: base point does not chain"]
+                  + [f"step {t}: iterate left the coset" for t in range(10)])),
+}
+
+
+def verdict(doc):
+    try:
+        problems = verify_chain(canonical_table(), DescentChain.from_json(doc))
+    except Exception as exc:  # the verdict names it
+        return type(exc).__name__, str(exc)
+    return ("rejected" if problems else "accepted"), problems
+
+
+def test_pinned_chain_verdict_untampered(pinned_chain):
+    assert verdict(copy.deepcopy(pinned_chain)) == ("accepted", [])
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TAMPERS))
+def test_pinned_tamper_verdicts(pinned_chain, case):
+    (*parents, last), change, expected = PINNED_TAMPERS[case]
+    doc = copy.deepcopy(pinned_chain)
+    target = doc
+    for key in parents:
+        target = target[key]
+    if last is None:
+        last = min(target, key=int)
+    target[last] = change(target[last])
+    assert verdict(doc) == expected
 
 
 #: A stored depth outside [1, depth budget] is a precondition or budget

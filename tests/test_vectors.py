@@ -1,10 +1,11 @@
+import random
 import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxinorm.errors import InputFormatError
@@ -12,6 +13,9 @@ from proxinorm.vectors import (
     Enclosure,
     SparseVec,
     _echo,
+    _less,
+    _lowest_terms,
+    _to_int,
     l1_norm,
     pair,
     parse_rational,
@@ -229,6 +233,89 @@ def test_parse_rational_under_a_lowered_digit_limit():
             assert not isinstance(expected, tuple) or text.endswith("/0")
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def literal(n):
+    """``str(n)`` at any length: ``Decimal`` writes every digit of an int."""
+    return str(Decimal(n))
+
+
+#: Numerators: small, zero, negative, and past the 4300-digit limit, then
+#: times a power of 2 that the denominator may share in part or in full.
+numerators = st.tuples(
+    st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.integers(-(2**5000), 2**5000),
+        st.builds(lambda sign, head, digits, low: sign * (head * 10**digits + low),
+                  st.sampled_from([1, -1]), st.integers(1, 10**6), st.integers(4300, 4500),
+                  st.integers(0, 10**6)),
+    ),
+    st.integers(0, 20_100),
+).map(lambda t: t[0] << t[1])
+#: Odd parts of the denominator: small, and 2^64 or more.
+odd_parts = st.one_of(
+    st.integers(0, 10**6 // 2).map(lambda k: 2 * k + 1),
+    st.integers(2**64, 2**90).map(lambda n: n | 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(numerators, odd_parts, st.integers(0, 20_000))
+def test_parse_rational_lowest_terms_match_fraction(p, odd, e):
+    """The reader's lowest terms are ``Fraction(p, q)``'s,
+    for an unreduced literal ``"p/q"`` with q = odd * 2^e."""
+    q = odd << e
+    expected = Fraction(p, q)
+    parsed = parse_rational(f"{literal(p)}/{literal(q)}")
+    assert type(parsed) is Fraction
+    assert (parsed.numerator, parsed.denominator) == (expected.numerator, expected.denominator)
+    assert _lowest_terms(p, q) == (expected.numerator, expected.denominator)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["", "-"]), st.integers(0, 3), st.integers(1, 30_000), st.integers(0, 2**32))
+def test_long_integer_literals_convert_as_decimal_does(sign, zeros, length, seed):
+    digits = random.Random(seed).choices("0123456789", k=length)
+    text = sign + "0" * zeros + "".join(digits)
+    assert _to_int(text) == int(Decimal(text))
+
+
+def test_long_literals_parse_without_decimal(monkeypatch):
+    """Past the int/str digit limit the halves of a literal are converted;
+    ``Decimal``, quadratic at that length, is not called."""
+    n = 7**50_000  # 42,255 digits
+    monkeypatch.setattr("proxinorm.vectors.Decimal", None)
+    assert parse_rational(f"-{literal(n)}/{literal(n * 3)}") == Fraction(-1, 3)
+    assert SparseVec.from_json({literal(n): "1"}).support() == (n,)
+
+
+#: Endpoints p / (odd * 2^e): dyadic, with a small odd part and with one of
+#: 2^64 or more; zero and negative numerators; and plain ints.
+endpoints = st.one_of(
+    st.builds(
+        lambda p, odd, e: Fraction(p, odd << e),
+        st.one_of(st.integers(-(10**6), 10**6), st.integers(-(2**2000), 2**2000)),
+        st.one_of(st.just(1), odd_parts),
+        st.integers(0, 2000),
+    ),
+    st.integers(-3, 3),
+)
+
+
+@given(endpoints, endpoints, st.booleans())
+def test_less_is_the_order_of_fractions(a, b, equal):
+    """``_less`` and what it decides (a crossed enclosure, ``below``) agree
+    with ``<``, equal values included."""
+    if equal:
+        b = a
+    assert _less(a, b) == (a < b)
+    assert _less(b, a) == (b < a)
+    assert Enclosure(a - 1, a).below(Enclosure(b, b + 1)) == (a < b)
+    if b < a:
+        with pytest.raises(ValueError, match="enclosure with lo > hi"):
+            Enclosure(a, b)
+    else:
+        assert (Enclosure(a, b).lo, Enclosure(a, b).hi) == (a, b)
 
 
 def test_crossed_enclosure_raises():
