@@ -120,7 +120,7 @@ class LinearityReport:
             return value
 
         try:
-            return LinearityReport(
+            report = LinearityReport(
                 x=SparseVec.from_json(obj["x"]),
                 probes=[SparseVec.from_json(z) for z in field("probes", list)],
                 depth=parse_int(obj["depth"], "report depth"),
@@ -134,6 +134,12 @@ class LinearityReport:
             )
         except KeyError as exc:
             raise InputFormatError(f"report missing field {exc.args[0]!r}") from exc
+        usable = set(report.usable)
+        for name, values in (("gamma", report.gamma), ("eps_lower", report.eps_lo),
+                             ("eps_upper", report.eps_hi)):
+            if set(values) != usable:
+                raise InputFormatError(f"report {name} indices differ from the usable indices")
+        return report
 
 
 def build_report(

@@ -14,7 +14,7 @@ fan are the probes of the linearity reports, here and in descent
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -25,10 +25,9 @@ from .bits import round_dyadic
 from .construction import ConstructionTable
 from .errors import PrecisionBudgetError, PreconditionError
 from .linalg import int_determinant
-from .trig import base_angles, cos_enclosure, fan_angles, sin_enclosure
+from .trig import ANGLE_BITS, base_angles, cos_enclosure, fan_angles, sin_enclosure
 from .vectors import Enclosure, SparseVec, format_rational, pair, sgn
 
-DEFAULT_ANGLE_BITS = 44
 ROUNDING_DENOMINATOR_BITS = 16  # finest fan-probe rounding, 2^-16
 
 
@@ -54,24 +53,26 @@ def independence_check(matrix: SignMatrix) -> Tuple[bool, int]:
 @dataclass(frozen=True)
 class FanFunctional:
     """psi_s = sin(zeta_s) * phi1 - cos(zeta_s) * phi2, zeta_s the s-th
-    midpoint angle of the codimension-n fan, coefficients certified."""
+    midpoint angle of the codimension-n fan, coefficients certified.
 
-    n: int
+    ``ladder`` holds the midpoints of the coefficient intervals, every entry
+    rounded by ``limit_denominator(2^b)``, at index b for b = 0 ..
+    ROUNDING_DENOMINATOR_BITS: the probes :func:`fan_probes` tries.
+    """
+
     index: int  # s in 1..n+1
-    bits: int
     sin_coeff: Enclosure
     cos_coeff: Enclosure
     phi1: SparseVec
     phi2: SparseVec
+    ladder: Tuple[SparseVec, ...] = field(init=False, repr=False, compare=False)
 
-    @staticmethod
-    def build(
-        n: int, index: int, phi1: SparseVec, phi2: SparseVec, bits: int
-    ) -> "FanFunctional":
-        zeta = fan_angles(n, bits)[index - 1]
-        return FanFunctional(
-            n, index, bits, sin_enclosure(zeta, bits), cos_enclosure(zeta, bits), phi1, phi2
-        )
+    def __post_init__(self) -> None:
+        target = {i: self.coefficient_interval(i).midpoint() for i in self.support()}
+        object.__setattr__(self, "ladder", tuple(
+            SparseVec({i: v.limit_denominator(1 << b) for i, v in target.items()})
+            for b in range(ROUNDING_DENOMINATOR_BITS + 1)
+        ))
 
     def pair_interval(self, x: SparseVec) -> Enclosure:
         p1, p2 = pair(x, self.phi1), pair(x, self.phi2)
@@ -85,20 +86,22 @@ class FanFunctional:
 
 
 @lru_cache
-def build_fan(
-    n: int, phi1: SparseVec, phi2: SparseVec, bits: int = DEFAULT_ANGLE_BITS
-) -> Tuple[FanFunctional, ...]:
-    """The n+1 midpoint-angle functionals with interval coefficients.
+def build_fan(n: int, phi1: SparseVec, phi2: SparseVec) -> Tuple[FanFunctional, ...]:
+    """The n+1 midpoint-angle functionals with interval coefficients and
+    their rounding ladders.
 
     All midpoint angles lie strictly inside (0, pi/2), so both
-    coefficients are certified positive at any reasonable precision.
-    Cached: a descent asks for the same fan at every step.
+    coefficients are certified positive.  Cached, the package's one fan
+    cache: a descent asks for the same fan at every step.
     """
     if n < 2:
         raise PreconditionError("the fan construction needs codimension >= 2")
     if phi1 == phi2:
         raise PreconditionError("the two anchor functionals must differ")
-    return tuple(FanFunctional.build(n, s, phi1, phi2, bits) for s in range(1, n + 2))
+    return tuple(
+        FanFunctional(s, sin_enclosure(zeta), cos_enclosure(zeta), phi1, phi2)
+        for s, zeta in enumerate(fan_angles(n), start=1)
+    )
 
 
 # -- probes -------------------------------------------------------------------
@@ -116,19 +119,6 @@ def _probe_pool(support: Sequence[int]) -> Iterator[SparseVec]:
                 yield SparseVec({i: gi, j: gj})
 
 
-@lru_cache(maxsize=1024)
-def _roundings(f: FanFunctional) -> Tuple[SparseVec, ...]:
-    """The midpoints of ``f``'s coefficient intervals, every entry rounded
-    by ``limit_denominator(2^b)``, at index b for b = 0 ..
-    ROUNDING_DENOMINATOR_BITS.  Cached: a descent asks for the same fan at
-    every step."""
-    target = {i: f.coefficient_interval(i).midpoint() for i in f.support()}
-    return tuple(
-        SparseVec({i: v.limit_denominator(1 << b) for i, v in target.items()})
-        for b in range(ROUNDING_DENOMINATOR_BITS + 1)
-    )
-
-
 def fan_probes(
     table: ConstructionTable, fan: Sequence[FanFunctional], count: int, depth: int,
     admissible: Callable[[SparseVec, List[int]], bool], pool_support: Sequence[int],
@@ -137,10 +127,10 @@ def fan_probes(
     stream entries and pass ``admissible(z, positions)``, positions being
     their occurrences.
 
-    The midpoints of the fan's coefficient intervals are rounded with
-    denominators up to 2^b, b = ROUNDING_DENOMINATOR_BITS .. 0, until all of
-    them pass; the best partial fan is topped up from a deterministic pool
-    of low-height probes over ``pool_support``.
+    The rungs of the fan's ladders are tried from b =
+    ROUNDING_DENOMINATOR_BITS down to 0 until all of them pass; the best
+    partial fan is topped up from a deterministic pool of low-height probes
+    over ``pool_support``.
     """
     def accept(z: SparseVec, chosen: List[SparseVec]) -> bool:
         if z.is_zero() or z in chosen:
@@ -148,7 +138,7 @@ def fan_probes(
         positions = table.occurrence_positions(z, depth)
         return bool(positions) and admissible(z, positions)
 
-    ladders = [_roundings(f) for f in fan]
+    ladders = [f.ladder for f in fan]
     chosen: List[SparseVec] = []
     for bits in range(ROUNDING_DENOMINATOR_BITS, -1, -1):
         attempt: List[SparseVec] = []
@@ -174,11 +164,11 @@ def demo_points(n: int) -> List[SparseVec]:
     coset minimality is not (and cannot be) enforced at desk scale.
     """
     points = []
-    for r, beta in enumerate(base_angles(n, DEFAULT_ANGLE_BITS)):
+    for r, beta in enumerate(base_angles(n)):
         if r == 0:
             continue
-        c = cos_enclosure(beta, DEFAULT_ANGLE_BITS).midpoint().limit_denominator(1 << 34)
-        s = sin_enclosure(beta, DEFAULT_ANGLE_BITS).midpoint().limit_denominator(1 << 34)
+        c = cos_enclosure(beta).midpoint().limit_denominator(1 << 34)
+        s = sin_enclosure(beta).midpoint().limit_denominator(1 << 34)
         points.append(SparseVec({1: c, 2: s}))
     return points
 
@@ -187,7 +177,7 @@ def certified_sign(x: SparseVec, f: Union[FanFunctional, SparseVec]) -> int:
     """Certified sign of the pairing of x with an exact or fan functional.
 
     Exact probes give exact signs (sign of 0 is +1 by convention); a fan
-    functional's sign is read at the fan's own precision, and
+    functional's sign is read at ANGLE_BITS, and
     PrecisionBudgetError is raised when its pairing interval contains 0.
     """
     if isinstance(f, SparseVec):
@@ -195,7 +185,7 @@ def certified_sign(x: SparseVec, f: Union[FanFunctional, SparseVec]) -> int:
     sign = f.pair_interval(x).sign()
     if not sign:
         raise PrecisionBudgetError(
-            f"sign undetermined at {f.bits} bits (point {x!r}, fan index {f.index})"
+            f"sign undetermined at {ANGLE_BITS} bits (point {x!r}, fan index {f.index})"
         )
     return sign
 
@@ -225,9 +215,9 @@ def demo_probes(
     """Distinct stream-visible probes pairing nonzero with every point:
     :func:`fan_probes` of the fan, topped up from the pool over its support."""
     n_probes = len(fan)
-    support = fan[0].support() if fan else (1, 2)
     chosen = fan_probes(
-        table, fan, n_probes, depth, lambda z, _: all(pair(x, z) != 0 for x in points), support
+        table, fan, n_probes, depth, lambda z, _: all(pair(x, z) != 0 for x in points),
+        fan[0].support(),
     )
     if len(chosen) < n_probes:
         raise PreconditionError(
@@ -260,7 +250,7 @@ def run_demo(table, n: int) -> Dict:
     """
     phi1, phi2 = SparseVec.unit(1), SparseVec.unit(2)
     fan = build_fan(n, phi1, phi2)
-    betas = base_angles(n, DEFAULT_ANGLE_BITS)
+    betas = base_angles(n)
     points = demo_points(n)
     predicted = SignMatrix.predicted(n)
     psi_table = sign_table(points, fan)

@@ -159,8 +159,8 @@ def build_probes(table: ConstructionTable, subspace: Subspace, x: SparseVec) -> 
     stream prefix, and pairing to exactly nonzero values with x.
 
     :func:`demo.fan_probes` of the rotated-functional fan of the first two
-    functionals (at 64 bits; none for codimension 1), topped up from the
-    pool over the functionals' support.
+    functionals (none for codimension 1), topped up from the pool over the
+    functionals' support.
     """
     n = subspace.codimension + 1
     depth = REPORT_DEPTH
@@ -174,7 +174,7 @@ def build_probes(table: ConstructionTable, subspace: Subspace, x: SparseVec) -> 
 
     fan = ()
     if subspace.codimension >= 2:
-        fan = build_fan(subspace.codimension, *subspace.functionals[:2], 64)
+        fan = build_fan(subspace.codimension, *subspace.functionals[:2])
     pool_support = [i for phi in subspace.functionals for i in phi.support()]
     chosen = fan_probes(table, fan, n, depth, admissible, pool_support)
     if len(chosen) < n:

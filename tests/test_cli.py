@@ -428,6 +428,15 @@ MALFORMED_REPORTS = {
     "reasons-string": (lambda r: r["excluded"].update({"4": "abc"}),
                        "exclusion reasons must be a list of strings"),
     "usable-number": (lambda r: r.update(usable=16), "report usable has the wrong JSON type"),
+    # index sets that disagree used to crash span_match_feasible with a KeyError
+    "eps-upper-missing-index": (lambda r: r["eps_upper"].clear(),
+                                "report eps_upper indices differ from the usable indices"),
+    "eps-lower-extra-index": (lambda r: r["eps_lower"].update({"5": "1/2"}),
+                              "report eps_lower indices differ from the usable indices"),
+    "gamma-missing-index": (lambda r: r["gamma"].clear(),
+                            "report gamma indices differ from the usable indices"),
+    "usable-without-gamma": (lambda r: r.update(usable=[5, 16]),
+                             "report gamma indices differ from the usable indices"),
 }
 
 

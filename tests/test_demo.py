@@ -8,7 +8,6 @@ import pytest
 from proxinorm import demo
 from proxinorm.approxlin import build_report, span_match_feasible
 from proxinorm.demo import (
-    DEFAULT_ANGLE_BITS,
     SignMatrix,
     build_fan,
     demo_points,
@@ -20,10 +19,15 @@ from proxinorm.demo import (
     theta_blocks,
 )
 from proxinorm.errors import PrecisionBudgetError, PreconditionError
-from proxinorm.trig import base_angles
+from proxinorm.trig import ANGLE_BITS, base_angles
 from proxinorm.vectors import SparseVec, pair, sgn
 
 mpmath.mp.dps = 60
+
+
+def mp_fraction(x) -> Fraction:
+    """High-precision oracle value as an exact rational (50 digits)."""
+    return Fraction(mpmath.nstr(x, 50, strip_zeros=False))
 
 
 def rational_rref_determinant(rows):
@@ -48,18 +52,16 @@ def rational_rref_determinant(rows):
 
 
 def test_fan_midpoint_angles_n2():
-    fan = build_fan(2, SparseVec.unit(1), SparseVec.unit(2), 64)
+    fan = build_fan(2, SparseVec.unit(1), SparseVec.unit(2))
     for s, f in enumerate(fan, start=1):
         zeta = mpmath.pi * (2 * s - 1) / 12
-        sin_oracle = Fraction(mpmath.nstr(mpmath.sin(zeta), 50, strip_zeros=False))
-        cos_oracle = Fraction(mpmath.nstr(mpmath.cos(zeta), 50, strip_zeros=False))
-        assert f.sin_coeff.lo < sin_oracle < f.sin_coeff.hi
-        assert f.cos_coeff.lo < cos_oracle < f.cos_coeff.hi
+        assert f.sin_coeff.lo < mp_fraction(mpmath.sin(zeta)) < f.sin_coeff.hi
+        assert f.cos_coeff.lo < mp_fraction(mpmath.cos(zeta)) < f.cos_coeff.hi
 
 
 def test_fan_coefficients_never_straddle_zero():
     for n in range(2, 7):
-        for f in build_fan(n, SparseVec.unit(1), SparseVec.unit(2), 64):
+        for f in build_fan(n, SparseVec.unit(1), SparseVec.unit(2)):
             assert f.sin_coeff.sign() == 1
             assert f.cos_coeff.sign() == 1
             for i in (1, 2):
@@ -83,14 +85,16 @@ def test_sign_table_invariant_under_positive_scaling():
 
 
 def test_sign_table_raises_near_a_fan_kernel():
-    """A fan's sign is read at the fan's own precision: a point within
-    2^-60 of a 44-bit fan functional's kernel has no certified sign there."""
-    e1, e2 = SparseVec.unit(1), SparseVec.unit(2)
-    fine = build_fan(2, e1, e2, 96)[0]
-    x = SparseVec({1: fine.cos_coeff.midpoint(), 2: fine.sin_coeff.midpoint()})
-    assert abs(fine.pair_interval(x)).hi < Fraction(1, 1 << 60)
-    fan = build_fan(2, e1, e2)
-    assert fan[0].bits == DEFAULT_ANGLE_BITS == 44
+    """A fan's sign is read at ANGLE_BITS: a point within 2^-60 of a fan
+    functional's kernel has no certified sign there."""
+    zeta = mpmath.pi / 12  # the first midpoint angle at n = 2
+    c, s = mp_fraction(mpmath.cos(zeta)), mp_fraction(mpmath.sin(zeta))
+    x = SparseVec({1: c, 2: s})
+    # <x, psi_1> = sin(zeta) c - cos(zeta) s, which is 0 at the exact (c, s)
+    assert abs(mpmath.sin(zeta) * c.numerator / c.denominator
+               - mpmath.cos(zeta) * s.numerator / s.denominator) < mpmath.mpf(2) ** -60
+    fan = build_fan(2, SparseVec.unit(1), SparseVec.unit(2))
+    assert ANGLE_BITS == 44
     with pytest.raises(PrecisionBudgetError, match="sign undetermined at 44 bits"):
         sign_table([x], fan)
 
@@ -159,7 +163,7 @@ def test_run_demo_narrative(table):
     assert out["z_matches_prediction"] is True
     assert all(entry["constant_per_block"] for entry in out["theta"])
     assert len(out["points"]) == 3 and len(out["probes"]) == 3
-    ladder = base_angles(2, DEFAULT_ANGLE_BITS)
+    ladder = base_angles(2)
     assert len(ladder) == 4  # r = 0..n+1
     assert all(t.width() < Fraction(1, 1 << 40) for t in ladder)
     # the ladder runs from 0 up to a quarter turn

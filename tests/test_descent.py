@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -263,27 +264,77 @@ def fresh_roundings(f):
     )
 
 
-def test_cached_fan_rounding_matches_fresh_rounding(table, criterion6_starts, monkeypatch):
+def test_cached_fan_rounding_matches_fresh_rounding():
+    """Descent and the demo read the ladders of one cached fan, and every
+    ladder equals a rounding computed afresh."""
     H = codim2_subspace()
-    points = list(criterion6_starts) + minimizing_sequence(
-        table, H, criterion6_starts[0], 3
-    ).iterates()[1:]
     e1, e2 = SparseVec.unit(1), SparseVec.unit(2)
+    assert build_fan(H.codimension, *H.functionals[:2]) is build_fan(2, e1, e2)
+    for n in range(2, 7):
+        for f in build_fan(n, e1, e2):
+            assert f.ladder == fresh_roundings(f)
 
-    def all_demo_probes():
-        return [
-            demo_probes(table, demo_points(n), build_fan(n, e1, e2, 44), 500)
-            for n in range(2, 7)
-        ]
 
-    # every target after the first point is rounded from the cache
-    cached = [build_probes(table, H, x) for x in points]
-    cached_demo = all_demo_probes()
-    assert all_demo_probes() == cached_demo
-    # the one rounding step both probe builders share
-    monkeypatch.setattr(demo, "_roundings", fresh_roundings)
-    assert [build_probes(table, H, x) for x in points] == cached
-    assert all_demo_probes() == cached_demo
+#: Anchor pairs (phi1, phi2) of the fans below: e1/e2 and dense functionals
+#: over indices 1..4.
+FAN_ANCHORS = [
+    ({"1": "1"}, {"2": "1"}),
+    ({"1": "1", "3": "1/2"}, {"2": "1", "4": "-1"}),
+    ({"1": "2", "2": "-1", "3": "1"}, {"2": "1", "4": "1/3"}),
+    ({"1": "1/2", "4": "1"}, {"1": "1", "2": "1", "3": "1", "4": "1"}),
+    ({"1": "1", "2": "1/2", "3": "-1/4", "4": "1/8"}, {"1": "-1", "2": "1", "3": "1", "4": "-1"}),
+    ({"1": "-3", "2": "2"}, {"1": "1", "3": "-2", "4": "5"}),
+]
+
+
+class ExactFan:
+    """A stand-in fan functional whose rounding ladder is rounded from the
+    60-digit mpmath coefficients of psi_s, not from ANGLE_BITS enclosures."""
+
+    def __init__(self, n, s, phi1, phi2):
+        self._support = tuple(sorted(set(phi1.support()) | set(phi2.support())))
+        with mpmath.workdps(60):
+            zeta = mpmath.pi * (2 * s - 1) / (4 * n + 4)
+            target = {
+                i: Fraction(mpmath.nstr(
+                    mpmath.sin(zeta) * mpmath.mpf(phi1[i].numerator) / phi1[i].denominator
+                    - mpmath.cos(zeta) * mpmath.mpf(phi2[i].numerator) / phi2[i].denominator,
+                    50, strip_zeros=False,
+                ))
+                for i in self._support
+            }
+        self.ladder = tuple(
+            SparseVec({i: v.limit_denominator(1 << b) for i, v in target.items()})
+            for b in range(demo.ROUNDING_DENOMINATOR_BITS + 1)
+        )
+
+    def support(self):
+        return self._support
+
+
+def test_chosen_probes_do_not_depend_on_the_fan_precision(table, monkeypatch):
+    """Descent's and the demo's probes from the ANGLE_BITS fan are the probes
+    that ladders rounded from exact coefficients give, for n = 2..8.  Single
+    rungs may differ; the selections may not."""
+    x = SparseVec({1: Fraction(1, 3), 2: Fraction(-2, 5), 3: Fraction(1, 7), 4: Fraction(1, 5)})
+    picked, picked_rungs = 0, 0
+    for n in range(2, 9):
+        points = demo_points(n)
+        for anchors in FAN_ANCHORS:
+            phi1, phi2 = (SparseVec.from_json(phi) for phi in anchors)
+            H = Subspace([phi1, phi2] + [SparseVec.unit(10 + j) for j in range(n - 2)])
+            fan = build_fan(n, phi1, phi2)
+            exact = [ExactFan(n, s, phi1, phi2) for s in range(1, n + 2)]
+            chosen = [build_probes(table, H, x), demo_probes(table, points, fan, 500)]
+            with monkeypatch.context() as patched:
+                patched.setattr(descent, "build_fan", lambda *_: exact)
+                again = [build_probes(table, H, x), demo_probes(table, points, exact, 500)]
+            assert again == chosen, (n, anchors)
+            rungs = {z for f in fan for z in f.ladder}
+            picked += sum(map(len, chosen))
+            picked_rungs += sum(z in rungs for probes in chosen for z in probes)
+    # a quarter or more of the compared probes are rungs, not the pool's top-up
+    assert 4 * picked_rungs > picked
 
 
 def test_chain_certificates_share_enclosures(table, criterion6_starts):
