@@ -17,9 +17,8 @@ _EXPORTS = {
         "verify_linearity_bound",
     ),
     "bits": (),
-    "config": ("Config", "load_config"),
     "construction": ("ConstructionTable", "canonical_table"),
-    "demo": ("SignMatrix", "independence_check", "run_demo", "sign_table"),
+    "demo": ("run_demo", "sign_table"),
     "descent": (
         "DescentCertificate", "DescentChain", "Subspace", "certify_descent",
         "find_descent_direction", "minimizing_sequence", "verify_certificate", "verify_chain",
@@ -33,7 +32,7 @@ _EXPORTS = {
         "derivative_from_json", "derivative_to_json", "dminus_norm", "dplus_norm", "dplus_sup",
     ),
     "kernel": (),
-    "linalg": ("LinearSystem", "feasible", "kernel_directions"),
+    "linalg": ("feasible", "kernel_directions"),
     "norms": ("norm_enclosure",),
     "trig": (),
     "vectors": ("Enclosure", "SparseVec", "l1_norm", "pair", "sgn", "sup_norm"),

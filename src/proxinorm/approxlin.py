@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bits import bits_for_target, dyadic_sign, dyadic_sum, scale_pow2, split_pow2
+from .bits import bits_for_target, dyadic_parts, dyadic_sum, scale_pow2, split_pow2
 from .construction import ConstructionTable
 from .errors import HypothesisError, InputFormatError, PreconditionError
 from .gateaux import dplus_norm
-from .linalg import LinearSystem, feasible
+from .linalg import feasible
 from .norms import DEFAULT_PRECISION_BITS
 from .vectors import (
     Enclosure,
@@ -286,7 +286,8 @@ def coherence_margin(report: LinearityReport, v: SparseVec) -> Fraction:
     """
     _check_direction(report, v)
     pairing, budget = _terms(report, v, report.eps_hi)
-    s = dyadic_sign(pairing)
+    num = dyadic_parts(pairing)[0]
+    s = (num > 0) - (num < 0)
     return dyadic_sum([(s * n, q, e) for n, q, e in pairing] + [(-n, q, e) for n, q, e in budget])
 
 
@@ -309,13 +310,12 @@ def span_match_feasible(
     outside = [i for i in idx if i not in report.gamma]
     if outside:
         raise PreconditionError(f"indices outside the usable prefix: {outside}")
-    system = LinearSystem()
+    rows = []
     for i in idx:
         coeffs = SparseVec({t + 1: phi[i] for t, phi in enumerate(functionals)})
         bound = report.eps_hi[i] * abs(report.gamma[i])
-        system.add(coeffs, report.gamma[i] + bound)
-        system.add(-coeffs, bound - report.gamma[i])
-    ok, witness = feasible(system)
+        rows += [(coeffs, report.gamma[i] + bound), (-coeffs, bound - report.gamma[i])]
+    ok, witness = feasible(rows)
     if not ok:
         return False, None
     return True, SparseVec({t: c for t, c in witness.items() if c != 0})

@@ -67,13 +67,6 @@ def dyadic_parts(terms: Iterable[Tuple[int, int, int]]) -> Tuple[int, int, int]:
     return num, lcm_q, E
 
 
-def dyadic_sign(terms: Iterable[Tuple[int, int, int]]) -> int:
-    """Sign (-1, 0 or 1) of :func:`dyadic_sum` of the same terms, without
-    building the Fraction."""
-    num = dyadic_parts(terms)[0]
-    return (num > 0) - (num < 0)
-
-
 def dyadic_sum(terms: Iterable[Tuple[int, int, int]]) -> Fraction:
     """Exact sum of n / (q * 2^e) over ``(n, q, e)`` terms, q > 0, e >= 0.
 

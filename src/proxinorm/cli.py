@@ -9,17 +9,59 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
 
-# Only the stream (``config`` loads it anyway) and ``norms`` (the ``--bits``
-# default) load here; each command imports the rest of the stack it calls.
-from .config import Config, _read_text, load_config
-from .construction import canonical_table
-from .errors import BudgetError, PreconditionError, ProxinormError
+# Only the stream and ``norms`` (the ``--bits`` default) load here; each
+# command imports the rest of the stack it calls.
+from .construction import DEFAULT_DEPTH_BUDGET, canonical_table
+from .errors import BudgetError, InputFormatError, PreconditionError, ProxinormError
 from .norms import DEFAULT_PRECISION_BITS, norm_enclosure
 from .vectors import SparseVec, parse_int
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file; an unreadable file is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise InputFormatError(f"no such file: {path}")
+    except OSError as exc:
+        raise InputFormatError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text (byte {exc.start})")
+
+
+def _depth_budget(path: Optional[str]) -> int:
+    """The construction table's depth limit, the one configuration key.
+
+    Sources, later wins: the default, a file of ``key = value`` lines (#
+    comments allowed), then ``PROXINORM_DEPTH_BUDGET``.  The value is
+    decimal digits, parsed as JSON keys are, and at least 1.
+    """
+    values = {}
+    if path is not None:
+        for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise InputFormatError(f"{path}:{lineno}: expected key = value")
+            key, _, val = line.partition("=")
+            values[key.strip()] = val.strip()
+        for key in values:
+            if key != "depth_budget":
+                raise InputFormatError(f"unknown config key {key!r}")
+    value = os.environ.get("PROXINORM_DEPTH_BUDGET", values.get("depth_budget"))
+    if value is None:
+        return DEFAULT_DEPTH_BUDGET
+    budget = parse_int(value.strip(), "config key 'depth_budget'", key=True)
+    if budget < 1:
+        raise InputFormatError("config key 'depth_budget' must be a positive integer")
+    return budget
 
 
 def _load_json(path: str):
@@ -59,38 +101,38 @@ def _trial_directions(report, count: int) -> List[SparseVec]:
     return out
 
 
-def _cmd_construct(args, config: Config) -> int:
+def _cmd_construct(args, budget: int) -> int:
     if args.k_max < 1:
         raise PreconditionError("--k-max must be >= 1")
-    table = canonical_table(config.depth_budget)
+    table = canonical_table(budget)
     for k, u, a in table.prefix(args.k_max):
         sys.stdout.write(json.dumps({"k": k, "u": u.to_json(), "a": a}) + "\n")
     return 0
 
 
-def _cmd_norm(args, config: Config) -> int:
-    table = canonical_table(config.depth_budget)
+def _cmd_norm(args, budget: int) -> int:
+    table = canonical_table(budget)
     enc = norm_enclosure(table, _load_vec(args.vec), args.bits)
     _emit(enc.to_json())
     return 0
 
 
-def _cmd_deriv(args, config: Config) -> int:
+def _cmd_deriv(args, budget: int) -> int:
     from .gateaux import derivative_to_json, dminus_norm, dplus_norm
 
-    table = canonical_table(config.depth_budget)
+    table = canonical_table(budget)
     x, u = _load_vec(args.x), _load_vec(args.u)
     enc = dminus_norm(table, x, u, args.bits) if args.minus else dplus_norm(table, x, u, args.bits)
     _emit(derivative_to_json(enc))
     return 0
 
 
-def _cmd_approxlin(args, config: Config) -> int:
+def _cmd_approxlin(args, budget: int) -> int:
     from .approxlin import build_report, verify_linearity_bound
 
     if args.trials < 0:
         raise PreconditionError("--trials must be >= 0")
-    table = canonical_table(config.depth_budget)
+    table = canonical_table(budget)
     x = _load_vec(args.x)
     probes = [_load_vec(p) for p in args.z]
     report = build_report(table, x, probes, args.prefix)
@@ -100,7 +142,7 @@ def _cmd_approxlin(args, config: Config) -> int:
     return 0
 
 
-def _cmd_feasible(args, config: Config) -> int:
+def _cmd_feasible(args, budget: int) -> int:
     from .approxlin import LinearityReport, span_match_feasible
 
     report = LinearityReport.from_json(_load_json(args.report))
@@ -120,10 +162,10 @@ def _cmd_feasible(args, config: Config) -> int:
     return 0
 
 
-def _cmd_descend(args, config: Config) -> int:
+def _cmd_descend(args, budget: int) -> int:
     from .descent import Subspace, minimizing_sequence
 
-    table = canonical_table(config.depth_budget)
+    table = canonical_table(budget)
     subspace = Subspace([_load_vec(p) for p in args.phi])
     x0 = _load_vec(args.x0)
     chain = minimizing_sequence(table, subspace, x0, args.steps)
@@ -133,20 +175,20 @@ def _cmd_descend(args, config: Config) -> int:
     return 0
 
 
-def _cmd_verify(args, config: Config) -> int:
+def _cmd_verify(args, budget: int) -> int:
     from .descent import DescentChain, verify_chain
 
     chain = DescentChain.from_json(_load_json(args.cert))
-    table = canonical_table(config.depth_budget)
+    table = canonical_table(budget)
     problems = verify_chain(table, chain)
     _emit({"valid": not problems, "problems": problems})
     return 0 if not problems else 1
 
 
-def _cmd_demo(args, config: Config) -> int:
+def _cmd_demo(args, budget: int) -> int:
     from .demo import run_demo
 
-    table = canonical_table(config.depth_budget)
+    table = canonical_table(budget)
     _emit(run_demo(table, args.n))
     return 0
 
@@ -209,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        return args.func(args, config)
+        return args.func(args, _depth_budget(args.config))
     except BudgetError as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         return 2

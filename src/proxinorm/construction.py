@@ -222,15 +222,6 @@ class ConstructionTable:
         upper = Fraction(hi_num, 1 << g) + majorant
         return Fraction(lo_num, 1 << g), round_dyadic(upper, g, up=True)
 
-    def growth_prefix_dyadic(self, k_max: int) -> Tuple[int, int]:
-        """(num, exp) with sum over k <= k_max of (1+a_k)*2^(-a_k^2) = num/2^exp.
-
-        Pure integer accumulation; avoids giant gcd normalizations.
-        """
-        self._extend_to(k_max)
-        num, _, exp = dyadic_parts((1 + a, 1, a * a) for a in self._tags[:k_max])
-        return num, exp
-
 
 def canonical_table(depth_budget: int = DEFAULT_DEPTH_BUDGET) -> ConstructionTable:
     return ConstructionTable(depth_budget)

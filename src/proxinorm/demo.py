@@ -31,23 +31,9 @@ from .vectors import Enclosure, SparseVec, format_rational, pair, sgn
 ROUNDING_DENOMINATOR_BITS = 16  # finest fan-probe rounding, 2^-16
 
 
-@dataclass(frozen=True)
-class SignMatrix:
-    """Predicted sign rows: row r has r entries -1 followed by +1s."""
-
-    n: int
-    rows: Tuple[Tuple[int, ...], ...]
-
-    @staticmethod
-    def predicted(n: int) -> "SignMatrix":
-        rows = tuple(tuple([-1] * r + [1] * (n + 1 - r)) for r in range(1, n + 2))
-        return SignMatrix(n, rows)
-
-
-def independence_check(matrix: SignMatrix) -> Tuple[bool, int]:
-    """(linearly independent, exact determinant) for the sign rows."""
-    det = int_determinant(matrix.rows)
-    return det != 0, det
+def _predicted_rows(n: int) -> List[List[int]]:
+    """The predicted sign rows: row r has r entries -1 followed by +1s."""
+    return [[-1] * r + [1] * (n + 1 - r) for r in range(1, n + 2)]
 
 
 @dataclass(frozen=True)
@@ -252,9 +238,9 @@ def run_demo(table, n: int) -> Dict:
     fan = build_fan(n, phi1, phi2)
     betas = base_angles(n)
     points = demo_points(n)
-    predicted = SignMatrix.predicted(n)
+    predicted = _predicted_rows(n)
     psi_table = sign_table(points, fan)
-    independent, det = independence_check(predicted)
+    det = int_determinant(predicted)
 
     probes = demo_probes(table, points, fan, REPORT_DEPTH)
     z_table = sign_table(points, probes)
@@ -302,14 +288,14 @@ def run_demo(table, n: int) -> Dict:
             for f in fan
         ],
         "points": [x.to_json() for x in points],
-        "predicted_rows": [list(row) for row in predicted.rows],
+        "predicted_rows": predicted,
         "psi_sign_table": psi_table,
-        "psi_matches_prediction": psi_table == [list(r) for r in predicted.rows],
+        "psi_matches_prediction": psi_table == predicted,
         "determinant": det,
-        "independent": independent,
+        "independent": det != 0,
         "probes": [z.to_json() for z in probes],
         "z_sign_table": z_table,
-        "z_matches_prediction": z_table == [list(r) for r in predicted.rows],
+        "z_matches_prediction": z_table == predicted,
         "rounding": {
             "l1_distances": [_display(d, up=True) for d in distances],
             "half_min_pairing": _display(threshold),

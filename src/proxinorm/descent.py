@@ -265,7 +265,7 @@ def certify_descent(
     x: SparseVec,
     v: SparseVec,
     evidence: SignEvidence,
-    norm_x: Optional[Enclosure] = None,
+    norm_x: Optional[Enclosure],
 ) -> DescentCertificate:
     """Dyadic line search to a certified strict decrease along the ray.
 
@@ -319,12 +319,6 @@ class DescentChain:
     subspace: Subspace
     x0: SparseVec
     certificates: List[DescentCertificate] = field(default_factory=list)
-
-    def iterates(self) -> List[SparseVec]:
-        pts = [self.x0]
-        for cert in self.certificates:
-            pts.append(cert.next_point())
-        return pts
 
     def iterate_enclosures(self) -> List[Enclosure]:
         """One enclosure per iterate, strictly decreasing by construction.

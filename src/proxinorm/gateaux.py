@@ -15,7 +15,7 @@ from typing import Dict
 from .bits import dyadic_sum
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError
-from .norms import DEFAULT_PRECISION_BITS, _minimal_depth
+from .norms import _minimal_depth
 from .vectors import Enclosure, SparseVec, pair, sgn, sup_norm
 
 
@@ -95,7 +95,7 @@ def dplus_norm(
     table: ConstructionTable,
     x: SparseVec,
     u: SparseVec,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    precision_bits: int,
 ) -> Enclosure:
     """Right derivative of the series norm, width < 2^(-precision_bits).
     A width target w > 0 is met at ``bits.bits_for_target(w)`` bits."""
@@ -107,7 +107,7 @@ def dminus_norm(
     table: ConstructionTable,
     x: SparseVec,
     u: SparseVec,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    precision_bits: int,
 ) -> Enclosure:
     """Left derivative: the reflection -d_plus(x; -u), interval-wise."""
     return -dplus_norm(table, x, -u, precision_bits)

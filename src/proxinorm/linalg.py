@@ -11,7 +11,6 @@ A fixed row-count budget, ``ELIMINATION_BUDGET``, guards against misuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -103,24 +102,12 @@ def int_determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * p if len(pivots) == len(rows) else 0
 
 
-@dataclass
-class LinearSystem:
-    """Finitely many exact constraints coeffs . vars <= rhs over numbered variables."""
-
-    rows: List[Tuple[SparseVec, Fraction]] = field(default_factory=list)
-
-    def add(self, coeffs: SparseVec, rhs: RationalLike) -> None:
-        self.rows.append((coeffs, _as_fraction(rhs)))
-
-    def variable_set(self) -> Tuple[int, ...]:
-        seen = set()
-        for coeffs, _ in self.rows:
-            seen.update(coeffs.support())
-        return tuple(sorted(seen))
-
-
-def feasible(system: LinearSystem) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
-    """Exact satisfiability of the system, with a witness when satisfiable.
+def feasible(
+    rows: Sequence[Tuple[SparseVec, RationalLike]],
+) -> Tuple[bool, Optional[Dict[int, Fraction]]]:
+    """Exact satisfiability of the constraints coeffs . vars <= rhs, one per
+    ``(coeffs, rhs)`` row over numbered variables, with a witness when
+    satisfiable.
 
     Fourier-Motzkin elimination decides it; a variable pinned by two
     opposite rows is eliminated through that equality.  The witness is
@@ -129,11 +116,12 @@ def feasible(system: LinearSystem) -> Tuple[bool, Optional[Dict[int, Fraction]]]
     directions), so it is deterministic and satisfies every constraint
     exactly.
     """
-    variables = list(system.variable_set())
+    rows = [(coeffs, _as_fraction(rhs)) for coeffs, rhs in rows]
+    variables = sorted({i for coeffs, _ in rows for i in coeffs.support()})
 
     # Fourier-Motzkin, eliminating the highest-numbered variable first.
     stages: List[Tuple[int, List[Tuple[Dict[int, Fraction], Fraction]]]] = []
-    current = [(dict(coeffs.items()), rhs) for coeffs, rhs in system.rows]  # sum <= rhs
+    current = [(dict(coeffs.items()), rhs) for coeffs, rhs in rows]  # sum <= rhs
     for var in reversed(variables):
         stages.append((var, current))
         lower: List[Tuple[Dict[int, Fraction], Fraction]] = []  # var >= expr
@@ -208,7 +196,7 @@ def feasible(system: LinearSystem) -> Tuple[bool, Optional[Dict[int, Fraction]]]
             witness[var] = Fraction(0)
 
     assignment = SparseVec({v: witness[v] for v in variables if witness[v] != 0})
-    for coeffs, rhs in system.rows:
+    for coeffs, rhs in rows:
         if pair(coeffs, assignment) > rhs:
             raise RuntimeError("witness violates an inequality")
     return True, witness

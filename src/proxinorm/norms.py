@@ -75,7 +75,7 @@ def norm_depth(table: ConstructionTable, x: SparseVec, precision_bits: int) -> i
 
 
 def norm_enclosure(
-    table: ConstructionTable, x: SparseVec, precision_bits: int = DEFAULT_PRECISION_BITS
+    table: ConstructionTable, x: SparseVec, precision_bits: int
 ) -> Enclosure:
     """Certified enclosure of the series norm with width < 2^(-precision_bits).
     A width target w > 0 is met at ``bits.bits_for_target(w)`` bits."""

@@ -12,7 +12,6 @@ is exact: no rounding exists anywhere in this module.
 from __future__ import annotations
 
 import numbers
-from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterator, Mapping, Tuple, Union
@@ -60,6 +59,21 @@ def _to_int(literal: str) -> int:
         return -_to_int(literal[1:])
     mid = len(literal) // 2
     return _to_int(literal[:mid]) * 10 ** (len(literal) - mid) + _to_int(literal[mid:])
+
+
+def _to_str(n: int) -> str:
+    """``str(n)`` for an int of any size: past the int/str digit limit, the
+    halves of ``divmod(n, 10**k)`` are written and joined, the low one
+    zero-padded to k digits (k about half the digit count)."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _to_str(-n)
+    k = n.bit_length() * 3 // 20  # log10(2) / 2 is 0.1505...
+    high, low = divmod(n, 10**k)
+    return _to_str(high) + _to_str(low).zfill(k)
 
 
 def _lowest_terms(p: int, q: int) -> Tuple[int, int]:
@@ -120,8 +134,8 @@ def format_rational(value: Fraction) -> str:
     """Inverse of :func:`parse_rational`; integers drop the ``/1``."""
     try:
         num, den = str(value.numerator), str(value.denominator)
-    except ValueError:  # past the int/str digit limit; str(Decimal(n)) == str(n)
-        num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
+    except ValueError:  # past the int/str digit limit
+        num, den = _to_str(value.numerator), _to_str(value.denominator)
     return num if den == "1" else f"{num}/{den}"
 
 

@@ -12,13 +12,18 @@ import time
 from fractions import Fraction
 
 from proxinorm.approxlin import build_report, coherence_margin, verify_linearity_bound
-from proxinorm.bits import bits_for_target
+from proxinorm.bits import bits_for_target, dyadic_parts
 from proxinorm.construction import ConstructionTable
-from proxinorm.demo import SignMatrix, build_fan, demo_points, demo_probes, independence_check, sign_table, theta_blocks
+from proxinorm.demo import _predicted_rows, build_fan, demo_points, demo_probes, sign_table, theta_blocks
 from proxinorm.descent import DescentChain, Subspace, minimizing_sequence, verify_chain
 from proxinorm.gateaux import dminus_norm, dplus_norm
+from proxinorm.linalg import int_determinant
 from proxinorm.norms import norm_enclosure
 from proxinorm.vectors import SparseVec, l1_norm, pair, sgn, sup_norm
+
+
+def iterates(chain):
+    return [chain.x0, *(cert.next_point() for cert in chain.certificates)]
 
 
 def report_line(criterion, ok, detail):
@@ -68,7 +73,8 @@ def test_criterion_2_norm_equivalence(table):
         s = sup_norm(x)
         if not (enc.lo >= s and enc.hi <= 3 * s):
             failures += 1
-    num, exp = table.growth_prefix_dyadic(2000)
+    # sum over k <= 2000 of (1 + a_k) 2^(-a_k^2) = num / 2^exp, in integers
+    num, _, exp = dyadic_parts((1 + a, 1, a * a) for _, _, a in table.prefix(2000))
     series_ok = num < 2 << exp
     report_line(
         2,
@@ -197,7 +203,7 @@ def test_criterion_6_descent_codimension_2(table):
         chain = minimizing_sequence(table, H, x0, 10)
         assert len(chain.certificates) >= 10, f"run {run}: only {len(chain.certificates)} steps"
         base = H.pairings(x0)
-        assert all(H.pairings(p) == base for p in chain.iterates()), "coset drift"
+        assert all(H.pairings(p) == base for p in iterates(chain)), "coset drift"
         encs = chain.iterate_enclosures()
         assert all(b.hi < a.lo for a, b in zip(encs, encs[1:])), "chain not strictly decreasing"
         assert verify_chain(table, chain) == []
@@ -234,7 +240,7 @@ def test_criterion_6_descent_codimensions_5_and_6(table):
             chain = minimizing_sequence(table, H, x0, 4)
             assert len(chain.certificates) == 4, f"n={n}: only {len(chain.certificates)} steps"
             base = H.pairings(x0)
-            assert all(H.pairings(p) == base for p in chain.iterates()), f"n={n}: coset drift"
+            assert all(H.pairings(p) == base for p in iterates(chain)), f"n={n}: coset drift"
             encs = chain.iterate_enclosures()
             assert all(b.hi < a.lo for a, b in zip(encs, encs[1:])), f"n={n}: not strictly decreasing"
             assert verify_chain(ConstructionTable(), chain) == [], f"n={n}: does not re-verify"
@@ -269,13 +275,14 @@ def _rref_determinant(rows):
 
 def test_criterion_7_sign_apparatus(table):
     for n in range(2, 7):
-        predicted = SignMatrix.predicted(n)
+        predicted = _predicted_rows(n)
         fan = build_fan(n, SparseVec.unit(1), SparseVec.unit(2))
         points = demo_points(n)
-        assert sign_table(points, fan) == [list(r) for r in predicted.rows], f"n={n} table"
-        independent, det = independence_check(predicted)
+        assert sign_table(points, fan) == predicted, f"n={n} table"
+        det = int_determinant(predicted)
+        independent = det != 0
         assert independent and abs(det) == 2 ** n
-        assert Fraction(det) == _rref_determinant(predicted.rows), f"n={n} oracle"
+        assert Fraction(det) == _rref_determinant(predicted), f"n={n} oracle"
         probes = demo_probes(table, points, fan, 500)
         for x in points:
             rep = build_report(table, x, probes, 500)

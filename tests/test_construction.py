@@ -5,6 +5,7 @@ import pytest
 
 from proxinorm import construction
 from proxinorm.approxlin import build_report
+from proxinorm.bits import dyadic_parts
 from proxinorm.construction import (
     EXACT_HEAD_TERMS,
     ConstructionTable,
@@ -170,7 +171,9 @@ def test_report_eps_bounds_match_naive_weight_tail_bound(table, criterion6_start
 
 
 def test_growth_prefix_dyadic_matches_fractions(table):
-    num, exp = table.growth_prefix_dyadic(25)
+    """The integer form of the growth prefix that acceptance criterion 2
+    compares with 2."""
+    num, _, exp = dyadic_parts((1 + a, 1, a * a) for _, _, a in table.prefix(25))
     direct = sum(
         Fraction(1 + a, 1 << a * a) for _, _, a in table.prefix(25)
     )

@@ -8,11 +8,10 @@ import pytest
 from proxinorm import demo
 from proxinorm.approxlin import build_report, span_match_feasible
 from proxinorm.demo import (
-    SignMatrix,
+    _predicted_rows,
     build_fan,
     demo_points,
     demo_probes,
-    independence_check,
     int_determinant,
     run_demo,
     sign_table,
@@ -72,8 +71,7 @@ def test_fan_coefficients_never_straddle_zero():
 def test_sign_table_matches_prediction(n):
     fan = build_fan(n, SparseVec.unit(1), SparseVec.unit(2))
     points = demo_points(n)
-    predicted = SignMatrix.predicted(n)
-    assert sign_table(points, fan) == [list(row) for row in predicted.rows]
+    assert sign_table(points, fan) == _predicted_rows(n)
 
 
 def test_sign_table_invariant_under_positive_scaling():
@@ -100,20 +98,17 @@ def test_sign_table_raises_near_a_fan_kernel():
 
 
 def test_independence_small_hand_values():
-    m1 = SignMatrix(1, ((-1, 1), (-1, -1)))
-    ok, det = independence_check(m1)
-    assert ok and det == 2
-    ok, det = independence_check(SignMatrix.predicted(2))
-    assert ok and det == -4
+    assert int_determinant([[-1, 1], [-1, -1]]) == 2
+    assert _predicted_rows(2) == [[-1, 1, 1], [-1, -1, 1], [-1, -1, -1]]
+    assert int_determinant(_predicted_rows(2)) == -4
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_determinant_magnitude_vs_row_reduction_oracle(n):
-    matrix = SignMatrix.predicted(n)
-    ok, det = independence_check(matrix)
-    assert ok
+    rows = _predicted_rows(n)
+    det = int_determinant(rows)
     assert abs(det) == 2 ** n
-    assert Fraction(det) == rational_rref_determinant(matrix.rows)
+    assert Fraction(det) == rational_rref_determinant(rows)
 
 
 def test_theta_of_gamma_is_constant_per_block(table):

@@ -116,7 +116,7 @@ def test_certify_descent_step_and_sign(table):
     H = codim2_subspace()
     x = generic_point()
     v, evidence, _ = find_descent_direction(table, H, x)
-    cert = certify_descent(table, H, x, v, evidence)
+    cert = certify_descent(table, H, x, v, evidence, None)
     # step sign opposes the shared derivative sign
     assert (cert.h < 0) == (evidence.shared_sign > 0)
     assert cert.norm_after.hi < cert.norm_before.lo
@@ -131,7 +131,7 @@ def test_decrease_tracks_first_order_prediction(table):
     H = codim2_subspace()
     x = generic_point()
     v, evidence, _ = find_descent_direction(table, H, x)
-    cert = certify_descent(table, H, x, v, evidence)
+    cert = certify_descent(table, H, x, v, evidence, None)
     drop_lo = cert.norm_before.lo - cert.norm_after.hi
     drop_hi = cert.norm_before.hi - cert.norm_after.lo
     d = evidence.d_minus if evidence.shared_sign > 0 else evidence.d_plus
@@ -146,7 +146,7 @@ def test_minimizing_sequence_codim2(table):
     chain = minimizing_sequence(table, H, x0, 6)
     assert len(chain.certificates) == 6
     base = H.pairings(x0)
-    for pt in chain.iterates():
+    for pt in [chain.x0, *(cert.next_point() for cert in chain.certificates)]:
         assert H.pairings(pt) == base  # exact coset preservation
     encs = chain.iterate_enclosures()
     for a, b in zip(encs, encs[1:]):
@@ -167,7 +167,7 @@ def test_verifier_detects_single_field_tampering(table):
     H = codim2_subspace()
     x = generic_point()
     v, evidence, _ = find_descent_direction(table, H, x)
-    cert = certify_descent(table, H, x, v, evidence)
+    cert = certify_descent(table, H, x, v, evidence, None)
     assert verify_certificate(table, H, cert) == []
 
     good = cert.to_json()
@@ -224,7 +224,7 @@ def test_descent_with_functional_supported_on_tag_range(table):
     assert found is not None
     v, evidence, _ = found
     assert H.contains(v)
-    cert = certify_descent(table, H, x0, v, evidence)
+    cert = certify_descent(table, H, x0, v, evidence, None)
     assert cert.norm_after.hi < cert.norm_before.lo
     assert verify_certificate(table, H, cert) == []
 
@@ -352,7 +352,7 @@ def test_certify_descent_reuses_a_known_norm_only_at_its_depth(table):
     H = codim2_subspace()
     x = generic_point()
     v, evidence, _ = find_descent_direction(table, H, x)
-    fresh = certify_descent(table, H, x, v, evidence)
+    fresh = certify_descent(table, H, x, v, evidence, None)
     shallow = enclosure_at_depth(table, x, 2)
     assert shallow.depth != fresh.norm_before.depth
     cert = certify_descent(table, H, x, v, evidence, norm_x=shallow)

@@ -124,8 +124,8 @@ def test_kernel_shares_only_the_stream_with_the_producer():
     assert not imported & {"functools", "proxinorm.norms", "proxinorm.gateaux",
                            "proxinorm.bits", "proxinorm.approxlin"}
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    producer_paths = {"tail_bound", "weight_tail_bound", "_tail_memo", "growth_prefix_dyadic",
-                      "prefix", "entry", "tag", "occurrence_positions", "_vectors", "_tags"}
+    producer_paths = {"tail_bound", "weight_tail_bound", "_tail_memo", "prefix", "entry", "tag",
+                      "occurrence_positions", "_vectors", "_tags"}
     assert not attributes & producer_paths
 
 

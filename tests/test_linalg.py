@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from proxinorm import linalg
 from proxinorm.errors import EliminationBudgetError
-from proxinorm.linalg import LinearSystem, feasible, int_determinant, kernel_directions, rank
+from proxinorm.linalg import feasible, int_determinant, kernel_directions, rank
 from proxinorm.vectors import SparseVec, pair
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -171,44 +171,31 @@ def test_kernel_support_indices_below_one_rejected():
 def test_linear_system_rhs_is_a_fraction_or_int(rhs):
     """``Fraction`` would read the strings as 1000, 10 and 1/2, and 0.1 as
     3602879701896397/2^55."""
-    system = LinearSystem()
     with pytest.raises(TypeError, match="not a rational value"):
-        system.add(SparseVec.unit(1), rhs)
-    assert system.rows == []
+        feasible([(SparseVec.unit(2), 1), (SparseVec.unit(1), rhs)])
 
 
 @pytest.mark.parametrize("rhs", [True, False])
 def test_linear_system_rhs_rejects_bools(rhs):
-    """``add(row, True)`` used to store the bound 1."""
-    system = LinearSystem()
+    """A row's bound ``True`` is no bound 1."""
     with pytest.raises(TypeError, match="not a rational value"):
-        system.add(SparseVec.unit(1), rhs)
-    assert system.rows == []
+        feasible([(SparseVec.unit(1), rhs)])
 
 
 def test_feasible_empty_interval():
-    sys_ = LinearSystem()
-    sys_.add(SparseVec({1: 1}), 1)
-    sys_.add(SparseVec({1: -1}), -2)
-    ok, witness = feasible(sys_)
+    ok, witness = feasible([(SparseVec({1: 1}), 1), (SparseVec({1: -1}), -2)])
     assert not ok and witness is None
 
 
 def test_feasible_single_equality():
     # x1 = 0 as the pair x1 <= 0, -x1 <= 0
-    sys_ = LinearSystem()
-    sys_.add(SparseVec({1: 1}), 0)
-    sys_.add(SparseVec({1: -1}), 0)
-    ok, witness = feasible(sys_)
+    ok, witness = feasible([(SparseVec({1: 1}), 0), (SparseVec({1: -1}), 0)])
     assert ok and witness[1] == 0
 
 
 def test_feasible_interval_witness():
     # |c - (-1/8)| <= 1/16, i.e. c in [-3/16, -1/16]
-    sys_ = LinearSystem()
-    sys_.add(SparseVec({1: 1}), Fraction(-1, 16))
-    sys_.add(SparseVec({1: -1}), Fraction(3, 16))
-    ok, witness = feasible(sys_)
+    ok, witness = feasible([(SparseVec({1: 1}), Fraction(-1, 16)), (SparseVec({1: -1}), Fraction(3, 16))])
     assert ok
     assert Fraction(-3, 16) <= witness[1] <= Fraction(-1, 16)
 
@@ -222,14 +209,14 @@ def test_feasible_interval_witness():
 )
 def test_feasible_true_on_satisfiable_systems(rows, point, relations, slacks):
     """Systems built around a known solution must come back satisfiable."""
-    sys_ = LinearSystem()
+    sys_ = []
     for row, rel, slack in zip(rows, relations, slacks):
         rhs = pair(row, point)
         if rel == "=":  # as the pair row <= rhs, -row <= -rhs
-            sys_.add(row, rhs)
-            sys_.add(-row, -rhs)
+            sys_.append((row, rhs))
+            sys_.append((-row, -rhs))
         else:
-            sys_.add(row, rhs + slack)
+            sys_.append((row, rhs + slack))
     ok, witness = feasible(sys_)
     assert ok
     # the witness check inside feasible() already asserts exact satisfaction
@@ -243,11 +230,11 @@ def test_feasible_true_on_satisfiable_systems(rows, point, relations, slacks):
     st.fractions(min_value=-2, max_value=2, max_denominator=4),
 )
 def test_feasible_false_on_contradictions(rows, row, bound):
-    sys_ = LinearSystem()
+    sys_ = []
     for r in rows:
-        sys_.add(r, Fraction(5))
-    sys_.add(row, bound)
-    sys_.add(-row, -bound - 1)
+        sys_.append((r, Fraction(5)))
+    sys_.append((row, bound))
+    sys_.append((-row, -bound - 1))
     ok, witness = feasible(sys_)
     assert not ok and witness is None
 
@@ -268,16 +255,12 @@ def test_feasible_grid_agreement():
          (SparseVec({3: -1}), Fraction(0))],
     ]
     for rows in systems:
-        sys_ = LinearSystem()
-        nvars = 0
-        for coeffs, rhs in rows:
-            sys_.add(coeffs, rhs)
-            nvars = max(nvars, coeffs.max_support())
+        nvars = max(coeffs.max_support() for coeffs, _ in rows)
         grid_hit = any(
             all(pair(c, SparseVec(dict(zip(range(1, nvars + 1), pt)))) <= r for c, r in rows)
             for pt in product(grid, repeat=nvars)
         )
-        ok, _ = feasible(sys_)
+        ok, _ = feasible(rows)
         if grid_hit:
             assert ok, f"grid found a point but feasible() said no: {rows}"
 
@@ -327,14 +310,14 @@ small_functionals = st.dictionaries(st.integers(1, 3), rationals, min_size=1).ma
 def test_feasible_matches_plain_fourier_motzkin(equalities, inequalities, point, slacks):
     """Eliminating through an equality pair leaves the decision and the witness
     unchanged.  Three variables keep the unbudgeted reference small."""
-    sys_ = LinearSystem()
+    sys_ = []
     for row in equalities:
-        sys_.add(row, pair(row, point))
-        sys_.add(-row, -pair(row, point))
+        sys_.append((row, pair(row, point)))
+        sys_.append((-row, -pair(row, point)))
     for row, slack in zip(inequalities, slacks):
-        sys_.add(row, pair(row, point) + slack)
+        sys_.append((row, pair(row, point) + slack))
     ok, witness = feasible(sys_)
-    expected = plain_fourier_motzkin_witness(sys_.rows, list(sys_.variable_set()))
+    expected = plain_fourier_motzkin_witness(sys_, sorted({i for c, _ in sys_ for i in c.support()}))
     assert ok == (expected is not None)
     assert witness == expected
 
@@ -344,26 +327,26 @@ def test_feasible_dense_equalities_within_budget():
     pairing every lower with every upper bound would need ~10^6 rows."""
     rows = [SparseVec({j: Fraction((7 * i + 3 * j) % 5 + 1, j) for j in range(1, 6)}) for i in range(5)]
     point = SparseVec({j: Fraction(j, 3) for j in range(1, 6)})
-    sys_ = LinearSystem()
+    sys_ = []
     for row in rows:
-        sys_.add(row, pair(row, point))
-        sys_.add(-row, -pair(row, point))
+        sys_.append((row, pair(row, point)))
+        sys_.append((-row, -pair(row, point)))
     ok, witness = feasible(sys_)
     assert ok and SparseVec(witness) == point  # the equalities are independent
-    sys_.add(rows[0], pair(rows[0], point) - 1)
+    sys_.append((rows[0], pair(rows[0], point) - 1))
     ok, witness = feasible(sys_)
     assert not ok and witness is None
 
 
 def test_elimination_budget_trips(monkeypatch):
     monkeypatch.setattr(linalg, "ELIMINATION_BUDGET", 1)
-    sys_ = LinearSystem()
+    sys_ = []
     # 3 lower and 3 upper bounds on x1 coupled through x2: eliminating x2
     # multiplies rows beyond a budget of 1.
     for i in range(3):
-        sys_.add(SparseVec({1: 1, 2: 1}), Fraction(i))
-        sys_.add(SparseVec({1: -1, 2: -1}), Fraction(i))
-        sys_.add(SparseVec({2: 1}), Fraction(i))
-        sys_.add(SparseVec({2: -1}), Fraction(i))
+        sys_.append((SparseVec({1: 1, 2: 1}), Fraction(i)))
+        sys_.append((SparseVec({1: -1, 2: -1}), Fraction(i)))
+        sys_.append((SparseVec({2: 1}), Fraction(i)))
+        sys_.append((SparseVec({2: -1}), Fraction(i)))
     with pytest.raises(EliminationBudgetError):
         feasible(sys_)

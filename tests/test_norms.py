@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxinorm.errors import PreconditionError
-from proxinorm.norms import Enclosure, enclosure_at_depth, norm_enclosure
+from proxinorm.norms import DEFAULT_PRECISION_BITS, Enclosure, enclosure_at_depth, norm_enclosure
 from proxinorm.vectors import SparseVec, sup_norm
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
@@ -39,7 +39,7 @@ def test_width_meets_precision(table):
 
 def test_equivalence_for_unit_vectors(table):
     for j in range(1, 21):
-        enc = norm_enclosure(table, SparseVec.unit(j))
+        enc = norm_enclosure(table, SparseVec.unit(j), DEFAULT_PRECISION_BITS)
         assert enc.lo >= 1 and enc.hi <= 3
 
 
@@ -47,7 +47,7 @@ def test_equivalence_for_unit_vectors(table):
 @given(nonzero_vectors)
 def test_equivalence_random(table, x):
     """sup_norm(x) <= lo and hi <= 3 * sup_norm(x), certified."""
-    enc = norm_enclosure(table, x)
+    enc = norm_enclosure(table, x, DEFAULT_PRECISION_BITS)
     s = sup_norm(x)
     assert enc.lo >= s and enc.hi <= 3 * s
 
@@ -56,7 +56,7 @@ def test_equivalence_random(table, x):
 @given(nonzero_vectors)
 def test_sharper_upper_bound_via_series_constant(table, x):
     """The certified hi never exceeds sup * (1 + the full series bound)."""
-    enc = norm_enclosure(table, x)
+    enc = norm_enclosure(table, x, DEFAULT_PRECISION_BITS)
     assert enc.hi <= sup_norm(x) * (1 + table.tail_bound(0))
 
 

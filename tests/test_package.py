@@ -19,9 +19,8 @@ EXPORTS = {
         "LinearityReport", "build_report", "coherence_margin", "span_match_feasible",
         "verify_linearity_bound",
     ],
-    "config": ["Config", "load_config"],
     "construction": ["ConstructionTable", "canonical_table"],
-    "demo": ["SignMatrix", "independence_check", "run_demo", "sign_table"],
+    "demo": ["run_demo", "sign_table"],
     "descent": [
         "DescentCertificate", "DescentChain", "Subspace", "certify_descent",
         "find_descent_direction", "minimizing_sequence", "verify_certificate", "verify_chain",
@@ -34,15 +33,15 @@ EXPORTS = {
     "gateaux": [
         "derivative_from_json", "derivative_to_json", "dminus_norm", "dplus_norm", "dplus_sup",
     ],
-    "linalg": ["LinearSystem", "feasible", "kernel_directions"],
+    "linalg": ["feasible", "kernel_directions"],
     "norms": ["norm_enclosure"],
     "vectors": ["Enclosure", "SparseVec", "l1_norm", "pair", "sgn", "sup_norm"],
 }
 OWNED = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
-def test_all_lists_the_forty_five_exports():
-    assert len(OWNED) == 45
+def test_all_lists_the_forty_exports():
+    assert len(OWNED) == 40
     assert sorted(proxinorm.__all__) == sorted(name for _, name in OWNED)
     assert proxinorm.__version__ == "0.1.0"
 
@@ -129,9 +128,11 @@ def passes(call, parameter, position):
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def test_every_default_is_passed():
-    """A default that no module, script, bench file or acceptance criterion
-    ever overrides is a setting with one value in use: a constant."""
+def defaults_and_their_calls():
+    """(def name, parameter name, position, calls of a def of that name) for
+    every defaulted parameter of a public def, the calls gathered from every
+    module, script, bench file and acceptance criterion.  ``cli.main``'s
+    ``argv`` is left out: it reads ``sys.argv``, and the CLI tests pass it."""
     files = [*(ROOT / "src" / "proxinorm").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     files += [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
     calls = {}
@@ -141,16 +142,31 @@ def test_every_default_is_passed():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
-    # cli.main(argv=None) reads sys.argv; the CLI tests pass their argv here.
-    exempt = {("main", "argv")}
-    unpassed = sorted(
-        (fn, parameter)
+    return [
+        (fn, parameter, position, calls.get(fn, []))
         for path in (ROOT / "src" / "proxinorm").glob("*.py")
         for fn, parameter, position in defaulted_parameters(path)
-        if (fn, parameter) not in exempt
-        and not any(passes(call, parameter, position) for call in calls.get(fn, []))
+        if (fn, parameter) != ("main", "argv")
+    ]
+
+
+def test_every_default_is_passed():
+    """A default that no caller ever overrides is a setting with one value in
+    use: a constant."""
+    unpassed = sorted(
+        (fn, parameter) for fn, parameter, position, calls in defaults_and_their_calls()
+        if not any(passes(call, parameter, position) for call in calls)
     )
     assert unpassed == []
+
+
+def test_every_default_is_relied_on():
+    """A default that every caller overrides is a required parameter."""
+    always_passed = sorted(
+        (fn, parameter) for fn, parameter, position, calls in defaults_and_their_calls()
+        if all(passes(call, parameter, position) for call in calls)
+    )
+    assert always_passed == []
 
 
 def test_submodules_are_attributes():
@@ -182,9 +198,9 @@ def test_star_import_binds_exactly_the_exports():
 
 
 def loaded_modules(script, *args):
-    """The ``proxinorm`` modules a fresh interpreter has loaded after
-    running ``script``, which ends by printing them (stdout's last line)."""
-    probe = "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('proxinorm'))))"
+    """The modules a fresh interpreter has loaded after running ``script``,
+    which ends by printing them (stdout's last line)."""
+    probe = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", script + probe, *args],
         capture_output=True, text=True, env=dict(os.environ),
@@ -193,30 +209,34 @@ def loaded_modules(script, *args):
     return set(json.loads(out.stdout.splitlines()[-1]))
 
 
+FIRST_TABLE = "import proxinorm\nproxinorm.canonical_table().entry(1)"
+CLI = "import sys\nimport proxinorm.cli\nif proxinorm.cli.main(sys.argv[1:]):\n    sys.exit(1)"
+
+
 def test_first_table_loads_only_the_stream_modules():
-    loaded = loaded_modules("import proxinorm\nproxinorm.canonical_table().entry(1)")
-    assert loaded == {
+    loaded = loaded_modules(FIRST_TABLE)
+    assert {m for m in loaded if m.startswith("proxinorm")} == {
         "proxinorm", "proxinorm.construction", "proxinorm.vectors", "proxinorm.bits",
         "proxinorm.errors",
     }
 
 
 def test_first_table_loads_neither_dataclasses_nor_inspect():
-    script = (
-        "import sys, proxinorm\nproxinorm.canonical_table().entry(1)\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=dict(os.environ))
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert sorted(loaded_modules(FIRST_TABLE) & {"dataclasses", "inspect"}) == []
+
+
+@pytest.mark.parametrize("command", ["norm", "construct"])
+def test_light_commands_load_neither_dataclasses_nor_inspect(tmp_path, command):
+    vec = tmp_path / "x.json"
+    vec.write_text(json.dumps({"1": "2/3", "4": "-1/5"}))
+    args = {"norm": ["--vec", str(vec)], "construct": ["--k-max", "3"]}[command]
+    assert sorted(loaded_modules(CLI, command, *args) & {"dataclasses", "inspect"}) == []
 
 
 def test_norm_command_skips_the_producer_stack(tmp_path):
     vec = tmp_path / "x.json"
     vec.write_text(json.dumps({"1": "2/3", "4": "-1/5"}))
-    script = "import sys\nimport proxinorm.cli\nif proxinorm.cli.main(sys.argv[1:]):\n    sys.exit(1)"
-    loaded = loaded_modules(script, "norm", "--vec", str(vec), "--bits", "64")
+    loaded = loaded_modules(CLI, "norm", "--vec", str(vec), "--bits", "64")
     assert "proxinorm.norms" in loaded
     heavy = {"approxlin", "demo", "descent", "gateaux", "kernel", "trig"}
     assert not loaded & {f"proxinorm.{m}" for m in heavy}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxinorm import vectors
 from proxinorm.errors import InputFormatError
 from proxinorm.vectors import (
     Enclosure,
@@ -16,6 +17,8 @@ from proxinorm.vectors import (
     _less,
     _lowest_terms,
     _to_int,
+    _to_str,
+    format_rational,
     l1_norm,
     pair,
     parse_rational,
@@ -280,13 +283,36 @@ def test_long_integer_literals_convert_as_decimal_does(sign, zeros, length, seed
     assert _to_int(text) == int(Decimal(text))
 
 
-def test_long_literals_parse_without_decimal(monkeypatch):
+def test_long_literals_parse_without_decimal():
     """Past the int/str digit limit the halves of a literal are converted;
-    ``Decimal``, quadratic at that length, is not called."""
+    ``Decimal``, quadratic at that length, is not imported."""
     n = 7**50_000  # 42,255 digits
-    monkeypatch.setattr("proxinorm.vectors.Decimal", None)
+    assert "Decimal" not in vars(vectors)
     assert parse_rational(f"-{literal(n)}/{literal(n * 3)}") == Fraction(-1, 3)
     assert SparseVec.from_json({literal(n): "1"}).support() == (n,)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["", "-"]), st.integers(4000, 80_000), st.integers(0, 2**32))
+def test_long_integers_write_as_decimal_does(sign, length, seed):
+    """The writer of :func:`format_rational` past the int/str digit limit,
+    against ``Decimal`` (the oracle, here only)."""
+    digits = random.Random(seed).choices("0123456789", k=length)
+    n = int(Decimal(sign + "1" + "".join(digits)))
+    assert _to_str(n) == literal(n)
+    for value in (Fraction(n, 3), Fraction(3, n), Fraction(n, n + 1)):
+        num, den = literal(value.numerator), literal(value.denominator)
+        assert format_rational(value) == (num if den == "1" else f"{num}/{den}")
+
+
+@pytest.mark.parametrize("low", [0, 1, 7, 10**2000 + 3], ids=["0", "1", "7", "10^2000+3"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_long_integers_write_low_halves_with_leading_zeros(sign, low):
+    """Every split of 10^m + low has a low half that starts with zeros."""
+    for m in (4300, 9_001, 40_105, 80_000):
+        n = sign * (10**m + low)
+        assert _to_str(n) == literal(n)
+        assert format_rational(Fraction(n)) == literal(n)
 
 
 #: Endpoints p / (odd * 2^e): dyadic, with a small odd part and with one of
