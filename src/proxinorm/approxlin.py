@@ -284,11 +284,18 @@ def coherence_margin(report: LinearityReport, v: SparseVec) -> Fraction:
     When positive, both one-sided derivatives of the norm at x along v are
     nonzero with the sign of <v, gamma>.
     """
+    return dyadic_sum([_margin_parts(report, v)])
+
+
+def _margin_parts(report: LinearityReport, v: SparseVec) -> Tuple[int, int, int]:
+    """(num, L, E), L odd, with the coherence margin equal to num / (L * 2^E),
+    unreduced: positive exactly when num is, and comparable without
+    normalising a Fraction (:func:`~proxinorm.vectors._parts_less`)."""
     _check_direction(report, v)
     pairing, budget = _terms(report, v, report.eps_hi)
-    num = dyadic_parts(pairing)[0]
-    s = (num > 0) - (num < 0)
-    return dyadic_sum([(s * n, q, e) for n, q, e in pairing] + [(-n, q, e) for n, q, e in budget])
+    num, L, E = dyadic_parts(pairing)
+    spent, Lb, Eb = dyadic_parts(budget)
+    return dyadic_parts([(abs(num), L, E), (-spent, Lb, Eb)])
 
 
 def span_match_feasible(

@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from .bits import dyadic_parts, round_dyadic
 from .errors import DepthBudgetError
-from .vectors import SparseVec, l1_norm
+from .vectors import SparseVec
 
 DEFAULT_DEPTH_BUDGET = 5000
 
@@ -61,7 +61,10 @@ def _supports_lex(max_index: int) -> Iterator[Tuple[int, ...]]:
 
 
 def iter_level(level: int) -> Iterator[SparseVec]:
-    """All vectors of height <= level, in canonical order (zero first)."""
+    """All vectors of height <= level, in canonical order (zero first).
+
+    The definition, in Fractions; the table reads the same order from
+    :func:`_stream`."""
     yield SparseVec.zero()
     grid = rational_grid(level)
     if not grid:
@@ -71,10 +74,35 @@ def iter_level(level: int) -> Iterator[SparseVec]:
             yield SparseVec(dict(zip(supp, combo)))
 
 
-def _vector_stream() -> Iterator[SparseVec]:
-    level = 1
+def _stream() -> Iterator[Tuple[SparseVec, int]]:
+    """The canonical (vector, tag) stream: the vectors of level 1, level 2,
+    ... as :func:`iter_level` lists them, each tag the least the growth
+    rules allow (the kernel checks them).
+
+    ceil(l1) is taken in integers over D, the lcm of the level's
+    denominators.  Each distinct vector is built once per stream, keyed by
+    its (index, p, q) entries, so its recurrences in later levels are the
+    same object, hash cached.
+    """
+    built: Dict[Tuple[Tuple[int, int, int], ...], SparseVec] = {}
+    tag, level = 0, 1
     while True:
-        yield from iter_level(level)
+        grid = {(f.numerator, f.denominator): f for f in rational_grid(level)}
+        D = math.lcm(*range(1, level))
+        cells = [[(i, p, q) for p, q in grid] for i in range(level + 1)]
+        weights = [abs(p) * (D // q) for p, q in grid]  # D * |p/q|
+        tag += 1
+        yield SparseVec.zero(), tag
+        for supp in _supports_lex(level):
+            listed = product(*[cells[i] for i in supp])
+            for entries, ws in zip(listed, product(weights, repeat=len(supp))):
+                u = built.get(entries)
+                if u is None:
+                    u = built[entries] = SparseVec._checked(
+                        {i: grid[p, q] for i, p, q in entries}
+                    )
+                tag = max(tag + 1, supp[-1] + 1, -(-sum(ws) // D))
+                yield u, tag
         level += 1
 
 
@@ -123,7 +151,7 @@ class ConstructionTable:
         self._vectors: List[SparseVec] = []
         self._tags: List[int] = []
         self._occurrences: Dict[SparseVec, List[int]] = {}
-        self._stream = _vector_stream()
+        self._stream = _stream()
         self._tail_memo: Dict[int, Fraction] = {}
         self._weight_tail_memo: Dict[int, Tuple[Fraction, Fraction]] = {}
 
@@ -136,12 +164,7 @@ class ConstructionTable:
                 f"table index {k} exceeds depth budget {self.depth_budget}"
             )
         while len(self._vectors) < k:
-            u = next(self._stream)
-            prev = self._tags[-1] if self._tags else 0
-            if u.is_zero():
-                tag = prev + 1
-            else:  # the least tag the growth rules allow; the kernel checks them
-                tag = max(prev + 1, u.max_support() + 1, math.ceil(l1_norm(u)))
+            u, tag = next(self._stream)
             self._vectors.append(u)
             self._tags.append(tag)
             self._occurrences.setdefault(u, []).append(len(self._vectors))
@@ -155,7 +178,9 @@ class ConstructionTable:
 
     def tag(self, k: int) -> int:
         """Tag a_k; a_0 = 0 by convention."""
-        if k == 0:
+        if k < 1:
+            if k < 0:
+                raise ValueError("k must be >= 0")
             return 0
         self._extend_to(k)
         return self._tags[k - 1]
@@ -199,6 +224,8 @@ class ConstructionTable:
         them per k; a repeat call returns the same tuple.  Every step of a
         descent asks for the same few keys.
         """
+        if k < 0:
+            raise ValueError("k must be >= 0")
         cached = self._weight_tail_memo.get(k)
         if cached is None:
             cached = self._weight_tail_bound(k)

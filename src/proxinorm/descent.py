@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .approxlin import REPORT_DEPTH, LinearityReport, build_report, coherence_margin
+from .approxlin import REPORT_DEPTH, LinearityReport, _margin_parts, build_report, coherence_margin
 from .bits import bits_for_target, floor_pow2
 from .construction import ConstructionTable
 from .demo import build_fan, fan_probes
@@ -33,7 +33,15 @@ from .gateaux import derivative_from_json, derivative_to_json, dminus_norm, dplu
 from .kernel import enclosures_match
 from .linalg import kernel_directions, rank
 from .norms import enclosure_at_depth, norm_depth, norm_enclosure
-from .vectors import Enclosure, SparseVec, format_rational, pair, parse_rational, sup_norm
+from .vectors import (
+    Enclosure,
+    SparseVec,
+    _parts_less,
+    format_rational,
+    pair,
+    parse_rational,
+    sup_norm,
+)
 
 # Desk-scale search budgets (no mathematical content).
 MAX_CANDIDATES = 200  # candidate supports scored per step
@@ -200,22 +208,49 @@ def _candidate_supports(usable: Sequence[int], size: int, cap: int) -> Iterator[
                 return
 
 
+def _best_direction(
+    report: LinearityReport, candidates: Iterable[SparseVec]
+) -> Optional[Tuple[Fraction, SparseVec]]:
+    """(margin, v) for the first candidate of largest positive coherence
+    margin; None when no margin is positive.
+
+    Margins are scored as the unreduced integer parts of
+    :func:`~proxinorm.approxlin._margin_parts` and compared by
+    cross-multiplication, so only the winner's margin is normalised into
+    a Fraction.  Each distinct candidate is scored once: a repeat has the
+    same margin, so under the strict ``>`` the first occurrence wins
+    either way.
+    """
+    best = None
+    scored = set()
+    for v in candidates:
+        if v in scored:
+            continue
+        scored.add(v)
+        parts = _margin_parts(report, v)
+        if parts[0] > 0 and (best is None or _parts_less(best[0], parts)):
+            best = (parts, v)
+    if best is None:
+        return None
+    v = best[1]
+    return coherence_margin(report, v), v
+
+
 def find_descent_direction(
     table: ConstructionTable, subspace: Subspace, x: SparseVec
 ) -> Optional[Tuple[SparseVec, SignEvidence, LinearityReport]]:
     """Search for v in H with certified matching one-sided derivative signs.
 
     Enumerates kernel directions over small usable-index supports and
-    keeps the candidate with the largest exact coherence margin; a
-    positive margin is then certified by derivative enclosures refined
-    below it.  Returns None when the budgeted search finds no positive
-    margin -- never a disproof of existence.
+    keeps the candidate with the largest exact coherence margin
+    (:func:`_best_direction`); a positive margin is then certified by
+    derivative enclosures refined below it.  Returns None when the
+    budgeted search finds no positive margin -- never a disproof of
+    existence.
 
-    Each distinct kernel direction is scored once per call: supports
-    often share a direction (unit vectors, when the functionals vanish on
-    the usable indices), and a repeat has the same margin, so under the
-    strict ``>`` the first occurrence wins either way.  ``MAX_CANDIDATES``
-    counts supports, not distinct directions.
+    Supports often share a direction (unit vectors, when the functionals
+    vanish on the usable indices); ``MAX_CANDIDATES`` counts supports,
+    not distinct directions.
     """
     if all(p == 0 for p in subspace.pairings(x)):
         raise PreconditionError("x lies in the subspace; the coset is trivial")
@@ -225,16 +260,11 @@ def find_descent_direction(
     if len(report.usable) < size:
         return None
 
-    best: Optional[Tuple[Fraction, SparseVec]] = None
-    scored = set()
-    for support in _candidate_supports(report.usable, size, MAX_CANDIDATES):
-        for v in kernel_directions(subspace.functionals, support):
-            if v in scored:
-                continue
-            scored.add(v)
-            margin = coherence_margin(report, v)
-            if margin > 0 and (best is None or margin > best[0]):
-                best = (margin, v)
+    best = _best_direction(report, (
+        v
+        for support in _candidate_supports(report.usable, size, MAX_CANDIDATES)
+        for v in kernel_directions(subspace.functionals, support)
+    ))
     if best is None:
         return None
     margin, v = best

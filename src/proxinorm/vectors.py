@@ -153,12 +153,20 @@ def _less(a: RationalLike, b: RationalLike) -> bool:
     """a < b, cross-multiplying by the odd parts of the denominators only:
     their powers of 2 become one shift, so dyadic endpoints compare in
     linear time."""
-    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    q, s = a.denominator, b.denominator
     e = (q & -q).bit_length() - 1
     f = (s & -s).bit_length() - 1
+    return _parts_less((a.numerator, q >> e, e), (b.numerator, s >> f, f))
+
+
+def _parts_less(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> bool:
+    """p / (q * 2^e) < r / (s * 2^f) for a = (p, q, e) and b = (r, s, f),
+    q, s > 0, neither necessarily in lowest terms: cross-multiplied by q
+    and s, the powers of 2 aligned by one shift."""
+    (p, q, e), (r, s, f) = a, b
     if f >= e:
-        return (p * (s >> f)) << (f - e) < r * (q >> e)
-    return p * (s >> f) < (r * (q >> e)) << (e - f)
+        return (p * s) << (f - e) < r * q
+    return p * s < (r * q) << (e - f)
 
 
 class Enclosure:

@@ -1,9 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from proxinorm import construction
 from proxinorm.approxlin import build_report
 from proxinorm.bits import dyadic_parts
 from proxinorm.construction import (
@@ -226,14 +226,66 @@ def test_weight_tail_bound_memo_matches_fresh_table(monkeypatch, criterion6_star
         assert warmed.weight_tail_bound(key) is bounds
 
 
-def test_extension_takes_one_l1_norm_per_nonzero_entry(monkeypatch):
-    calls = []
+def test_extension_takes_no_fraction_l1_and_builds_each_vector_once(monkeypatch):
+    """Tags take ceil(l1) in integers, so extension adds no Fractions; and a
+    vector's recurrences within the first 2,000 entries are one object."""
+    arithmetic = []
+    for name in ("__add__", "__radd__", "__abs__"):
+        original = getattr(Fraction, name)
 
-    def counting(u):
-        calls.append(u)
-        return l1_norm(u)
+        def counting(*args, _original=original):
+            arithmetic.append(args)
+            return _original(*args)
 
-    monkeypatch.setattr(construction, "l1_norm", counting)
+        monkeypatch.setattr(Fraction, name, counting)
     t = canonical_table()
-    t.entry(300)
-    assert len(calls) == sum(1 for _, u, _ in t.prefix(300) if not u.is_zero())
+    t.entry(2000)
+    monkeypatch.undo()
+    assert arithmetic == []
+    first = {}
+    for _, u, _ in t.prefix(2000):
+        assert first.setdefault(u, u) is u
+    assert 2000 - len(first) > 250  # recurrences: 269 of the 2,000 entries
+
+
+def naive_stream(count):
+    """The first ``count`` (vector, tag) entries from the definition:
+    ``iter_level``'s SparseVecs, tags max(a_{k-1} + 1, largest index + 1,
+    ceil(l1)) with the l1 norm summed in Fractions."""
+    out, prev = [], 0
+    for level in itertools.count(1):
+        for u in iter_level(level):
+            tag = prev + 1
+            if not u.is_zero():
+                tag = max(tag, u.max_support() + 1, math.ceil(l1_norm(u)))
+            out.append((u, tag))
+            prev = tag
+            if len(out) == count:
+                return out
+
+
+def test_stream_matches_naive_definition():
+    """Vectors, tags and occurrence lists over the first 5,000 entries."""
+    t = canonical_table()
+    expected = naive_stream(5000)
+    assert [(u, a) for _, u, a in t.prefix(5000)] == expected
+    occurrences = {}
+    for k, (u, _) in enumerate(expected, 1):
+        occurrences.setdefault(u, []).append(k)
+    assert any(len(ks) > 2 for ks in occurrences.values())
+    for u, ks in occurrences.items():
+        assert t.occurrence_positions(u, 5000) == ks
+        assert t.occurrence_positions(u, 700) == [k for k in ks if k <= 700]
+
+
+def test_negative_k_is_rejected():
+    t = ConstructionTable(depth_budget=100)
+    t.entry(50)
+    for k in (-1, -5):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            t.tag(k)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            t.weight_tail_bound(k)
+    assert t.tag(0) == 0
+    lo, hi = t.weight_tail_bound(0)
+    assert 0 < lo <= hi < 1

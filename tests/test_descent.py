@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import mpmath
@@ -6,7 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxinorm import demo, descent
-from proxinorm.approxlin import coherence_margin
+from proxinorm.approxlin import (
+    REPORT_DEPTH,
+    LinearityReport,
+    _margin_parts,
+    build_report,
+    coherence_margin,
+)
 from proxinorm.construction import canonical_table
 from proxinorm.demo import build_fan, demo_points, demo_probes
 from proxinorm.descent import (
@@ -24,7 +31,7 @@ from proxinorm.descent import (
 from proxinorm.errors import PreconditionError
 from proxinorm.linalg import kernel_directions, rank
 from proxinorm.norms import enclosure_at_depth
-from proxinorm.vectors import SparseVec, pair
+from proxinorm.vectors import SparseVec, format_rational, pair
 
 
 def codim2_subspace():
@@ -78,10 +85,11 @@ def _candidates(report, subspace):
         yield from kernel_directions(subspace.functionals, support)
 
 
-def _reference_best(report, subspace):
-    """Brute-force search: score every candidate, repeats included."""
+def _reference_best(report, candidates):
+    """Brute-force search in Fractions: score every candidate, repeats
+    included; the first of the largest positive margins wins."""
     best = None
-    for v in _candidates(report, subspace):
+    for v in candidates:
         margin = coherence_margin(report, v)
         if margin > 0 and (best is None or margin > best[0]):
             best = (margin, v)
@@ -90,20 +98,77 @@ def _reference_best(report, subspace):
 
 def test_find_direction_scores_each_direction_once(table, criterion6_starts, monkeypatch):
     H = codim2_subspace()
-    scored = []
+    scored, normalised = [], []
 
     def counting(report, v):
         scored.append(v)
+        return _margin_parts(report, v)
+
+    def counting_margin(report, v):
+        normalised.append(v)
         return coherence_margin(report, v)
 
-    monkeypatch.setattr(descent, "coherence_margin", counting)
+    monkeypatch.setattr(descent, "_margin_parts", counting)
+    monkeypatch.setattr(descent, "coherence_margin", counting_margin)
     for x0 in criterion6_starts[:3]:
         scored.clear()
+        normalised.clear()
         v, evidence, report = find_descent_direction(table, H, x0)
         candidates = list(_candidates(report, H))
         assert len(set(candidates)) < len(candidates)
         assert len(scored) == len(set(scored)) and set(scored) == set(candidates)
-        assert (evidence.margin, v) == _reference_best(report, H)
+        assert normalised == [v]  # only the winner's margin becomes a Fraction
+        assert (evidence.margin, v) == _reference_best(report, candidates)
+
+
+@pytest.fixture(scope="module")
+def criterion6_reports(table, criterion6_starts):
+    H = codim2_subspace()
+    return [build_report(table, x0, build_probes(table, H, x0), REPORT_DEPTH) for x0 in criterion6_starts]
+
+
+def _non_dyadic(report, data):
+    """The report through JSON with gamma and eps_upper redrawn: nonzero
+    rationals and nonnegative ones whose denominators need not be powers
+    of 2, large enough that many margins are not positive."""
+    obj = json.loads(json.dumps(report.to_json()))
+    for i in obj["gamma"]:
+        g = data.draw(st.fractions(-4, 4, max_denominator=45).filter(bool), label=f"gamma {i}")
+        e = data.draw(st.fractions(0, 3, max_denominator=45), label=f"eps {i}")
+        obj["gamma"][i], obj["eps_upper"][i] = format_rational(g), format_rational(e)
+    return LinearityReport.from_json(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9), st.booleans(), st.data())
+def test_integer_scoring_picks_the_fraction_argmax(criterion6_reports, start, dyadic, data):
+    """On criterion-6 reports and round-tripped non-dyadic ones, the integer
+    scorer returns what the Fraction argmax does: ties (v and -v have one
+    margin) go to the first, and a set with no positive margin gives None."""
+    report = criterion6_reports[start]
+    if not dyadic:
+        report = _non_dyadic(report, data)
+    entries = st.fractions(-3, 3, max_denominator=6)
+    base = data.draw(st.lists(
+        st.lists(st.sampled_from(report.usable), min_size=0, max_size=3, unique=True).flatmap(
+            lambda supp: st.lists(entries, min_size=len(supp), max_size=len(supp)).map(
+                lambda vals: SparseVec(dict(zip(supp, vals))))),
+        min_size=1, max_size=5), label="base")
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.booleans()),
+                               max_size=12), label="picks")
+    candidates = [-base[j] if negate else base[j] for j, negate in picks]
+    assert descent._best_direction(report, candidates) == _reference_best(report, candidates)
+
+
+def test_integer_scoring_ties_and_nonpositive_sets(criterion6_reports):
+    report = criterion6_reports[0]
+    v = SparseVec.unit(report.usable[0])
+    assert descent._best_direction(report, [v, -v]) == (coherence_margin(report, v), v)
+    assert descent._best_direction(report, [-v, v]) == (coherence_margin(report, v), -v)
+    assert descent._best_direction(report, [SparseVec.zero()]) is None
+    assert descent._best_direction(report, []) is None
+    w = SparseVec.unit(report.usable[1])  # a larger index: a smaller |gamma|
+    assert descent._best_direction(report, [w, v])[1] == v
 
 
 def test_find_direction_rejects_point_inside_subspace(table):

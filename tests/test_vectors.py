@@ -15,6 +15,7 @@ from proxinorm.vectors import (
     SparseVec,
     _echo,
     _less,
+    _parts_less,
     _lowest_terms,
     _to_int,
     _to_str,
@@ -400,3 +401,19 @@ def test_enclosure_json_roundtrip_and_depth_type():
             Enclosure.from_json(dict(obj, **{field: 1}))
     with pytest.raises(InputFormatError, match="derivative enclosure missing field 'depth'"):
         Enclosure.from_json({"lo": "0", "hi": "1"}, "derivative enclosure")
+
+
+unreduced_parts = st.tuples(
+    st.integers(-(2**80), 2**80), st.integers(1, 10**6), st.integers(0, 300)
+)
+
+
+@given(unreduced_parts, unreduced_parts, st.booleans())
+def test_parts_less_is_the_order_of_fractions(a, b, scaled):
+    """``_parts_less`` on unreduced (p, q, e) = p / (q * 2^e), equal values
+    in other terms included."""
+    if scaled:  # b is a, its numerator and odd part times 3, its exponent + 2
+        b = (a[0] * 12, a[1] * 3, a[2] + 2)
+    fa, fb = Fraction(a[0], a[1] << a[2]), Fraction(b[0], b[1] << b[2])
+    assert _parts_less(a, b) == (fa < fb)
+    assert _parts_less(b, a) == (fb < fa)
