@@ -171,7 +171,10 @@ def _cmd_descend(args, budget: int) -> int:
     chain = minimizing_sequence(table, subspace, x0, args.steps)
     _emit(chain.to_json())
     if len(chain.certificates) < args.steps:
-        sys.stderr.write(f"descend: certified {len(chain.certificates)} of {args.steps} steps\n")
+        sys.stderr.write(
+            f"descend: certified {len(chain.certificates)} of {args.steps} steps;"
+            f" stop reason: {chain.stop_reason}\n"
+        )
     return 0
 
 

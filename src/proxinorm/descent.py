@@ -236,6 +236,28 @@ def _best_direction(
     return coherence_margin(report, v), v
 
 
+def _sign_evidence(
+    table: ConstructionTable, x: SparseVec, v: SparseVec, report: LinearityReport, margin: Fraction
+) -> SignEvidence:
+    """The step cap at x and the derivative enclosures refined below the
+    margin."""
+    # Usable indices satisfy |x_i| < |<x, z_j>| and |x_i| < sup_norm(x);
+    # cap the step to keep both strict along the ray, so no tag is ever
+    # excluded by later reports and descent can continue indefinitely.
+    s = sup_norm(x)
+    cap: Optional[Fraction] = None
+    for i, vi in v.items():
+        p = pair(x, report.probes[report.block[i]])
+        room = min(abs(p), s) - abs(x[i])
+        if room <= 0:
+            raise RuntimeError(f"usable index {i} has no room below its thresholds")
+        bound = room / (2 * abs(vi))
+        cap = bound if cap is None or bound < cap else cap
+
+    bits = bits_for_target(margin / (1 << SIGN_GUARD_BITS))
+    return SignEvidence(dplus_norm(table, x, v, bits), dminus_norm(table, x, v, bits), margin, cap)
+
+
 def find_descent_direction(
     table: ConstructionTable, subspace: Subspace, x: SparseVec
 ) -> Optional[Tuple[SparseVec, SignEvidence, LinearityReport]]:
@@ -268,25 +290,7 @@ def find_descent_direction(
     if best is None:
         return None
     margin, v = best
-
-    # Usable indices satisfy |x_i| < |<x, z_j>| and |x_i| < sup_norm(x);
-    # cap the step to keep both strict along the ray, so no tag is ever
-    # excluded by later reports and descent can continue indefinitely.
-    s = sup_norm(x)
-    cap: Optional[Fraction] = None
-    for i, vi in v.items():
-        p = pair(x, report.probes[report.block[i]])
-        room = min(abs(p), s) - abs(x[i])
-        if room <= 0:
-            raise RuntimeError(f"usable index {i} has no room below its thresholds")
-        bound = room / (2 * abs(vi))
-        cap = bound if cap is None or bound < cap else cap
-
-    bits = bits_for_target(margin / (1 << SIGN_GUARD_BITS))
-    evidence = SignEvidence(
-        dplus_norm(table, x, v, bits), dminus_norm(table, x, v, bits), margin, cap
-    )
-    return v, evidence, report
+    return v, _sign_evidence(table, x, v, report, margin), report
 
 
 def certify_descent(
@@ -344,11 +348,22 @@ def certify_descent(
 
 @dataclass
 class DescentChain:
-    """A minimizing run: consecutive certificates sharing one coset."""
+    """A minimizing run: consecutive certificates sharing one coset.
+
+    ``stop_reason`` says why :func:`minimizing_sequence` stopped:
+    ``completed`` (every step certified), ``probe_budget`` (too few
+    admissible probes within ``REPORT_DEPTH``), ``too_few_usable`` (fewer
+    usable indices than the codimension plus one), ``no_positive_margin``
+    (no candidate direction with a positive coherence margin) or
+    ``line_search_budget`` (``MAX_LINE_SEARCH`` halvings without a
+    certified decrease).  It is None for a decoded chain: the wire format
+    does not carry it.
+    """
 
     subspace: Subspace
     x0: SparseVec
     certificates: List[DescentCertificate] = field(default_factory=list)
+    stop_reason: Optional[str] = field(default=None, init=False, compare=False)
 
     def iterate_enclosures(self) -> List[Enclosure]:
         """One enclosure per iterate, strictly decreasing by construction.
@@ -401,28 +416,122 @@ def minimizing_sequence(
 
     All iterates stay exactly in the coset x0 + H (rational arithmetic,
     directions in the kernel).  Stops early with the partial chain when
-    the search budget trips.  Each certificate's ``norm_after`` is handed
-    to the next line search, so consecutive certificates usually share
-    one enclosure object.
+    the search budget trips, naming why in ``chain.stop_reason``.  Each
+    certificate's ``norm_after`` is handed to the next line search, so
+    consecutive certificates usually share one enclosure object.
+
+    One ray per chain.  A step calls :func:`find_descent_direction` only
+    when its probes differ from those of the report in hand (always at
+    the first step).  Otherwise the report built at an earlier iterate r,
+    its direction v and margin are reused, and only the step cap, the
+    derivative evidence and the line search read the new iterate x.
+    That is exact: the report built at x from the same probes differs
+    from the one built at r in its ``x`` field alone, given four facts
+    that are checked exactly:
+
+    (a) <x, z_j> = <r, z_j> for every probe z_j;
+    (b) sup|x| = sup|r|, attained on the same indices;
+    (c) x - r is supported in supp v;
+    (d) |x_i| < min(|<x, z_j>|, sup|x|) for every i in supp v, z_j the
+        probe that lists i.
+
+    Occurrence positions and blocks depend on the probes and the table
+    only.  Off supp v, x agrees with r, so by (a) and (b) each of the
+    three exclusion tests answers as it did at r.  On supp v every index
+    was usable at r, hence outside every probe support, and by (d) it is
+    neither dominated nor sup-active at x.  So the usable set is the
+    same; gamma_i = -sgn<x, z_j> 2^(-i^2) is the same by (a), and eps
+    reads the table only.  The candidates come from the usable set and
+    the functionals, and a margin reads gamma and eps only, so the same v
+    wins with the same margin.
+
+    The facts hold at every iterate of one ray x = r + (h_1 + ... + h_t) v:
+    v lies on usable indices, which avoid every probe support, so (a)
+    holds; each step's cap keeps every touched |x_i| strictly below both
+    thresholds of the point it leaves, which gives (d) and, with (c),
+    keeps the sup where it is, off supp v, so (b) holds.  Equal probes
+    with a failed check therefore contradict the argument, and raise
+    ``RuntimeError``.  The probes are still rebuilt at every step: a
+    ladder rung that was inadmissible at r may have become admissible at
+    x, since a rung's support may meet supp v.  Then the step takes the
+    full path, and its report becomes the one in hand.
+
+    A derivative enclosure equal to the previous step's is the previous
+    step's object, so the certificates of one ray share one v and, while
+    the enclosures repeat, one ``d_plus`` and one ``d_minus``.
     """
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
+    if all(p == 0 for p in subspace.pairings(x0)):
+        raise PreconditionError("x lies in the subspace; the coset is trivial")
     chain = DescentChain(subspace=subspace, x0=x0)
     x = x0
     norm_x: Optional[Enclosure] = None
+    ray: Optional[Tuple[LinearityReport, SparseVec]] = None
+    evidence: Optional[SignEvidence] = None
+    chain.stop_reason = "completed"
     for _ in range(steps):
         try:
+            probes = build_probes(table, subspace, x)
+        except SearchBudgetError:
+            chain.stop_reason = "probe_budget"
+            break
+        if ray is not None and probes == ray[0].probes:
+            report, v = ray
+            if not _on_ray(report, v, x):
+                raise RuntimeError("equal probes, but the report of the ray does not hold at x")
+            fresh = _sign_evidence(table, x, v, report, evidence.margin)
+        else:
             found = find_descent_direction(table, subspace, x)
-            if found is None:
+            if found is None:  # for either reason; the report at x tells which
+                usable = build_report(table, x, probes, REPORT_DEPTH).usable
+                few = len(usable) < subspace.codimension + 1
+                chain.stop_reason = "too_few_usable" if few else "no_positive_margin"
                 break
-            v, evidence, _report = found
+            v, fresh, report = found
+            ray = (report, v)
+        evidence = _shared(fresh, evidence)
+        try:
             cert = certify_descent(table, subspace, x, v, evidence, norm_x)
         except SearchBudgetError:
+            chain.stop_reason = "line_search_budget"
             break
         chain.certificates.append(cert)
         x = cert.next_point()
         norm_x = cert.norm_after
     return chain
+
+
+def _shared(evidence: SignEvidence, previous: Optional[SignEvidence]) -> SignEvidence:
+    """``evidence``, each derivative enclosure equal to ``previous``'s being
+    ``previous``'s object."""
+    if previous is None:
+        return evidence
+    return SignEvidence(
+        previous.d_plus if evidence.d_plus == previous.d_plus else evidence.d_plus,
+        previous.d_minus if evidence.d_minus == previous.d_minus else evidence.d_minus,
+        evidence.margin,
+        evidence.step_cap,
+    )
+
+
+def _on_ray(report: LinearityReport, v: SparseVec, x: SparseVec) -> bool:
+    """Facts (a)-(d) of :func:`minimizing_sequence` for the report built at
+    r = ``report.x`` with direction v, at the iterate x."""
+    r = report.x
+    pairings = [pair(x, z) for z in report.probes]
+    if pairings != [pair(r, z) for z in report.probes]:
+        return False
+    s = sup_norm(x)
+
+    def active(y: SparseVec) -> List[int]:
+        return [i for i, yi in y.items() if abs(yi) == s]
+
+    if s != sup_norm(r) or active(x) != active(r):
+        return False
+    if not set((x - r).support()) <= set(v.support()):
+        return False
+    return all(abs(x[i]) < min(abs(pairings[report.block[i]]), s) for i in v.support())
 
 
 # -- independent re-verification ----------------------------------------------

@@ -62,18 +62,37 @@ def _to_int(literal: str) -> int:
 
 
 def _to_str(n: int) -> str:
-    """``str(n)`` for an int of any size: past the int/str digit limit, the
-    halves of ``divmod(n, 10**k)`` are written and joined, the low one
-    zero-padded to k digits (k about half the digit count)."""
+    """``str(n)`` for an int of any size.  Past the int/str digit limit, n
+    becomes a ``Decimal`` by splitting its bits in halves, as CPython
+    3.12's ``_pylong.int_to_decimal_string`` does: ``decimal`` multiplies
+    in subquadratic time and prints in linear time, where ``divmod`` by a
+    power of 10 is quadratic."""
     try:
         return str(n)
     except ValueError:
         pass
-    if n < 0:
-        return "-" + _to_str(-n)
-    k = n.bit_length() * 3 // 20  # log10(2) / 2 is 0.1505...
-    high, low = divmod(n, 10**k)
-    return _to_str(high) + _to_str(low).zfill(k)
+    import decimal  # only past the digit limit
+
+    powers: Dict[int, decimal.Decimal] = {}
+
+    def pow2(w: int) -> decimal.Decimal:  # 2^w, exact
+        if w not in powers:
+            half = w >> 1
+            powers[w] = decimal.Decimal(2) ** w if w <= 128 else pow2(half) * pow2(w - half)
+        return powers[w]
+
+    def convert(m: int, w: int) -> decimal.Decimal:  # 0 <= m < 2^w
+        if w <= 128:
+            return decimal.Decimal(m)
+        half = w >> 1
+        high = m >> half
+        return convert(m - (high << half), half) + convert(high, w - half) * pow2(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), abs(n).bit_length()))
+    return "-" + digits if n < 0 else digits
 
 
 def _lowest_terms(p: int, q: int) -> Tuple[int, int]:
@@ -321,7 +340,9 @@ class SparseVec:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._key)
+            # hash(-1) == hash(-2), so entries -1 and -2 would collide; an int
+            # other than -1 hashes to itself (mod 2^61 - 1), and 2p is never -1
+            self._hash = hash(tuple((i, 2 * f.numerator, f.denominator) for i, f in self._key))
         return self._hash
 
     def __add__(self, other: "SparseVec") -> "SparseVec":

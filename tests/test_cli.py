@@ -664,8 +664,8 @@ def test_unreadable_config_file_exits_one(tmp_path, case):
 
 
 def test_descend_reports_a_short_chain_on_stderr(tmp_path, monkeypatch, capsys):
-    """A chain shorter than ``--steps`` is named on stderr; stdout and the
-    exit code are those of a complete run."""
+    """A chain shorter than ``--steps`` is named on stderr with its stop
+    reason; stdout and the exit code are those of a complete run."""
     from proxinorm import cli, descent
 
     e1 = write_json(tmp_path / "e1.json", {"1": "1"})
@@ -678,5 +678,5 @@ def test_descend_reports_a_short_chain_on_stderr(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(descent, "REPORT_DEPTH", 2)  # no admissible probes this early
     assert cli.main(args) == 0
     short = capsys.readouterr()
-    assert short.err == "descend: certified 0 of 3 steps\n"
+    assert short.err == "descend: certified 0 of 3 steps; stop reason: probe_budget\n"
     assert json.loads(short.out)["certificates"] == []

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +31,7 @@ from proxinorm.descent import (
     verify_certificate,
     verify_chain,
 )
-from proxinorm.errors import PreconditionError
+from proxinorm.errors import PreconditionError, SearchBudgetError
 from proxinorm.linalg import kernel_directions, rank
 from proxinorm.norms import enclosure_at_depth
 from proxinorm.vectors import SparseVec, format_rational, pair
@@ -311,12 +314,24 @@ def test_sequence_partial_chain_on_tiny_budget(table, monkeypatch):
     instead of raising; the probe builder itself reports the exhaustion."""
     H = codim2_subspace()
     monkeypatch.setattr(descent, "REPORT_DEPTH", 2)  # only zero vectors listed that early
-    from proxinorm.errors import SearchBudgetError
-
     with pytest.raises(SearchBudgetError):
         build_probes(table, H, generic_point())
     chain = minimizing_sequence(table, H, generic_point(), 3)
     assert chain.certificates == []
+    assert chain.stop_reason == "probe_budget"
+
+
+def test_dense_codimension_3_start_names_its_stop_reason(table):
+    """A start that pairs nonzero with three dense functionals, yet leaves
+    too few admissible probes: the empty chain says why."""
+    H = Subspace([
+        SparseVec({1: Fraction(1, 3), 2: 1, 3: -1, 4: Fraction(1, 2)}),
+        SparseVec({1: -1, 2: Fraction(-1, 2), 3: 1, 4: Fraction(-1, 2)}),
+        SparseVec({1: 1, 2: Fraction(-1, 2), 3: Fraction(-2, 3), 4: -1}),
+    ])
+    chain = minimizing_sequence(table, H, SparseVec({4: -1}), 3)
+    assert (chain.certificates, chain.stop_reason) == ([], "probe_budget")
+    assert DescentChain.from_json(chain.to_json()).stop_reason is None  # not on the wire
 
 
 def fresh_roundings(f):
@@ -410,7 +425,124 @@ def test_chain_certificates_share_enclosures(table, criterion6_starts):
         assert len(certs) == 10
         for prev, nxt in zip(certs, certs[1:]):
             assert prev.norm_after is nxt.norm_before
+            for name in ("d_plus", "d_minus"):
+                if getattr(prev, name) == getattr(nxt, name):
+                    assert getattr(prev, name) is getattr(nxt, name)
+        assert len({id(cert.v) for cert in certs}) == 1  # one ray
         assert verify_chain(canonical_table(), chain) == []
+
+
+def per_step_chain(table, subspace, x0, steps):
+    """The oracle: every step rebuilds the probes, the report, the direction
+    search and the derivative evidence, through the public per-step
+    functions."""
+    chain = DescentChain(subspace=subspace, x0=x0)
+    x, norm_x = x0, None
+    for _ in range(steps):
+        try:
+            found = find_descent_direction(table, subspace, x)
+            if found is None:
+                break
+            v, evidence, _report = found
+            cert = certify_descent(table, subspace, x, v, evidence, norm_x)
+        except SearchBudgetError:
+            break
+        chain.certificates.append(cert)
+        x, norm_x = cert.next_point(), cert.norm_after
+    return chain
+
+
+def chain_bytes(chain):
+    return json.dumps(chain.to_json(), sort_keys=True)
+
+
+def test_one_ray_per_chain_matches_the_per_step_oracle(table, criterion6_starts, monkeypatch):
+    """Same bytes as the per-step loop on the criterion-6 starts, from one
+    report per chain: no step leaves the ray of its first report."""
+    H = codim2_subspace()
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return build_report(*args)
+
+    monkeypatch.setattr(descent, "build_report", counting)
+    for x0 in criterion6_starts:
+        built.clear()
+        chain = minimizing_sequence(table, H, x0, 10)
+        assert chain.stop_reason == "completed"
+        assert len(built) == 1
+        assert chain_bytes(chain) == chain_bytes(per_step_chain(table, H, x0, 10))
+
+
+def test_minimizing_sequence_rejects_a_start_inside_the_subspace(table):
+    with pytest.raises(PreconditionError):
+        minimizing_sequence(table, codim2_subspace(), SparseVec.unit(5), 3)
+    with pytest.raises(PreconditionError):
+        minimizing_sequence(table, codim2_subspace(), SparseVec.zero(), 3)
+
+
+def _few_usable(*args):
+    report = build_report(*args)
+    report.usable = report.usable[:2]  # one fewer than codimension 2 needs
+    return report
+
+
+#: Each way a chain can stop short, forced on the first step: (patched
+#: descent name, stand-in, stop reason).
+SHORT_STOPS = [
+    ("REPORT_DEPTH", 2, "probe_budget"),
+    ("build_report", _few_usable, "too_few_usable"),
+    ("_margin_parts", lambda report, v: (-1, 1, 0), "no_positive_margin"),
+    ("MAX_LINE_SEARCH", 0, "line_search_budget"),
+]
+
+
+@pytest.mark.parametrize("name, stand_in, reason", SHORT_STOPS, ids=[r for *_, r in SHORT_STOPS])
+def test_a_short_chain_names_its_stop_reason(table, monkeypatch, name, stand_in, reason):
+    monkeypatch.setattr(descent, name, stand_in)
+    chain = minimizing_sequence(table, codim2_subspace(), generic_point(), 3)
+    assert (chain.certificates, chain.stop_reason) == ([], reason)
+
+
+def raises_off_the_ray(index):
+    """Whether a chain whose every step also moves x by 2^-200 at ``index``
+    raises the RuntimeError of equal probes at a point off the ray."""
+    step = DescentCertificate.next_point
+    bump = SparseVec({index: Fraction(1, 1 << 200)})
+    DescentCertificate.next_point = lambda cert: step(cert) + bump
+    try:
+        minimizing_sequence(canonical_table(), codim2_subspace(), generic_point(), 3)
+    except RuntimeError as exc:
+        return "does not hold" in str(exc)
+    finally:
+        DescentCertificate.next_point = step
+    return False
+
+
+@pytest.mark.parametrize("index", [1, 3, 10**6], ids=["on-a-probe", "off-v", "far-off-v"])
+def test_equal_probes_off_the_ray_raise(index):
+    """The probes stay equal, so the re-check runs and fails: a pairing or
+    a coordinate off v's support moved.  Also under python -O."""
+    assert raises_off_the_ray(index)
+    env = dict(os.environ)
+    path = [os.path.dirname(__file__), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    script = f"import sys, test_descent as t; sys.exit(0 if t.raises_off_the_ray({index}) else 1)"
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+
+
+def test_the_ray_check_reads_every_fact(table):
+    """``_on_ray`` accepts a small step along v and rejects a step so long
+    that a touched coordinate passes its thresholds, or a move off v."""
+    H = codim2_subspace()
+    r = generic_point()
+    v, evidence, report = find_descent_direction(table, H, r)
+    assert descent._on_ray(report, v, r)
+    assert descent._on_ray(report, v, r + v.scale(evidence.step_cap))
+    assert not descent._on_ray(report, v, r + v.scale(1000))
+    assert not descent._on_ray(report, v, r + SparseVec({report.usable[-1] + 1: 1}))
 
 
 def test_certify_descent_reuses_a_known_norm_only_at_its_depth(table):
@@ -441,8 +573,11 @@ dense_functionals = st.lists(nonzero_rationals, min_size=4, max_size=4).map(
 def test_every_emitted_certificate_verifies_at_codimension_2_to_4(table, functionals, x0):
     """Dense functionals over indices 1..4 and a start that pairs nonzero
     with each of them: whatever chain the descent emits re-verifies on a
-    fresh table."""
+    fresh table, has the per-step oracle's bytes, and if short, names a
+    stop reason other than ``completed``."""
     assume(rank(functionals) == len(functionals))
     assume(all(pair(x0, phi) != 0 for phi in functionals))
     chain = minimizing_sequence(table, Subspace(functionals), x0, 3)
     assert verify_chain(canonical_table(), chain) == []
+    assert (chain.stop_reason == "completed") == (len(chain.certificates) == 3)
+    assert chain_bytes(chain) == chain_bytes(per_step_chain(table, Subspace(functionals), x0, 3))

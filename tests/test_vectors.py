@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxinorm import vectors
+from proxinorm.construction import canonical_table
 from proxinorm.errors import InputFormatError
 from proxinorm.vectors import (
     Enclosure,
@@ -101,6 +102,32 @@ def test_json_roundtrip(x):
 def test_add_sub_consistent(x, y):
     assert (x + y) - y == x
     assert x + (-x) == SparseVec.zero()
+
+
+@given(vectors)
+def test_equal_vectors_hash_equal(x):
+    y = SparseVec.from_json(x.to_json())
+    assert y == x and hash(y) == hash(x)
+
+
+def test_entries_minus_one_and_minus_two_hash_apart():
+    """``hash(-1) == hash(-2)`` in CPython; vector hashes do not inherit it."""
+    assert hash(-1) == hash(-2) and hash(Fraction(-1)) == hash(Fraction(-2))
+    for a, b in [({1: -1}, {1: -2}), ({3: Fraction(-1, 5)}, {3: Fraction(-2, 5)}),
+                 ({1: 1, 2: -1}, {1: 1, 2: -2}), ({2: -1, 4: -1}, {2: -2, 4: -2})]:
+        assert hash(SparseVec(a)) != hash(SparseVec(b))
+
+
+def test_table_extension_finds_vectors_by_hash(monkeypatch):
+    """Extending a fresh table to 550 entries looks each vector up in the
+    occurrence map; with entries -1 and -2 hashing alike, that took 240
+    ``SparseVec.__eq__`` calls."""
+    calls = []
+    eq = SparseVec.__eq__
+    monkeypatch.setattr(SparseVec, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+    table = canonical_table()
+    table.entry(550)
+    assert len(calls) < 24
 
 
 def test_bad_json_rejected():
@@ -304,6 +331,26 @@ def test_long_integers_write_as_decimal_does(sign, length, seed):
     for value in (Fraction(n, 3), Fraction(3, n), Fraction(n, n + 1)):
         num, den = literal(value.numerator), literal(value.denominator)
         assert format_rational(value) == (num if den == "1" else f"{num}/{den}")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+@settings(max_examples=20, deadline=None)
+@given(st.integers(4300, 100_000), st.sampled_from(["", "-"]), st.integers(0, 2**32))
+def test_long_integers_write_as_unlimited_str_does(length, sign, seed):
+    """The writer past the 4300-digit limit, against ``str(n)`` with the
+    limit lifted: an oracle that shares no code with ``decimal``."""
+    rng = random.Random(seed)
+    text = sign + rng.choice("123456789") + "".join(rng.choices("0123456789", k=length - 1))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        n = int(text)
+        expected = str(n)
+        sys.set_int_max_str_digits(4300)
+        written = _to_str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert written == expected == text
 
 
 @pytest.mark.parametrize("low", [0, 1, 7, 10**2000 + 3], ids=["0", "1", "7", "10^2000+3"])
