@@ -21,7 +21,7 @@ reported sign guarantee is rigorous).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,24 +49,6 @@ REASON_DOMINATED = "probe-dominated"
 
 
 @dataclass
-class Trial:
-    """One verification of the linearity bound in a direction v."""
-
-    v: SparseVec
-    lhs: Enclosure
-    rhs: Fraction
-    passed: bool
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "v": self.v.to_json(),
-            "lhs": self.lhs.to_json(),
-            "rhs": format_rational(self.rhs),
-            "pass": self.passed,
-        }
-
-
-@dataclass
 class LinearityReport:
     """Finite-prefix witness of approximate linearity around x."""
 
@@ -80,7 +62,6 @@ class LinearityReport:
     gamma: Dict[int, Fraction]
     eps_lo: Dict[int, Fraction]
     eps_hi: Dict[int, Fraction]
-    trials: List[Trial] = field(default_factory=list)
 
     def gamma_vec(self) -> SparseVec:
         return SparseVec(self.gamma)
@@ -97,7 +78,6 @@ class LinearityReport:
             "gamma": {str(i): format_rational(g) for i, g in sorted(self.gamma.items())},
             "eps_lower": {str(i): format_rational(e) for i, e in sorted(self.eps_lo.items())},
             "eps_upper": {str(i): format_rational(e) for i, e in sorted(self.eps_hi.items())},
-            "trials": [t.to_json() for t in self.trials],
         }
 
     @staticmethod
@@ -111,8 +91,13 @@ class LinearityReport:
             return obj[name]
 
         def keyed(name: str, parse_value) -> dict:
-            items = field(name, dict).items()
-            return {parse_int(i, f"report {name} key", key=True): parse_value(v) for i, v in items}
+            out = {}
+            for key, value in field(name, dict).items():
+                i = parse_int(key, f"report {name} key", key=True)
+                if i in out:
+                    raise InputFormatError(f"report {name} key {key!r} names index {i} twice")
+                out[i] = parse_value(value)
+            return out
 
         def reasons(value: object) -> List[str]:
             if not isinstance(value, list) or not all(isinstance(r, str) for r in value):
@@ -253,17 +238,16 @@ def _terms(
 
 
 def verify_linearity_bound(
-    table: ConstructionTable,
-    x: SparseVec,
-    report: LinearityReport,
-    v: SparseVec,
+    table: ConstructionTable, report: LinearityReport, v: SparseVec
 ) -> Tuple[Enclosure, Fraction, bool]:
-    """Certify |d_plus(x; v) - <v, gamma>| <= sum eps_i |v_i gamma_i|.
+    """Certify |d_plus(x; v) - <v, gamma>| <= sum eps_i |v_i gamma_i| at
+    x = ``report.x``; (lhs enclosure, rhs, whether lhs.hi <= rhs).
 
     The right side uses the certified lower eps bound, so a pass is a
     rigorous verification of the bound with the true error sequence.  The
     derivative enclosure is refined well below the right side when
-    possible, so slack is not lost to truncation.
+    possible, so slack is not lost to truncation.  The report is read,
+    never written.
     """
     _check_direction(report, v)
     pairing, budget = _terms(report, v, report.eps_lo)
@@ -272,10 +256,8 @@ def verify_linearity_bound(
     precision_bits = DEFAULT_PRECISION_BITS
     if rhs > 0:
         precision_bits = max(precision_bits, bits_for_target(rhs / 16))
-    lhs = abs(dplus_norm(table, x, v, precision_bits) - Enclosure.point(gv))
-    passed = lhs.hi <= rhs
-    report.trials.append(Trial(v, lhs, rhs, passed))
-    return lhs, rhs, passed
+    lhs = abs(dplus_norm(table, report.x, v, precision_bits) - Enclosure.point(gv))
+    return lhs, rhs, lhs.hi <= rhs
 
 
 def coherence_margin(report: LinearityReport, v: SparseVec) -> Fraction:

@@ -12,14 +12,14 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 # Only the stream and ``norms`` (the ``--bits`` default) load here; each
 # command imports the rest of the stack it calls.
 from .construction import DEFAULT_DEPTH_BUDGET, canonical_table
 from .errors import BudgetError, InputFormatError, PreconditionError, ProxinormError
 from .norms import DEFAULT_PRECISION_BITS, norm_enclosure
-from .vectors import SparseVec, parse_int
+from .vectors import SparseVec, format_rational, parse_int
 
 
 def _read_text(path: str) -> str:
@@ -64,12 +64,24 @@ def _depth_budget(path: Optional[str]) -> int:
     return budget
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object's dict, rejecting a repeated key (``json.loads`` alone keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise InputFormatError(f"JSON object repeats the key {repeated!r}")
+    return obj
+
+
 def _load_json(path: str):
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ProxinormError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
+    except InputFormatError as exc:  # a repeated key
+        raise InputFormatError(f"{path}: {exc}")
     except ValueError:  # the only other ValueError json raises
         raise ProxinormError(f"{path}: JSON integer past the int/str digit limit")
     except RecursionError:
@@ -136,9 +148,13 @@ def _cmd_approxlin(args, budget: int) -> int:
     x = _load_vec(args.x)
     probes = [_load_vec(p) for p in args.z]
     report = build_report(table, x, probes, args.prefix)
+    trials = []
     for v in _trial_directions(report, args.trials):
-        verify_linearity_bound(table, x, report, v)
-    _emit(report.to_json())
+        lhs, rhs, passed = verify_linearity_bound(table, report, v)
+        trials.append(
+            {"v": v.to_json(), "lhs": lhs.to_json(), "rhs": format_rational(rhs), "pass": passed}
+        )
+    _emit({**report.to_json(), "trials": trials})
     return 0
 
 

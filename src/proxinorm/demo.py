@@ -106,12 +106,12 @@ def _probe_pool(support: Sequence[int]) -> Iterator[SparseVec]:
 
 
 def fan_probes(
-    table: ConstructionTable, fan: Sequence[FanFunctional], count: int, depth: int,
+    table: ConstructionTable, fan: Sequence[FanFunctional], count: int,
     admissible: Callable[[SparseVec, List[int]], bool], pool_support: Sequence[int],
 ) -> List[SparseVec]:
-    """Up to ``count`` distinct nonzero probes that occur within ``depth``
-    stream entries and pass ``admissible(z, positions)``, positions being
-    their occurrences.
+    """Up to ``count`` distinct nonzero probes that occur within
+    ``REPORT_DEPTH`` stream entries and pass ``admissible(z, positions)``,
+    positions being their occurrences.
 
     The rungs of the fan's ladders are tried from b =
     ROUNDING_DENOMINATOR_BITS down to 0 until all of them pass; the best
@@ -121,7 +121,7 @@ def fan_probes(
     def accept(z: SparseVec, chosen: List[SparseVec]) -> bool:
         if z.is_zero() or z in chosen:
             return False
-        positions = table.occurrence_positions(z, depth)
+        positions = table.occurrence_positions(z, REPORT_DEPTH)
         return bool(positions) and admissible(z, positions)
 
     ladders = [f.ladder for f in fan]
@@ -195,19 +195,18 @@ def theta_blocks(report: LinearityReport, phi: SparseVec) -> Dict[int, List[Frac
 
 
 def demo_probes(
-    table: ConstructionTable, points: Sequence[SparseVec], fan: Sequence[FanFunctional],
-    depth: int,
+    table: ConstructionTable, points: Sequence[SparseVec], fan: Sequence[FanFunctional]
 ) -> List[SparseVec]:
     """Distinct stream-visible probes pairing nonzero with every point:
     :func:`fan_probes` of the fan, topped up from the pool over its support."""
     n_probes = len(fan)
     chosen = fan_probes(
-        table, fan, n_probes, depth, lambda z, _: all(pair(x, z) != 0 for x in points),
+        table, fan, n_probes, lambda z, _: all(pair(x, z) != 0 for x in points),
         fan[0].support(),
     )
     if len(chosen) < n_probes:
         raise PreconditionError(
-            f"could not assemble {n_probes} demo probes within depth {depth}"
+            f"could not assemble {n_probes} demo probes within depth {REPORT_DEPTH}"
         )
     return chosen
 
@@ -242,7 +241,7 @@ def run_demo(table, n: int) -> Dict:
     psi_table = sign_table(points, fan)
     det = int_determinant(predicted)
 
-    probes = demo_probes(table, points, fan, REPORT_DEPTH)
+    probes = demo_probes(table, points, fan)
     z_table = sign_table(points, probes)
 
     # Rounding quality: the sign transfer from the fan to the probes is

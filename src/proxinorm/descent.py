@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .approxlin import REPORT_DEPTH, LinearityReport, _margin_parts, build_report, coherence_margin
@@ -171,7 +171,6 @@ def build_probes(table: ConstructionTable, subspace: Subspace, x: SparseVec) -> 
     functionals' support.
     """
     n = subspace.codimension + 1
-    depth = REPORT_DEPTH
     s = sup_norm(x)
 
     def admissible(z: SparseVec, positions: List[int]) -> bool:
@@ -183,11 +182,11 @@ def build_probes(table: ConstructionTable, subspace: Subspace, x: SparseVec) -> 
     fan = ()
     if subspace.codimension >= 2:
         fan = build_fan(subspace.codimension, *subspace.functionals[:2])
-    pool_support = [i for phi in subspace.functionals for i in phi.support()]
-    chosen = fan_probes(table, fan, n, depth, admissible, pool_support)
+    pool_support = sorted({i for phi in subspace.functionals for i in phi.support()})
+    chosen = fan_probes(table, fan, n, admissible, pool_support)
     if len(chosen) < n:
         raise SearchBudgetError(
-            f"could not assemble {n} admissible probes within depth {depth}"
+            f"could not assemble {n} admissible probes within depth {REPORT_DEPTH}"
         )
     return chosen
 
@@ -195,17 +194,13 @@ def build_probes(table: ConstructionTable, subspace: Subspace, x: SparseVec) -> 
 # -- direction search ---------------------------------------------------------
 
 
-def _candidate_supports(usable: Sequence[int], size: int, cap: int) -> Iterator[Tuple[int, ...]]:
-    """Subsets of the usable indices: increasing max index, then lex."""
-    produced = 0
+def _candidate_supports(usable: Sequence[int], size: int) -> Iterator[Tuple[int, ...]]:
+    """The first ``MAX_CANDIDATES`` subsets of the usable indices:
+    increasing max index, then lex."""
     idx = sorted(usable)
-    for pos in range(size - 1, len(idx)):
-        top = idx[pos]
-        for rest in combinations(idx[:pos], size - 1):
-            yield rest + (top,)
-            produced += 1
-            if produced >= cap:
-                return
+    subsets = (rest + (idx[pos],) for pos in range(size - 1, len(idx))
+               for rest in combinations(idx[:pos], size - 1))
+    return islice(subsets, MAX_CANDIDATES)
 
 
 def _best_direction(
@@ -284,7 +279,7 @@ def find_descent_direction(
 
     best = _best_direction(report, (
         v
-        for support in _candidate_supports(report.usable, size, MAX_CANDIDATES)
+        for support in _candidate_supports(report.usable, size)
         for v in kernel_directions(subspace.functionals, support)
     ))
     if best is None:

@@ -24,13 +24,13 @@ ANGLE_BITS = 44
 _PI_BITS = ANGLE_BITS + 4  # four guard bits for the angle ladders
 
 
-def _atan_interval(inv: int, bits: int) -> Enclosure:
-    """Bracket of atan(1/inv) via the alternating Taylor series."""
+def _atan_interval(inv: int) -> Enclosure:
+    """Bracket of atan(1/inv), narrower than 2^-(_PI_BITS + 11), by the Taylor series."""
     x = Fraction(1, inv)
     term = x
     total = Fraction(0)
     m = 0
-    threshold = Fraction(1, 1 << (bits + 6))
+    threshold = Fraction(1, 1 << (_PI_BITS + 12))
     while True:
         t = term / (2 * m + 1)
         if t < threshold:
@@ -42,8 +42,8 @@ def _atan_interval(inv: int, bits: int) -> Enclosure:
 
 def pi_interval() -> Enclosure:
     """Certified enclosure of pi with width below 2^-(ANGLE_BITS + 4)."""
-    a = _atan_interval(5, _PI_BITS + 6)
-    b = _atan_interval(239, _PI_BITS + 6)
+    a = _atan_interval(5)
+    b = _atan_interval(239)
     pi = a.scale(16) - b.scale(4)
     if not pi.width() < Fraction(1, 1 << _PI_BITS):
         raise RuntimeError(f"pi enclosure is not narrower than 2^-{_PI_BITS}")

@@ -390,6 +390,8 @@ class SparseVec:
             idx = parse_int(key, "vector index", key=True)
             if idx < 1:
                 raise InputFormatError(f"vector index {key!r} must be >= 1")
+            if idx in data:  # "1" and "01"
+                raise InputFormatError(f"vector index {key!r} names index {idx} twice")
             if not isinstance(val, str):
                 raise InputFormatError(f"entry at index {key!r} must be a rational string")
             data[idx] = parse_rational(val)

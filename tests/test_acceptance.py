@@ -11,6 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
+from conftest import interval_distance, rref_determinant
 from proxinorm.approxlin import build_report, coherence_margin, verify_linearity_bound
 from proxinorm.bits import bits_for_target, dyadic_parts
 from proxinorm.construction import ConstructionTable
@@ -83,10 +84,6 @@ def test_criterion_2_norm_equivalence(table):
     )
 
 
-def _interval_distance(alo, ahi, blo, bhi):
-    return max(Fraction(0), alo - bhi, blo - ahi)
-
-
 def test_criterion_3_derivative_vs_finite_differences(table):
     rng = random.Random(3)
     t0 = time.time()
@@ -103,9 +100,9 @@ def test_criterion_3_derivative_vs_finite_differences(table):
             bits = j + 50
             nx = norm_enclosure(table, x, bits)
             nf = norm_enclosure(table, x + u.scale(h), bits)
-            fwd = _interval_distance((nf.lo - nx.hi) / h, (nf.hi - nx.lo) / h, dp.lo, dp.hi)
+            fwd = interval_distance((nf.lo - nx.hi) / h, (nf.hi - nx.lo) / h, dp.lo, dp.hi)
             nb = norm_enclosure(table, x + u.scale(-h), bits)
-            bwd = _interval_distance((nx.lo - nb.hi) / h, (nx.hi - nb.lo) / h, dm.lo, dm.hi)
+            bwd = interval_distance((nx.lo - nb.hi) / h, (nx.hi - nb.lo) / h, dm.lo, dm.hi)
             if first_fwd is None:
                 first_fwd, first_bwd = fwd, bwd
             last_fwd, last_bwd = fwd, bwd
@@ -166,7 +163,7 @@ def test_criterion_4_and_5_linearity_and_sign_coherence(table):
         for _ in range(20):
             v = _sample_direction(rng, report.usable)
             trials += 1
-            _, _, ok = verify_linearity_bound(table, x, report, v)
+            _, _, ok = verify_linearity_bound(table, report, v)
             if not ok:
                 bound_failures += 1
             margin = coherence_margin(report, v)
@@ -253,26 +250,6 @@ def test_criterion_6_descent_codimensions_5_and_6(table):
     )
 
 
-def _rref_determinant(rows):
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(len(m)):
-        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(col + 1, len(m)):
-            f = m[r][col]
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 def test_criterion_7_sign_apparatus(table):
     for n in range(2, 7):
         predicted = _predicted_rows(n)
@@ -282,8 +259,8 @@ def test_criterion_7_sign_apparatus(table):
         det = int_determinant(predicted)
         independent = det != 0
         assert independent and abs(det) == 2 ** n
-        assert Fraction(det) == _rref_determinant(predicted), f"n={n} oracle"
-        probes = demo_probes(table, points, fan, 500)
+        assert Fraction(det) == rref_determinant(predicted), f"n={n} oracle"
+        probes = demo_probes(table, points, fan)
         for x in points:
             rep = build_report(table, x, probes, 500)
             blocks = theta_blocks(rep, rep.gamma_vec())

@@ -437,6 +437,12 @@ MALFORMED_REPORTS = {
                             "report gamma indices differ from the usable indices"),
     "usable-without-gamma": (lambda r: r.update(usable=[5, 16]),
                              "report gamma indices differ from the usable indices"),
+    # two spellings of one index used to be last-wins
+    "gamma-index-twice": (lambda r: r["gamma"].update({"016": r["gamma"]["16"]}),
+                          "report gamma key '016' names index 16 twice"),
+    "excluded-index-twice": (lambda r: r["excluded"].update({"04": ["sup-active"]}),
+                             "report excluded key '04' names index 4 twice"),
+    "x-index-twice": (lambda r: r["x"].update({"01": "2/3"}), "vector index '01' names index 1 twice"),
 }
 
 
@@ -583,6 +589,25 @@ def test_unreadable_json_input_exits_one(tmp_path, case):
     assert_input_error(out, f"error: {path}: {message}\n")
 
 
+#: JSON texts with a key repeated in one object, which ``json.loads`` alone
+#: reads last-wins: (text, command and option that read it, the key).
+REPEATED_KEYS = {
+    "vector": ('{"1": "1/2", "1": "3"}', ["norm", "--vec"], "1"),
+    "nested": ('{"x": {"1": "1", "2": "1", "2": "-1"}, "probes": []}', ["feasible", "--report"], "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_a_repeated_json_key_exits_one(tmp_path, case):
+    text, command, key = REPEATED_KEYS[case]
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    phi = write_json(tmp_path / "phi.json", {"1": "1"})
+    extra = ["--phi", phi] if command[0] == "feasible" else []
+    out = run_cli(*command, str(path), *extra)
+    assert_input_error(out, f"error: {path}: JSON object repeats the key {key!r}\n")
+
+
 def test_missing_json_input_exits_one(tmp_path):
     path = tmp_path / "absent.json"
     assert_input_error(run_cli("norm", "--vec", str(path)), f"error: no such file: {path}\n")
@@ -666,7 +691,7 @@ def test_unreadable_config_file_exits_one(tmp_path, case):
 def test_descend_reports_a_short_chain_on_stderr(tmp_path, monkeypatch, capsys):
     """A chain shorter than ``--steps`` is named on stderr with its stop
     reason; stdout and the exit code are those of a complete run."""
-    from proxinorm import cli, descent
+    from proxinorm import cli, demo
 
     e1 = write_json(tmp_path / "e1.json", {"1": "1"})
     e2 = write_json(tmp_path / "e2.json", {"2": "1"})
@@ -675,7 +700,7 @@ def test_descend_reports_a_short_chain_on_stderr(tmp_path, monkeypatch, capsys):
     assert cli.main(args) == 0
     full = capsys.readouterr()
     assert full.err == "" and len(json.loads(full.out)["certificates"]) == 3
-    monkeypatch.setattr(descent, "REPORT_DEPTH", 2)  # no admissible probes this early
+    monkeypatch.setattr(demo, "REPORT_DEPTH", 2)  # no admissible probes this early
     assert cli.main(args) == 0
     short = capsys.readouterr()
     assert short.err == "descend: certified 0 of 3 steps; stop reason: probe_budget\n"

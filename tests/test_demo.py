@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conftest import rref_determinant
 from proxinorm import demo
 from proxinorm.approxlin import build_report, span_match_feasible
 from proxinorm.demo import (
@@ -27,27 +28,6 @@ mpmath.mp.dps = 60
 def mp_fraction(x) -> Fraction:
     """High-precision oracle value as an exact rational (50 digits)."""
     return Fraction(mpmath.nstr(x, 50, strip_zeros=False))
-
-
-def rational_rref_determinant(rows):
-    """Independent oracle: determinant via exact rational row reduction."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(len(m)):
-        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(col + 1, len(m)):
-            f = m[r][col]
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 def test_fan_midpoint_angles_n2():
@@ -108,13 +88,13 @@ def test_determinant_magnitude_vs_row_reduction_oracle(n):
     rows = _predicted_rows(n)
     det = int_determinant(rows)
     assert abs(det) == 2 ** n
-    assert Fraction(det) == rational_rref_determinant(rows)
+    assert Fraction(det) == rref_determinant(rows)
 
 
 def test_theta_of_gamma_is_constant_per_block(table):
     points = demo_points(2)
     fan = build_fan(2, SparseVec.unit(1), SparseVec.unit(2))
-    probes = demo_probes(table, points, fan, 500)
+    probes = demo_probes(table, points, fan)
     for x in points:
         rep = build_report(table, x, probes, 500)
         blocks = theta_blocks(rep, rep.gamma_vec())
@@ -127,7 +107,7 @@ def test_theta_of_gamma_is_constant_per_block(table):
 def test_theta_of_zero_functional(table):
     points = demo_points(2)
     fan = build_fan(2, SparseVec.unit(1), SparseVec.unit(2))
-    probes = demo_probes(table, points, fan, 500)
+    probes = demo_probes(table, points, fan)
     rep = build_report(table, points[0], probes, 500)
     blocks = theta_blocks(rep, SparseVec.zero())
     assert sum(map(len, blocks.values())) == len(rep.usable)
@@ -137,7 +117,7 @@ def test_theta_of_zero_functional(table):
 def test_theta_of_feasibility_witness_within_eps(table):
     x = demo_points(2)[0]
     fan = build_fan(2, SparseVec.unit(1), SparseVec.unit(2))
-    probes = demo_probes(table, demo_points(2), fan, 500)
+    probes = demo_probes(table, demo_points(2), fan)
     rep = build_report(table, x, probes, 500)
     gvec = rep.gamma_vec()
     ok, coeffs = span_match_feasible(rep, [gvec], rep.usable)

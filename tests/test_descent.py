@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from proxinorm import demo, descent
 from proxinorm.approxlin import (
-    REPORT_DEPTH,
     LinearityReport,
     _margin_parts,
     build_report,
@@ -84,7 +83,7 @@ def test_find_direction_codim2(table):
 
 def _candidates(report, subspace):
     size = subspace.codimension + 1
-    for support in _candidate_supports(report.usable, size, descent.MAX_CANDIDATES):
+    for support in _candidate_supports(report.usable, size):
         yield from kernel_directions(subspace.functionals, support)
 
 
@@ -122,12 +121,6 @@ def test_find_direction_scores_each_direction_once(table, criterion6_starts, mon
         assert len(scored) == len(set(scored)) and set(scored) == set(candidates)
         assert normalised == [v]  # only the winner's margin becomes a Fraction
         assert (evidence.margin, v) == _reference_best(report, candidates)
-
-
-@pytest.fixture(scope="module")
-def criterion6_reports(table, criterion6_starts):
-    H = codim2_subspace()
-    return [build_report(table, x0, build_probes(table, H, x0), REPORT_DEPTH) for x0 in criterion6_starts]
 
 
 def _non_dyadic(report, data):
@@ -313,7 +306,7 @@ def test_sequence_partial_chain_on_tiny_budget(table, monkeypatch):
     """An impossible probe budget stops the run with a partial (empty) chain
     instead of raising; the probe builder itself reports the exhaustion."""
     H = codim2_subspace()
-    monkeypatch.setattr(descent, "REPORT_DEPTH", 2)  # only zero vectors listed that early
+    monkeypatch.setattr(demo, "REPORT_DEPTH", 2)  # only zero vectors listed that early
     with pytest.raises(SearchBudgetError):
         build_probes(table, H, generic_point())
     chain = minimizing_sequence(table, H, generic_point(), 3)
@@ -321,17 +314,52 @@ def test_sequence_partial_chain_on_tiny_budget(table, monkeypatch):
     assert chain.stop_reason == "probe_budget"
 
 
-def test_dense_codimension_3_start_names_its_stop_reason(table):
-    """A start that pairs nonzero with three dense functionals, yet leaves
-    too few admissible probes: the empty chain says why."""
-    H = Subspace([
+def dense_codim3_subspace():
+    return Subspace([
         SparseVec({1: Fraction(1, 3), 2: 1, 3: -1, 4: Fraction(1, 2)}),
         SparseVec({1: -1, 2: Fraction(-1, 2), 3: 1, 4: Fraction(-1, 2)}),
         SparseVec({1: 1, 2: Fraction(-1, 2), 3: Fraction(-2, 3), 4: -1}),
     ])
-    chain = minimizing_sequence(table, H, SparseVec({4: -1}), 3)
+
+
+def test_dense_codimension_3_start_names_its_stop_reason(table):
+    """A start that pairs nonzero with three dense functionals, yet leaves
+    too few admissible probes: the empty chain says why."""
+    chain = minimizing_sequence(table, dense_codim3_subspace(), SparseVec({4: -1}), 3)
     assert (chain.certificates, chain.stop_reason) == ([], "probe_budget")
     assert DescentChain.from_json(chain.to_json()).stop_reason is None  # not on the wire
+
+
+def test_build_probes_gives_the_pool_each_index_once(table, monkeypatch):
+    """Three dense functionals over indices 1..4 reach the pool, which gets
+    each index once: listed with repeats, every single would be tried
+    three times and every pair nine times."""
+    supports = []
+
+    def recording(*args):
+        supports.append(list(args[-1]))
+        return demo.fan_probes(*args)
+
+    monkeypatch.setattr(descent, "fan_probes", recording)
+    with pytest.raises(SearchBudgetError):
+        build_probes(table, dense_codim3_subspace(), SparseVec({4: -1}))
+    assert supports == [[1, 2, 3, 4]]
+
+
+@pytest.mark.parametrize("codimension", [1, 3])
+def test_pool_repeats_do_not_change_the_chosen_probes(table, codimension):
+    """Each distinct pool candidate arrives in the same order whether the
+    support lists an index once or several times, so ``fan_probes`` picks
+    the same probes; ``count`` is large enough to drain into the pool."""
+    H = dense_codim3_subspace()
+    fan = build_fan(3, *H.functionals[:2]) if codimension == 3 else ()
+    for x in (generic_point(), SparseVec({1: 1, 3: Fraction(-2, 3), 6: 1}), SparseVec({2: 1, 3: 2})):
+        def admissible(z, positions):
+            return pair(x, z) != 0
+
+        once = demo.fan_probes(table, fan, 12, admissible, [1, 2, 3, 4])
+        repeated = demo.fan_probes(table, fan, 12, admissible, [4, 1, 2, 3, 1, 2, 3, 4, 3, 1, 2])
+        assert repeated == once and len(once) == 12
 
 
 def fresh_roundings(f):
@@ -405,10 +433,10 @@ def test_chosen_probes_do_not_depend_on_the_fan_precision(table, monkeypatch):
             H = Subspace([phi1, phi2] + [SparseVec.unit(10 + j) for j in range(n - 2)])
             fan = build_fan(n, phi1, phi2)
             exact = [ExactFan(n, s, phi1, phi2) for s in range(1, n + 2)]
-            chosen = [build_probes(table, H, x), demo_probes(table, points, fan, 500)]
+            chosen = [build_probes(table, H, x), demo_probes(table, points, fan)]
             with monkeypatch.context() as patched:
                 patched.setattr(descent, "build_fan", lambda *_: exact)
-                again = [build_probes(table, H, x), demo_probes(table, points, exact, 500)]
+                again = [build_probes(table, H, x), demo_probes(table, points, exact)]
             assert again == chosen, (n, anchors)
             rungs = {z for f in fan for z in f.ladder}
             picked += sum(map(len, chosen))
@@ -488,19 +516,19 @@ def _few_usable(*args):
     return report
 
 
-#: Each way a chain can stop short, forced on the first step: (patched
-#: descent name, stand-in, stop reason).
+#: Each way a chain can stop short, forced on the first step: (module and
+#: name patched, stand-in, stop reason).
 SHORT_STOPS = [
-    ("REPORT_DEPTH", 2, "probe_budget"),
-    ("build_report", _few_usable, "too_few_usable"),
-    ("_margin_parts", lambda report, v: (-1, 1, 0), "no_positive_margin"),
-    ("MAX_LINE_SEARCH", 0, "line_search_budget"),
+    (demo, "REPORT_DEPTH", 2, "probe_budget"),
+    (descent, "build_report", _few_usable, "too_few_usable"),
+    (descent, "_margin_parts", lambda report, v: (-1, 1, 0), "no_positive_margin"),
+    (descent, "MAX_LINE_SEARCH", 0, "line_search_budget"),
 ]
 
 
-@pytest.mark.parametrize("name, stand_in, reason", SHORT_STOPS, ids=[r for *_, r in SHORT_STOPS])
-def test_a_short_chain_names_its_stop_reason(table, monkeypatch, name, stand_in, reason):
-    monkeypatch.setattr(descent, name, stand_in)
+@pytest.mark.parametrize("module, name, stand_in, reason", SHORT_STOPS, ids=[r for *_, r in SHORT_STOPS])
+def test_a_short_chain_names_its_stop_reason(table, monkeypatch, module, name, stand_in, reason):
+    monkeypatch.setattr(module, name, stand_in)
     chain = minimizing_sequence(table, codim2_subspace(), generic_point(), 3)
     assert (chain.certificates, chain.stop_reason) == ([], reason)
 

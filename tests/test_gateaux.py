@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import interval_distance
 from proxinorm.bits import bits_for_target
 from proxinorm.gateaux import (
     derivative_from_json,
@@ -76,10 +77,6 @@ def fd_interval(table, x, u, h, bits):
     nx = norm_enclosure(table, x, bits)
     nxh = norm_enclosure(table, x + u.scale(h), bits)
     return (nxh.lo - nx.hi) / h, (nxh.hi - nx.lo) / h
-
-
-def interval_distance(alo, ahi, blo, bhi):
-    return max(Fraction(0), alo - bhi, blo - ahi)
 
 
 def test_fd_oracle_converges_into_enclosure(table):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import rref_determinant
 from proxinorm import linalg
 from proxinorm.errors import EliminationBudgetError
 from proxinorm.linalg import feasible, int_determinant, kernel_directions, rank
@@ -60,24 +61,6 @@ def rref_kernel(constraints, support):
         scale = -scale if v[min(v)] < 0 else scale
         basis.append(SparseVec({i: x * scale for i, x in v.items()}))
     return basis
-
-
-def fraction_determinant(rows):
-    """Independent determinant oracle: Gaussian elimination over Fraction."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(len(m)):
-        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, len(m)):
-            f = m[r][col] / m[col][col]
-            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 def test_kernel_of_coordinate_functional():
@@ -150,7 +133,7 @@ square_matrices = st.integers(0, 5).flatmap(
 @example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
 @example([[0, 1], [1, 0]])
 def test_int_determinant_against_fraction_oracle(rows):
-    assert int_determinant(rows) == fraction_determinant(rows)
+    assert int_determinant(rows) == rref_determinant(rows)
 
 
 @pytest.mark.parametrize("index", ["2", True, 3.9, 2.0])

@@ -148,6 +148,18 @@ def test_vector_keys_are_plain_decimal_digits(key):
         SparseVec.from_json({key: "1"})
 
 
+@pytest.mark.parametrize("obj, key, index", [
+    ({"1": "1/2", "01": "3"}, "01", 1),
+    ({"01": "3", "1": "1/2"}, "1", 1),
+    ({"7": "1", "2": "1", "007": "1"}, "007", 7),
+])
+def test_an_index_spelled_twice_is_rejected(obj, key, index):
+    """Two keys that name one index used to be last-wins."""
+    with pytest.raises(InputFormatError) as exc:
+        SparseVec.from_json(obj)
+    assert str(exc.value) == f"vector index {key!r} names index {index} twice"
+
+
 def test_bad_rational_echo_is_capped():
     with pytest.raises(InputFormatError) as short:
         parse_rational("1/x")
