@@ -120,6 +120,9 @@ class LinearityReport:
         except KeyError as exc:
             raise InputFormatError(f"report missing field {exc.args[0]!r}") from exc
         usable = set(report.usable)
+        if len(usable) < len(report.usable):
+            twice = next(i for i in report.usable if report.usable.count(i) > 1)
+            raise InputFormatError(f"report usable lists index {twice} twice")
         for name, values in (("gamma", report.gamma), ("eps_lower", report.eps_lo),
                              ("eps_upper", report.eps_hi)):
             if set(values) != usable:

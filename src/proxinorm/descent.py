@@ -374,9 +374,7 @@ class DescentChain:
             return []
         out = [certs[0].norm_before]
         for prev, nxt in zip(certs, certs[1:]):
-            lo = max(prev.norm_after.lo, nxt.norm_before.lo)
-            hi = min(prev.norm_after.hi, nxt.norm_before.hi)
-            out.append(Enclosure(lo, hi, max(prev.norm_after.depth, nxt.norm_before.depth)))
+            out.append(prev.norm_after.intersection(nxt.norm_before))
         out.append(certs[-1].norm_after)
         return out
 

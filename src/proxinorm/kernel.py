@@ -23,9 +23,9 @@ v with w_k; y = x + h v pairs as <x, w_k> + h <v, w_k>.  Four series (the
 norm at x and at y, the right derivative along v and along -v) are
 accumulated unreduced over L * 2^(a_K^2), each cut off at its own stored
 depth.  An endpoint's denominator is then a small odd number times a power
-of 2, so ``vectors._lowest_terms`` reduces it with shifts and one gcd with
-that odd part, and it matches when its lowest terms are the stored
-endpoint's numerator and denominator.
+of 2, so ``Enclosure.has_endpoints`` reduces it with shifts and one gcd
+with that odd part, and it matches when its lowest-terms parts (n, odd, e),
+the value n / (odd * 2^e), are the parts the enclosure stores.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from weakref import WeakKeyDictionary
 
 from .construction import EXACT_HEAD_TERMS
 from .errors import DepthBudgetError, PreconditionError
-from .vectors import Enclosure, SparseVec, _lowest_terms
+from .vectors import Enclosure, SparseVec
 
 #: A listed vector as its (index, p, q) entries, ascending in index.
 _Entries = Tuple[Tuple[int, int, int], ...]
@@ -163,12 +163,6 @@ def _sup_derivative(X: Dict[int, int], V: Dict[int, int]) -> int:
     return max(outward) if outward else -min(inward)
 
 
-def _equals(stored: Fraction, num: int, den: int) -> bool:
-    # den is a small odd number times a power of 2, so its lowest terms cost
-    # shifts and one small gcd; equal rationals have equal lowest terms
-    return _lowest_terms(num, den) == (stored.numerator, stored.denominator)
-
-
 def enclosures_match(
     table,
     x: SparseVec,
@@ -233,14 +227,14 @@ def enclosures_match(
         s = _sup(Z)
         lo = s * scale + series
         den = dz * scale
-        return _equals(enc.lo, lo, den) and _equals(enc.hi, (lo << g) + s * t * scale, den << g)
+        return enc.has_endpoints((lo, den), ((lo << g) + s * t * scale, den << g))
 
     def derivative_matches(enc: Enclosure, centre: int, sign: int) -> bool:
         t, g = tails[enc.depth]
         centre = sign * centre << g
         radius = _sup(V) * t * scale
         den = dv * scale << g
-        return _equals(enc.lo, centre - radius, den) and _equals(enc.hi, centre + radius, den)
+        return enc.has_endpoints((centre - radius, den), (centre + radius, den))
 
     minus_v = {i: -vi for i, vi in V.items()}
     return [

@@ -5,8 +5,11 @@ A ``SparseVec`` stores only nonzero entries, keyed by 1-based coordinate
 index.  The same type carries points of the sequence space (sup-norm side)
 and finitely supported functionals (l1 side); the pairing is the
 coordinatewise sum of products.  An ``Enclosure`` is the one interval type:
-norm, derivative and trigonometric enclosures alike.  Every operation here
-is exact: no rounding exists anywhere in this module.
+norm, derivative and trigonometric enclosures alike.  It keeps each endpoint
+as its lowest-terms parts (n, odd, e), the value n / (odd * 2^e), so a
+dyadic endpoint stores its power of 2 as an exponent; no other module
+knows that layout.  Every operation here is exact: no rounding exists
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -95,10 +98,11 @@ def _to_str(n: int) -> str:
     return "-" + digits if n < 0 else digits
 
 
-def _lowest_terms(p: int, q: int) -> Tuple[int, int]:
-    """p / q, q > 0, in lowest terms.  With q = odd * 2^e, the power of 2
-    that p and q share is shifted out and the one gcd taken is with the
-    odd part, so a denominator with a small odd part needs no big gcd."""
+def _lowest_terms(p: int, q: int) -> Tuple[int, int, int]:
+    """p / q, q > 0, in lowest terms as (n, odd, e): n / (odd * 2^e), odd
+    odd.  The power of 2 that p and q share is shifted out and the one gcd
+    taken is with the odd part of q, so a denominator with a small odd part
+    needs no big gcd."""
     e = (q & -q).bit_length() - 1
     odd = q >> e
     z = (p & -p).bit_length() - 1  # -1 when p == 0
@@ -112,17 +116,26 @@ def _lowest_terms(p: int, q: int) -> Tuple[int, int]:
     if g != 1:
         p //= g
         odd //= g
-    return p, odd << e
+    return p, odd, e
+
+
+def _parts(value: RationalLike) -> Tuple[int, int, int]:
+    """The (n, odd, e) of :func:`_lowest_terms` for a value already in
+    lowest terms: only the power of 2 is split off its denominator."""
+    q = value.denominator
+    e = (q & -q).bit_length() - 1
+    return value.numerator, q >> e, e
 
 
 class _LowestTerms:
     """A ``numbers.Rational`` already in lowest terms, as ``Fraction(r)``
-    takes it: ``r.numerator`` and ``r.denominator`` are copied unchanged."""
+    takes it: ``r.numerator`` and ``r.denominator`` are copied unchanged.
+    It is built from the parts (n, odd, e) of n / (odd * 2^e)."""
 
     __slots__ = ("numerator", "denominator")
 
-    def __init__(self, p: int, q: int):
-        self.numerator, self.denominator = _lowest_terms(p, q)
+    def __init__(self, parts: Tuple[int, int, int]):
+        self.numerator, self.denominator = parts[0], parts[1] << parts[2]
 
 
 numbers.Rational.register(_LowestTerms)
@@ -131,13 +144,18 @@ numbers.Rational.register(_LowestTerms)
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` as :func:`format_rational` writes them: ``p``
     an optional ``-`` and ASCII digits, ``q`` ASCII digits, nonzero."""
+    return Fraction(_LowestTerms(_parse_parts(text)))
+
+
+def _parse_parts(text: str) -> Tuple[int, int, int]:
+    """:func:`parse_rational`'s value as the parts of :func:`_lowest_terms`."""
     if not isinstance(text, str):
         raise InputFormatError(f"rational must be a string, got {type(text).__name__}")
     num, slash, den = text.partition("/")
     if _is_int_literal(num) and (not slash or _is_digits(den)):
         q = _to_int(den) if slash else 1
         if q:
-            return Fraction(_LowestTerms(_to_int(num), q))
+            return _lowest_terms(_to_int(num), q)
     raise InputFormatError(f"bad rational literal {_echo(text)}")
 
 
@@ -168,16 +186,6 @@ def parse_int(value: object, what: str, key: bool = False) -> int:
     return value
 
 
-def _less(a: RationalLike, b: RationalLike) -> bool:
-    """a < b, cross-multiplying by the odd parts of the denominators only:
-    their powers of 2 become one shift, so dyadic endpoints compare in
-    linear time."""
-    q, s = a.denominator, b.denominator
-    e = (q & -q).bit_length() - 1
-    f = (s & -s).bit_length() - 1
-    return _parts_less((a.numerator, q >> e, e), (b.numerator, s >> f, f))
-
-
 def _parts_less(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> bool:
     """p / (q * 2^e) < r / (s * 2^f) for a = (p, q, e) and b = (r, s, f),
     q, s > 0, neither necessarily in lowest terms: cross-multiplied by q
@@ -193,19 +201,31 @@ class Enclosure:
     contain a real quantity.  ``depth`` is the series truncation depth it
     was computed at; 0 for values that are not series sums.  Negation,
     absolute value and scaling keep the depth; a difference takes the
-    larger one.  Immutable; equal fields make equal enclosures."""
+    larger one.  Immutable; equal fields make equal enclosures.  ``lo`` and
+    ``hi`` build their ``Fraction`` from the stored parts when asked for;
+    order, sign, negation and equality use the parts themselves."""
 
-    __slots__ = ("lo", "hi", "depth")
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("_lo", "_hi", "depth")
     depth: int
 
     def __init__(self, lo: Fraction, hi: Fraction, depth: int = 0):
-        if _less(hi, lo):
+        self._set(_parts(lo), _parts(hi), depth)
+
+    def _set(self, lo: Tuple[int, int, int], hi: Tuple[int, int, int], depth: int) -> "Enclosure":
+        if _parts_less(hi, lo):
             raise ValueError("enclosure with lo > hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
         object.__setattr__(self, "depth", depth)
+        return self
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(_LowestTerms(self._lo))
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(_LowestTerms(self._hi))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -216,10 +236,10 @@ class Enclosure:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.lo, self.hi, self.depth) == (other.lo, other.hi, other.depth)
+        return (self._lo, self._hi, self.depth) == (other._lo, other._hi, other.depth)
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self.depth))
+        return hash((self._lo, self._hi, self.depth))
 
     def __repr__(self) -> str:
         return f"Enclosure(lo={self.lo!r}, hi={self.hi!r}, depth={self.depth!r})"
@@ -237,15 +257,30 @@ class Enclosure:
 
     def below(self, other: "Enclosure") -> bool:
         """Whether this interval lies strictly below ``other``: hi < other.lo."""
-        return _less(self.hi, other.lo)
+        return _parts_less(self._hi, other._lo)
 
     def sign(self) -> int:
         """+1 or -1 when the interval lies on one side of 0; 0 when it
         contains 0."""
-        return (self.lo.numerator > 0) - (self.hi.numerator < 0)
+        return (self._lo[0] > 0) - (self._hi[0] < 0)
+
+    def has_endpoints(self, lo: Tuple[int, int], hi: Tuple[int, int]) -> bool:
+        """Whether lo = (p, q) and hi = (r, s), q, s > 0 in any terms, give
+        the endpoints p / q and r / s; a denominator that is a small odd
+        number times a power of 2 costs shifts and one small gcd."""
+        return _lowest_terms(*lo) == self._lo and _lowest_terms(*hi) == self._hi
+
+    def intersection(self, other: "Enclosure") -> "Enclosure":
+        """[max lo, min hi] at the larger depth: where two enclosures of one
+        quantity both put it.  Disjoint intervals raise the ValueError of
+        crossed endpoints."""
+        lo = other._lo if _parts_less(self._lo, other._lo) else self._lo
+        hi = other._hi if _parts_less(other._hi, self._hi) else self._hi
+        return Enclosure.__new__(Enclosure)._set(lo, hi, max(self.depth, other.depth))
 
     def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo, self.depth)
+        (p, q, e), (r, s, f) = self._lo, self._hi
+        return Enclosure.__new__(Enclosure)._set((-r, s, f), (-p, q, e), self.depth)
 
     def __abs__(self) -> "Enclosure":
         """{|t| : t in [lo, hi]}."""
@@ -270,8 +305,8 @@ class Enclosure:
         for field in ("lo", "hi", "depth"):
             if field not in obj:
                 raise InputFormatError(f"{owner} missing field {field!r}")
-        lo, hi = parse_rational(obj["lo"]), parse_rational(obj["hi"])
-        return Enclosure(lo, hi, parse_int(obj["depth"], f"{owner} depth"))
+        lo, hi = _parse_parts(obj["lo"]), _parse_parts(obj["hi"])
+        return Enclosure.__new__(Enclosure)._set(lo, hi, parse_int(obj["depth"], f"{owner} depth"))
 
 
 class SparseVec:

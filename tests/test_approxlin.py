@@ -16,7 +16,7 @@ from proxinorm.approxlin import (
     span_match_feasible,
     verify_linearity_bound,
 )
-from proxinorm.errors import HypothesisError, PreconditionError
+from proxinorm.errors import HypothesisError, InputFormatError, PreconditionError
 from proxinorm.gateaux import dminus_norm, dplus_norm
 from proxinorm.bits import bits_for_target
 from proxinorm.vectors import SparseVec, format_rational, pair, parse_rational, sgn
@@ -232,6 +232,14 @@ def test_report_json_roundtrip(table):
     assert restored.eps_lo == rep.eps_lo
     assert restored.eps_hi == rep.eps_hi
     assert restored.excluded == rep.excluded
+
+
+def test_report_rejects_a_usable_index_listed_twice(table):
+    obj = build_report(table, std_x(), std_probes(), DEPTH).to_json()
+    first = obj["usable"][0]
+    obj["usable"].insert(1, first)
+    with pytest.raises(InputFormatError, match=f"report usable lists index {first} twice"):
+        LinearityReport.from_json(obj)
 
 
 # -- the dyadic margin arithmetic against the naive Fraction formula ----------

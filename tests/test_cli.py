@@ -443,6 +443,8 @@ MALFORMED_REPORTS = {
     "excluded-index-twice": (lambda r: r["excluded"].update({"04": ["sup-active"]}),
                              "report excluded key '04' names index 4 twice"),
     "x-index-twice": (lambda r: r["x"].update({"01": "2/3"}), "vector index '01' names index 1 twice"),
+    # a repeated usable index used to pass, as the index sets were compared as sets
+    "usable-index-twice": (lambda r: r.update(usable=[16, 16]), "report usable lists index 16 twice"),
 }
 
 

@@ -15,7 +15,6 @@ from proxinorm.vectors import (
     Enclosure,
     SparseVec,
     _echo,
-    _less,
     _parts_less,
     _lowest_terms,
     _to_int,
@@ -312,7 +311,8 @@ def test_parse_rational_lowest_terms_match_fraction(p, odd, e):
     parsed = parse_rational(f"{literal(p)}/{literal(q)}")
     assert type(parsed) is Fraction
     assert (parsed.numerator, parsed.denominator) == (expected.numerator, expected.denominator)
-    assert _lowest_terms(p, q) == (expected.numerator, expected.denominator)
+    n, odd_part, e = _lowest_terms(p, q)
+    assert odd_part % 2 == 1 and (n, odd_part << e) == (expected.numerator, expected.denominator)
 
 
 @settings(max_examples=25, deadline=None)
@@ -376,7 +376,9 @@ def test_long_integers_write_low_halves_with_leading_zeros(sign, low):
 
 
 #: Endpoints p / (odd * 2^e): dyadic, with a small odd part and with one of
-#: 2^64 or more; zero and negative numerators; and plain ints.
+#: 2^64 or more, as trig's Taylor sums give; zero and negative numerators;
+#: plain ints; and m + n / 2^e with an odd n of e bits, e up to 2^17, as the
+#: norm series give at 2^17 bits.
 endpoints = st.one_of(
     st.builds(
         lambda p, odd, e: Fraction(p, odd << e),
@@ -385,23 +387,79 @@ endpoints = st.one_of(
         st.integers(0, 2000),
     ),
     st.integers(-3, 3),
+    st.builds(
+        lambda m, e, seed: Fraction((m << e) + (random.Random(seed).getrandbits(e) | 1), 1 << e),
+        st.integers(-3, 3),
+        st.integers(0, 2**17),
+        st.integers(0, 2**32),
+    ),
 )
 
 
-@given(endpoints, endpoints, st.booleans())
-def test_less_is_the_order_of_fractions(a, b, equal):
-    """``_less`` and what it decides (a crossed enclosure, ``below``) agree
-    with ``<``, equal values included."""
-    if equal:
+def assert_models(enc, lo, hi, depth):
+    """``enc`` is the model (lo, hi, depth): its ``lo`` and ``hi`` are
+    ``Fraction``s with the model's lowest terms."""
+    for got, want in ((enc.lo, lo), (enc.hi, hi)):
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert enc.depth == depth
+
+
+def assert_crossed(make):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == "enclosure with lo > hi"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    endpoints, endpoints, endpoints, endpoints,
+    st.sampled_from(["none", "b = a", "c = b", "y = x"]),
+    st.integers(0, 400), st.integers(0, 400),
+    st.one_of(st.integers(-5, 5), st.fractions(max_denominator=50)),
+)
+def test_enclosure_matches_a_fraction_model(a, b, c, d, tie, m, n, factor):
+    """Every ``Enclosure`` operation agrees with the same operation on a
+    model (lo, hi, depth) of plain Fractions, equal and touching endpoints
+    included; crossed endpoints raise the one ValueError."""
+    if tie == "b = a":
         b = a
-    assert _less(a, b) == (a < b)
-    assert _less(b, a) == (b < a)
-    assert Enclosure(a - 1, a).below(Enclosure(b, b + 1)) == (a < b)
-    if b < a:
-        with pytest.raises(ValueError, match="enclosure with lo > hi"):
-            Enclosure(a, b)
+    elif tie == "c = b":
+        c = b
+    elif tie == "y = x":
+        c, d, n = a, b, m
+    for lo, hi in ((a, b), (b, a), (c, d), (d, c)):
+        if hi < lo:
+            assert_crossed(lambda: Enclosure(lo, hi, m))
+    (x_lo, x_hi), (y_lo, y_hi) = sorted((a, b)), sorted((c, d))
+    x, y = Enclosure(x_lo, x_hi, m), Enclosure(y_lo, y_hi, n)
+    assert_models(x, x_lo, x_hi, m)
+    assert_models(-x, -x_hi, -x_lo, m)
+    assert_models(abs(x), max(x_lo, -x_hi, 0), max(x_hi, -x_lo), m)
+    assert_models(x - y, x_lo - y_hi, x_hi - y_lo, max(m, n))
+    assert_models(x.scale(factor), *sorted((x_lo * factor, x_hi * factor)), m)
+    assert x.below(y) == (x_hi < y_lo) and y.below(x) == (y_hi < x_lo)
+    assert x.sign() == (x_lo > 0) - (x_hi < 0)
+    assert x.width() == x_hi - x_lo and x.midpoint() == Fraction(x_lo + x_hi, 2)
+    assert (x == y) == ((x_lo, x_hi, m) == (y_lo, y_hi, n))
+    assert x != Enclosure(x_lo - 1, x_hi, m) and x != Enclosure(x_lo, x_hi + 1, m)
+    assert x != Enclosure(x_lo, x_hi, m + 1)
+    twin = Enclosure(Fraction(x_lo), Fraction(x_hi), m)
+    assert twin == x and hash(twin) == hash(x)
+    obj = x.to_json()
+    assert obj == {"lo": format_rational(Fraction(x_lo)), "hi": format_rational(Fraction(x_hi)), "depth": m}
+    assert Enclosure.from_json(obj) == x
+    lo, hi = max(x_lo, y_lo), min(x_hi, y_hi)
+    if hi < lo:
+        assert_crossed(lambda: x.intersection(y))
     else:
-        assert (Enclosure(a, b).lo, Enclosure(a, b).hi) == (a, b)
+        assert_models(x.intersection(y), lo, hi, max(m, n))
+    # endpoints in other terms: numerator and denominator times 12
+    lo_terms = (12 * x_lo.numerator, 12 * x_lo.denominator)
+    hi_terms = (12 * x_hi.numerator, 12 * x_hi.denominator)
+    assert x.has_endpoints(lo_terms, hi_terms)
+    assert not x.has_endpoints(lo_terms, (hi_terms[0] + 1, hi_terms[1]))
+    assert not x.has_endpoints((lo_terms[0] - 1, lo_terms[1]), hi_terms)
 
 
 def test_crossed_enclosure_raises():
