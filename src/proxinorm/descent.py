@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .approxlin import REPORT_DEPTH, LinearityReport, _margin_parts, build_report, coherence_margin
 from .bits import bits_for_target, floor_pow2
@@ -143,20 +143,48 @@ class DescentCertificate:
 
     @staticmethod
     def from_json(obj: object) -> "DescentCertificate":
+        return DescentCertificate._read(obj, _shared_decoder())
+
+    @staticmethod
+    def _read(obj: object, decode: "_Decode") -> "DescentCertificate":
         if not isinstance(obj, dict):
             raise InputFormatError("certificate must be a JSON object")
         try:
             return DescentCertificate(
-                x=SparseVec.from_json(obj["x"]),
-                v=SparseVec.from_json(obj["v"]),
+                x=decode(SparseVec.from_json, obj["x"]),
+                v=decode(SparseVec.from_json, obj["v"]),
                 h=parse_rational(obj["h"]),
-                norm_before=Enclosure.from_json(obj["norm_before"]),
-                norm_after=Enclosure.from_json(obj["norm_after"]),
-                d_plus=derivative_from_json(obj["d_plus"]),
-                d_minus=derivative_from_json(obj["d_minus"]),
+                norm_before=decode(Enclosure.from_json, obj["norm_before"]),
+                norm_after=decode(Enclosure.from_json, obj["norm_after"]),
+                d_plus=decode(derivative_from_json, obj["d_plus"]),
+                d_minus=decode(derivative_from_json, obj["d_minus"]),
             )
         except KeyError as exc:
             raise InputFormatError(f"certificate missing field {exc.args[0]!r}") from exc
+
+
+#: decode(read, obj): read(obj), or the value an earlier read of equal JSON gave.
+_Decode = Callable[[Callable[[object], Any], object], Any]
+
+
+def _shared_decoder() -> _Decode:
+    """A decode that reads each distinct flat JSON object once: an object
+    whose values are all strings or ints (not bools) is keyed by the read
+    and its items in order, so equal JSON gives the first read's object.
+    Any other value is read every time.  A read that raises stores
+    nothing, so errors and their order are those of reading everything."""
+    memo: Dict[object, object] = {}
+
+    def decode(read: Callable[[object], Any], obj: object) -> Any:
+        if type(obj) is not dict or not all(type(v) is str or type(v) is int for v in obj.values()):
+            return read(obj)
+        key = (read, *obj.items())
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = read(obj)
+        return value
+
+    return decode
 
 
 # -- probe construction -----------------------------------------------------
@@ -393,10 +421,11 @@ class DescentChain:
             certs = obj["certificates"]
             if not isinstance(certs, list):
                 raise InputFormatError("certificates must be a JSON array")
+            decode = _shared_decoder()
             return DescentChain(
                 subspace=Subspace.from_json(obj["subspace"]),
-                x0=SparseVec.from_json(obj["x0"]),
-                certificates=[DescentCertificate.from_json(c) for c in certs],
+                x0=decode(SparseVec.from_json, obj["x0"]),
+                certificates=[DescentCertificate._read(c, decode) for c in certs],
             )
         except KeyError as exc:
             raise InputFormatError(f"chain missing field {exc.args[0]!r}") from exc

@@ -88,7 +88,7 @@ def dplus_enclosure_at_depth(
         raise PreconditionError("depth must be >= 1")
     center = dplus_sup(x, u) + derivative_series_sum(table, x, u, depth)
     radius = sup_norm(u) * table.tail_bound(depth)
-    return Enclosure(center - radius, center + radius, depth)
+    return Enclosure.around(center, radius, radius, depth)
 
 
 def dplus_norm(

@@ -22,9 +22,11 @@ k = 1..K, K the deepest stored depth, forms the integer pairings of x and
 v with w_k; y = x + h v pairs as <x, w_k> + h <v, w_k>.  Four series (the
 norm at x and at y, the right derivative along v and along -v) are
 accumulated unreduced over L * 2^(a_K^2), each cut off at its own stored
-depth.  An endpoint's denominator is then a small odd number times a power
-of 2, so ``Enclosure.has_endpoints`` reduces it with shifts and one gcd
-with that odd part, and it matches when its lowest-terms parts (n, odd, e),
+depth.  The kernel matches an enclosure's lower end and its width: the sup
+norm times the tail majorant for a norm, twice the truncation radius for a
+derivative.  Their denominators are a small odd number times a power of 2,
+so ``Enclosure.has_endpoints`` reduces each with shifts and one gcd with
+that odd part, and it matches when their lowest-terms parts (n, odd, e),
 the value n / (odd * 2^e), are the parts the enclosure stores.
 """
 
@@ -227,14 +229,14 @@ def enclosures_match(
         s = _sup(Z)
         lo = s * scale + series
         den = dz * scale
-        return enc.has_endpoints((lo, den), ((lo << g) + s * t * scale, den << g))
+        return enc.has_endpoints((lo, den), (s * t * scale, den << g))
 
     def derivative_matches(enc: Enclosure, centre: int, sign: int) -> bool:
         t, g = tails[enc.depth]
         centre = sign * centre << g
         radius = _sup(V) * t * scale
         den = dv * scale << g
-        return enc.has_endpoints((centre - radius, den), (centre + radius, den))
+        return enc.has_endpoints((centre - radius, den), (2 * radius, den))
 
     minus_v = {i: -vi for i, vi in V.items()}
     return [

@@ -37,7 +37,7 @@ def enclosure_at_depth(table: ConstructionTable, x: SparseVec, depth: int) -> En
         raise PreconditionError("depth must be >= 1")
     s = sup_norm(x)
     lo = s + series_partial_sum(table, x, depth)
-    return Enclosure(lo, lo + s * table.tail_bound(depth), depth)
+    return Enclosure.around(lo, 0, s * table.tail_bound(depth), depth)
 
 
 def _minimal_depth(table: ConstructionTable, scale: Fraction, precision_bits: int) -> int:

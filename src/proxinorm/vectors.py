@@ -5,11 +5,11 @@ A ``SparseVec`` stores only nonzero entries, keyed by 1-based coordinate
 index.  The same type carries points of the sequence space (sup-norm side)
 and finitely supported functionals (l1 side); the pairing is the
 coordinatewise sum of products.  An ``Enclosure`` is the one interval type:
-norm, derivative and trigonometric enclosures alike.  It keeps each endpoint
-as its lowest-terms parts (n, odd, e), the value n / (odd * 2^e), so a
-dyadic endpoint stores its power of 2 as an exponent; no other module
-knows that layout.  Every operation here is exact: no rounding exists
-anywhere in this module.
+norm, derivative and trigonometric enclosures alike.  It keeps its lower
+end lo and its width hi - lo, each as lowest-terms parts (n, odd, e), the
+value n / (odd * 2^e), so a dyadic number stores its power of 2 as an
+exponent; no other module knows that layout.  Every operation here is
+exact: no rounding exists anywhere in this module.
 """
 
 from __future__ import annotations
@@ -104,7 +104,11 @@ def _lowest_terms(p: int, q: int) -> Tuple[int, int, int]:
     taken is with the odd part of q, so a denominator with a small odd part
     needs no big gcd."""
     e = (q & -q).bit_length() - 1
-    odd = q >> e
+    return _reduce(p, q >> e, e)
+
+
+def _reduce(p: int, odd: int, e: int) -> Tuple[int, int, int]:
+    """p / (odd * 2^e), odd odd, in the lowest terms of :func:`_lowest_terms`."""
     z = (p & -p).bit_length() - 1  # -1 when p == 0
     if 0 <= z < e:
         p >>= z
@@ -117,6 +121,17 @@ def _lowest_terms(p: int, q: int) -> Tuple[int, int, int]:
         p //= g
         odd //= g
     return p, odd, e
+
+
+def _sum(a: Tuple[int, int, int], b: Tuple[int, int, int], sign: int = 1) -> Tuple[int, int, int]:
+    """a + sign * b for parts (n, odd, e), unreduced: over the product of the
+    odd parts (one of them when they are equal) and the larger power of 2,
+    by shifts."""
+    (p, q, e), (r, s, f) = a, b
+    E = max(e, f)
+    if q != s:
+        p, r, q = p * s, r * q, q * s
+    return (p << (E - e)) + sign * (r << (E - f)), q, E
 
 
 def _parts(value: RationalLike) -> Tuple[int, int, int]:
@@ -201,23 +216,44 @@ class Enclosure:
     contain a real quantity.  ``depth`` is the series truncation depth it
     was computed at; 0 for values that are not series sums.  Negation,
     absolute value and scaling keep the depth; a difference takes the
-    larger one.  Immutable; equal fields make equal enclosures.  ``lo`` and
-    ``hi`` build their ``Fraction`` from the stored parts when asked for;
-    order, sign, negation and equality use the parts themselves."""
+    larger one.  Immutable; equal fields make equal enclosures.
 
-    __slots__ = ("_lo", "_hi", "depth")
+    It stores lo and the width hi - lo, each as its lowest-terms parts, and
+    no hi: a deep enclosure's lo is a long number and its width a short
+    one, so :meth:`around` states [c - below, c + above] by shifts and one
+    gcd with small odd parts.  ``lo``, ``hi`` and ``width`` build their
+    ``Fraction`` when asked for; order, sign, negation and equality use
+    the parts themselves, and multiply a long numerator only by an odd
+    part."""
+
+    __slots__ = ("_lo", "_width", "depth")
     depth: int
 
     def __init__(self, lo: Fraction, hi: Fraction, depth: int = 0):
-        self._set(_parts(lo), _parts(hi), depth)
+        lo_parts = _parts(lo)
+        self._set(lo_parts, _reduce(*_sum(_parts(hi), lo_parts, -1)), depth)
 
-    def _set(self, lo: Tuple[int, int, int], hi: Tuple[int, int, int], depth: int) -> "Enclosure":
-        if _parts_less(hi, lo):
+    def _set(
+        self, lo: Tuple[int, int, int], width: Tuple[int, int, int], depth: int
+    ) -> "Enclosure":
+        if width[0] < 0:
             raise ValueError("enclosure with lo > hi")
         object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_width", width)
         object.__setattr__(self, "depth", depth)
         return self
+
+    @staticmethod
+    def around(
+        centre: RationalLike, below: RationalLike, above: RationalLike, depth: int
+    ) -> "Enclosure":
+        """[centre - below, centre + above]."""
+        c, b = _parts(centre), _parts(below)
+        return _enclosure(_reduce(*_sum(c, b, -1)), _reduce(*_sum(b, _parts(above))), depth)
+
+    def _hi(self) -> Tuple[int, int, int]:
+        """hi as unreduced parts."""
+        return _sum(self._lo, self._width)
 
     @property
     def lo(self) -> Fraction:
@@ -225,7 +261,7 @@ class Enclosure:
 
     @property
     def hi(self) -> Fraction:
-        return Fraction(_LowestTerms(self._hi))
+        return Fraction(_LowestTerms(_reduce(*self._hi())))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -233,13 +269,16 @@ class Enclosure:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        return _enclosure, (self._lo, self._width, self.depth)
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._lo, self._hi, self.depth) == (other._lo, other._hi, other.depth)
+        return (self._lo, self._width, self.depth) == (other._lo, other._width, other.depth)
 
     def __hash__(self) -> int:
-        return hash((self._lo, self._hi, self.depth))
+        return hash((self._lo, self._width, self.depth))
 
     def __repr__(self) -> str:
         return f"Enclosure(lo={self.lo!r}, hi={self.hi!r}, depth={self.depth!r})"
@@ -250,49 +289,61 @@ class Enclosure:
         return Enclosure(f, f)
 
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(_LowestTerms(self._width))
 
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        n, q, e = self._width
+        return Fraction(_LowestTerms(_reduce(*_sum(self._lo, (n, q, e + 1)))))
 
     def below(self, other: "Enclosure") -> bool:
         """Whether this interval lies strictly below ``other``: hi < other.lo."""
-        return _parts_less(self._hi, other._lo)
+        return _parts_less(self._hi(), other._lo)
 
     def sign(self) -> int:
         """+1 or -1 when the interval lies on one side of 0; 0 when it
         contains 0."""
-        return (self._lo[0] > 0) - (self._hi[0] < 0)
+        n, q, e = self._lo
+        if n > 0:
+            return 1
+        return -1 if n < 0 and _parts_less(self._width, (-n, q, e)) else 0
 
-    def has_endpoints(self, lo: Tuple[int, int], hi: Tuple[int, int]) -> bool:
-        """Whether lo = (p, q) and hi = (r, s), q, s > 0 in any terms, give
-        the endpoints p / q and r / s; a denominator that is a small odd
+    def has_endpoints(self, lo: Tuple[int, int], width: Tuple[int, int]) -> bool:
+        """Whether lo = (p, q) and width = (r, s), q, s > 0 in any terms, give
+        lo = p / q and hi - lo = r / s; a denominator that is a small odd
         number times a power of 2 costs shifts and one small gcd."""
-        return _lowest_terms(*lo) == self._lo and _lowest_terms(*hi) == self._hi
+        return _lowest_terms(*lo) == self._lo and _lowest_terms(*width) == self._width
 
     def intersection(self, other: "Enclosure") -> "Enclosure":
         """[max lo, min hi] at the larger depth: where two enclosures of one
         quantity both put it.  Disjoint intervals raise the ValueError of
         crossed endpoints."""
-        lo = other._lo if _parts_less(self._lo, other._lo) else self._lo
-        hi = other._hi if _parts_less(other._hi, self._hi) else self._hi
-        return Enclosure.__new__(Enclosure)._set(lo, hi, max(self.depth, other.depth))
+        low = other if _parts_less(self._lo, other._lo) else self
+        mine, theirs = self._hi(), other._hi()
+        high, hi = (other, theirs) if _parts_less(theirs, mine) else (self, mine)
+        width = high._width if high is low else _reduce(*_sum(hi, low._lo, -1))
+        return _enclosure(low._lo, width, max(self.depth, other.depth))
 
     def __neg__(self) -> "Enclosure":
-        (p, q, e), (r, s, f) = self._lo, self._hi
-        return Enclosure.__new__(Enclosure)._set((-r, s, f), (-p, q, e), self.depth)
+        n, q, e = _reduce(*self._hi())
+        return _enclosure((-n, q, e), self._width, self.depth)
 
     def __abs__(self) -> "Enclosure":
         """{|t| : t in [lo, hi]}."""
-        return Enclosure(max(self.lo, -self.hi, _FRAC_ZERO), max(self.hi, -self.lo), self.depth)
+        if self._lo[0] >= 0:
+            return self
+        neg = -self
+        if neg._lo[0] >= 0:
+            return neg
+        return _enclosure((0, 1, 0), _parts(max(-self.lo, -neg.lo)), self.depth)
 
     def __sub__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo - other.hi, self.hi - other.lo, max(self.depth, other.depth))
+        width = self.width() + other.width()
+        return _enclosure(_parts(self.lo - other.hi), _parts(width), max(self.depth, other.depth))
 
     def scale(self, factor: RationalLike) -> "Enclosure":
         f = _as_fraction(factor)
-        lo, hi = self.lo * f, self.hi * f
-        return Enclosure(lo, hi, self.depth) if f >= 0 else Enclosure(hi, lo, self.depth)
+        end = self.lo if f >= 0 else self.hi
+        return _enclosure(_parts(end * f), _parts(self.width() * abs(f)), self.depth)
 
     def to_json(self) -> Dict[str, object]:
         return {"lo": format_rational(self.lo), "hi": format_rational(self.hi), "depth": self.depth}
@@ -306,7 +357,13 @@ class Enclosure:
             if field not in obj:
                 raise InputFormatError(f"{owner} missing field {field!r}")
         lo, hi = _parse_parts(obj["lo"]), _parse_parts(obj["hi"])
-        return Enclosure.__new__(Enclosure)._set(lo, hi, parse_int(obj["depth"], f"{owner} depth"))
+        depth = parse_int(obj["depth"], f"{owner} depth")
+        return _enclosure(lo, _reduce(*_sum(hi, lo, -1)), depth)
+
+
+def _enclosure(lo: Tuple[int, int, int], width: Tuple[int, int, int], depth: int) -> Enclosure:
+    """The enclosure of stored parts, as :meth:`Enclosure._set` checks them."""
+    return Enclosure.__new__(Enclosure)._set(lo, width, depth)
 
 
 class SparseVec:

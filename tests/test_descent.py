@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,7 +32,7 @@ from proxinorm.descent import (
     verify_certificate,
     verify_chain,
 )
-from proxinorm.errors import PreconditionError, SearchBudgetError
+from proxinorm.errors import InputFormatError, PreconditionError, SearchBudgetError
 from proxinorm.linalg import kernel_directions, rank
 from proxinorm.norms import enclosure_at_depth
 from proxinorm.vectors import SparseVec, format_rational, pair
@@ -222,6 +224,47 @@ def test_chain_json_roundtrip(table):
     assert restored.x0 == chain.x0
     assert len(restored.certificates) == 2
     assert verify_chain(table, restored) == []
+
+
+def test_a_decoded_chain_shares_one_object_per_repeated_literal(table):
+    """Equal JSON in one chain document decodes to one object: x0 and the
+    first base point, each iterate's norm_after and the next norm_before,
+    and the one direction and its derivative enclosures along the ray."""
+    chain = minimizing_sequence(table, codim2_subspace(), generic_point(), 3)
+    obj = json.loads(json.dumps(chain.to_json()))
+    restored = DescentChain.from_json(obj)
+    names = ("x", "v", "norm_before", "norm_after", "d_plus", "d_minus")
+    fields = [(obj["x0"], restored.x0)] + [
+        (c_obj[name], getattr(cert, name))
+        for c_obj, cert in zip(obj["certificates"], restored.certificates) for name in names
+    ]
+    for i, (json_a, a) in enumerate(fields):
+        for json_b, b in fields[:i]:
+            assert (a is b) == (json_a == json_b and type(a) is type(b))
+    certs = restored.certificates
+    assert certs[0].x is restored.x0
+    for prev, nxt in zip(certs, certs[1:]):
+        assert prev.norm_after is nxt.norm_before and prev.v is nxt.v
+    assert restored.to_json() == chain.to_json() and verify_chain(table, restored) == []
+
+
+@pytest.mark.parametrize("depth", [True, 1.0])
+def test_a_repeated_literal_is_read_again_when_its_types_differ(table, depth):
+    """A depth of True or 1.0 equals 1 in Python, but it is not a JSON
+    integer: the repeat is read, and rejected, as if it came first."""
+    data = minimizing_sequence(table, codim2_subspace(), generic_point(), 2).to_json()
+    certs = data["certificates"]
+    certs[0]["norm_after"]["depth"] = 1
+    certs[1]["norm_before"] = dict(certs[0]["norm_after"], depth=depth)
+    with pytest.raises(InputFormatError, match=f"enclosure depth must be an integer, got {depth}"):
+        DescentChain.from_json(data)
+
+
+def test_chains_copy_and_pickle_to_an_equal_chain(table):
+    chain = minimizing_sequence(table, codim2_subspace(), generic_point(), 2)
+    for twin in (copy.deepcopy(chain), pickle.loads(pickle.dumps(chain))):
+        assert twin.certificates == chain.certificates and twin.to_json() == chain.to_json()
+        assert verify_chain(table, twin) == []
 
 
 def test_verifier_detects_single_field_tampering(table):

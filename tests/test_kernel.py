@@ -91,6 +91,7 @@ def test_majorant_matches_the_producer():
 
 @pytest.mark.parametrize("bad, error, message", [
     (0, PreconditionError, "depth must be >= 1"),
+    (21, DepthBudgetError, "table index 21 exceeds depth budget 20"),
     (31, DepthBudgetError, "table index 21 exceeds depth budget 20"),
 ])
 def test_out_of_range_depth_raises_in_field_order(bad, error, message):

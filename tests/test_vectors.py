@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 import sys
@@ -377,8 +379,9 @@ def test_long_integers_write_low_halves_with_leading_zeros(sign, low):
 
 #: Endpoints p / (odd * 2^e): dyadic, with a small odd part and with one of
 #: 2^64 or more, as trig's Taylor sums give; zero and negative numerators;
-#: plain ints; and m + n / 2^e with an odd n of e bits, e up to 2^17, as the
-#: norm series give at 2^17 bits.
+#: plain ints; and m + n / (odd * 2^e) with an odd n of e bits, e up to 2^17
+#: and odd 1 or a small odd number, as the norm and derivative series give
+#: at 2^17 bits.
 endpoints = st.one_of(
     st.builds(
         lambda p, odd, e: Fraction(p, odd << e),
@@ -388,8 +391,11 @@ endpoints = st.one_of(
     ),
     st.integers(-3, 3),
     st.builds(
-        lambda m, e, seed: Fraction((m << e) + (random.Random(seed).getrandbits(e) | 1), 1 << e),
+        lambda m, odd, e, seed: Fraction(
+            (m * odd << e) + (random.Random(seed).getrandbits(e) | 1), odd << e
+        ),
         st.integers(-3, 3),
+        st.sampled_from([1, 1, 3, 105]),
         st.integers(0, 2**17),
         st.integers(0, 2**32),
     ),
@@ -454,12 +460,44 @@ def test_enclosure_matches_a_fraction_model(a, b, c, d, tie, m, n, factor):
         assert_crossed(lambda: x.intersection(y))
     else:
         assert_models(x.intersection(y), lo, hi, max(m, n))
-    # endpoints in other terms: numerator and denominator times 12
-    lo_terms = (12 * x_lo.numerator, 12 * x_lo.denominator)
-    hi_terms = (12 * x_hi.numerator, 12 * x_hi.denominator)
-    assert x.has_endpoints(lo_terms, hi_terms)
-    assert not x.has_endpoints(lo_terms, (hi_terms[0] + 1, hi_terms[1]))
-    assert not x.has_endpoints((lo_terms[0] - 1, lo_terms[1]), hi_terms)
+    assert_has_endpoints(x, x_lo, x_hi)
+
+
+def assert_has_endpoints(enc, lo, hi):
+    """``has_endpoints`` takes lo and the width hi - lo in other terms: lo's
+    numerator and denominator times 12, the width's times 3 * 2^7; one
+    more in either numerator is another enclosure."""
+    w = Fraction(hi - lo)
+    lo_terms = (12 * Fraction(lo).numerator, 12 * Fraction(lo).denominator)
+    width_terms = (384 * w.numerator, 384 * w.denominator)
+    assert enc.has_endpoints(lo_terms, width_terms)
+    assert not enc.has_endpoints(lo_terms, (width_terms[0] + 1, width_terms[1]))
+    assert not enc.has_endpoints((lo_terms[0] - 1, lo_terms[1]), width_terms)
+    assert enc.width() == w and type(enc.width()) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(endpoints, endpoints, endpoints, st.sampled_from(["free", "norm", "derivative"]),
+       st.integers(0, 400))
+def test_enclosure_around_matches_a_fraction_model(centre, below, above, shape, depth):
+    """``around`` states [centre - below, centre + above]: free distances,
+    a norm's [S, S + T] and a derivative's [c - r, c + r]; distances whose
+    sum is negative cross and raise the one ValueError."""
+    if shape == "norm":
+        below, above = 0, abs(above)
+    elif shape == "derivative":
+        below = above = abs(above)
+    lo, hi = centre - below, centre + above
+    if hi < lo:
+        assert_crossed(lambda: Enclosure.around(centre, below, above, depth))
+        return
+    enc = Enclosure.around(centre, below, above, depth)
+    assert_models(enc, Fraction(lo), Fraction(hi), depth)
+    assert enc == Enclosure(lo, hi, depth) and hash(enc) == hash(Enclosure(lo, hi, depth))
+    assert_models(-enc, Fraction(-hi), Fraction(-lo), depth)
+    assert -(-enc) == enc
+    assert enc.sign() == (lo > 0) - (hi < 0)
+    assert_has_endpoints(enc, lo, hi)
 
 
 def test_crossed_enclosure_raises():
@@ -478,6 +516,27 @@ def test_enclosure_is_an_immutable_value():
         with pytest.raises(AttributeError):
             mutate()
     assert (enc.lo, enc.hi, enc.depth) == (Fraction(1, 3), Fraction(1, 2), 7)
+
+
+#: 1/3 rounded down to 2^17 bits; its width 2^-(2^17 + 9) has a short numerator.
+_DEEP_LO = Fraction((1 << (1 << 17)) // 3 | 1, 1 << (1 << 17))
+
+
+@pytest.mark.parametrize("enc", [
+    Enclosure(Fraction(-1, 3), Fraction(5, 2), 7),
+    Enclosure.point(0),
+    Enclosure.around(_DEEP_LO, 0, Fraction(3, 1 << ((1 << 17) + 9)), 362),
+], ids=["shallow", "point", "2^17 bits"])
+def test_enclosure_copies_and_pickles_to_an_equal_value(enc):
+    """``copy.copy``, ``copy.deepcopy`` and a pickle round trip rebuild the
+    enclosure from its stored parts."""
+    for twin in (copy.copy(enc), copy.deepcopy(enc), pickle.loads(pickle.dumps(enc))):
+        assert type(twin) is Enclosure and twin == enc and hash(twin) == hash(enc)
+        for field in ("lo", "hi", "depth"):
+            assert getattr(twin, field) == getattr(enc, field)
+        assert twin.width() == enc.width()
+        with pytest.raises(AttributeError):
+            twin.depth = 0
 
 
 def test_enclosure_sign_and_reflection():
