@@ -4,17 +4,18 @@ Given H as the joint kernel of finitely many independent, finitely
 supported functionals and a point x outside H, the engine searches for a
 direction v in H whose one-sided norm derivatives provably share a sign,
 then line-searches a dyadic step h with a certified strict norm decrease.
-Iterating yields a minimizing sequence that stays exactly in the coset
-x + H; every emitted certificate can be re-derived from scratch.
+Stepping along that one ray, with the search run once at the start,
+yields a minimizing sequence that stays exactly in the coset x + H;
+every emitted certificate can be re-derived from scratch.
 
-The probe vectors feeding the linearity report are rational roundings of
-the rotated-functional fan built from the first two defining functionals
-(midpoint-angle sines/cosines), with the rounding denominator reduced
-until every probe actually occurs in the reachable stream prefix; if the
-fan cannot be made visible (or the codimension is 1), a deterministic
-pool of low-height probes is used instead.  Any probe family with exact
-nonzero pairings yields valid certificates; the fan choice merely follows
-the sign-pattern mechanism that motivates the construction.
+The probe vectors feeding the linearity report, picked once per chain
+at its start, are rational roundings of the rotated-functional fan built
+from the first two defining functionals (midpoint-angle sines/cosines),
+with the rounding denominator reduced until every probe occurs in the
+reachable stream prefix; if the fan cannot be made visible (or the
+codimension is 1), a deterministic pool of low-height probes is used.
+Any probe family with exact nonzero pairings yields valid certificates;
+the fan merely follows the sign-pattern mechanism of the construction.
 """
 
 from __future__ import annotations
@@ -379,8 +380,9 @@ class DescentChain:
     usable indices than the codimension plus one), ``no_positive_margin``
     (no candidate direction with a positive coherence margin) or
     ``line_search_budget`` (``MAX_LINE_SEARCH`` halvings without a
-    certified decrease).  It is None for a decoded chain: the wire format
-    does not carry it.
+    certified decrease).  Only x0 is searched, so ``probe_budget``,
+    ``too_few_usable`` and ``no_positive_margin`` leave no certificate.
+    It is None for a decoded chain: the wire format does not carry it.
     """
 
     subspace: Subspace
@@ -434,7 +436,7 @@ class DescentChain:
 def minimizing_sequence(
     table: ConstructionTable, subspace: Subspace, x0: SparseVec, steps: int
 ) -> DescentChain:
-    """Iterate direction search and certified steps from x0.
+    """Iterate certified steps from x0 along one ray.
 
     All iterates stay exactly in the coset x0 + H (rational arithmetic,
     directions in the kernel).  Stops early with the partial chain when
@@ -442,14 +444,12 @@ def minimizing_sequence(
     certificate's ``norm_after`` is handed to the next line search, so
     consecutive certificates usually share one enclosure object.
 
-    One ray per chain.  A step calls :func:`find_descent_direction` only
-    when its probes differ from those of the report in hand (always at
-    the first step).  Otherwise the report built at an earlier iterate r,
-    its direction v and margin are reused, and only the step cap, the
-    derivative evidence and the line search read the new iterate x.
-    That is exact: the report built at x from the same probes differs
-    from the one built at r in its ``x`` field alone, given four facts
-    that are checked exactly:
+    One ray per chain.  :func:`find_descent_direction` runs once, at x0:
+    its probes, report r = x0, direction v and margin serve every step,
+    and a later step reads the new iterate x only in the step cap, the
+    derivative evidence and the line search.  That is exact: the report
+    built at x from x0's probes differs from the one built at r in its
+    ``x`` field alone, given four facts that are checked exactly:
 
     (a) <x, z_j> = <r, z_j> for every probe z_j;
     (b) sup|x| = sup|r|, attained on the same indices;
@@ -471,12 +471,8 @@ def minimizing_sequence(
     v lies on usable indices, which avoid every probe support, so (a)
     holds; each step's cap keeps every touched |x_i| strictly below both
     thresholds of the point it leaves, which gives (d) and, with (c),
-    keeps the sup where it is, off supp v, so (b) holds.  Equal probes
-    with a failed check therefore contradict the argument, and raise
-    ``RuntimeError``.  The probes are still rebuilt at every step: a
-    ladder rung that was inadmissible at r may have become admissible at
-    x, since a rung's support may meet supp v.  Then the step takes the
-    full path, and its report becomes the one in hand.
+    keeps the sup where it is, off supp v, so (b) holds.  A failed check
+    therefore contradicts the argument, and raises ``RuntimeError``.
 
     A derivative enclosure equal to the previous step's is the previous
     step's object, so the certificates of one ray share one v and, while
@@ -484,35 +480,25 @@ def minimizing_sequence(
     """
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
-    if all(p == 0 for p in subspace.pairings(x0)):
-        raise PreconditionError("x lies in the subspace; the coset is trivial")
     chain = DescentChain(subspace=subspace, x0=x0)
-    x = x0
-    norm_x: Optional[Enclosure] = None
-    ray: Optional[Tuple[LinearityReport, SparseVec]] = None
-    evidence: Optional[SignEvidence] = None
+    try:
+        found = find_descent_direction(table, subspace, x0)
+    except SearchBudgetError:
+        chain.stop_reason = "probe_budget"
+        return chain
+    if found is None:  # for either reason; the report at x0 tells which
+        usable = build_report(table, x0, build_probes(table, subspace, x0), REPORT_DEPTH).usable
+        few = len(usable) < subspace.codimension + 1
+        chain.stop_reason = "too_few_usable" if few else "no_positive_margin"
+        return chain
+    v, evidence, report = found
+    x, norm_x = x0, None
     chain.stop_reason = "completed"
-    for _ in range(steps):
-        try:
-            probes = build_probes(table, subspace, x)
-        except SearchBudgetError:
-            chain.stop_reason = "probe_budget"
-            break
-        if ray is not None and probes == ray[0].probes:
-            report, v = ray
+    for t in range(steps):
+        if t:
             if not _on_ray(report, v, x):
-                raise RuntimeError("equal probes, but the report of the ray does not hold at x")
-            fresh = _sign_evidence(table, x, v, report, evidence.margin)
-        else:
-            found = find_descent_direction(table, subspace, x)
-            if found is None:  # for either reason; the report at x tells which
-                usable = build_report(table, x, probes, REPORT_DEPTH).usable
-                few = len(usable) < subspace.codimension + 1
-                chain.stop_reason = "too_few_usable" if few else "no_positive_margin"
-                break
-            v, fresh, report = found
-            ray = (report, v)
-        evidence = _shared(fresh, evidence)
+                raise RuntimeError("the report of the ray does not hold at x")
+            evidence = _shared(_sign_evidence(table, x, v, report, evidence.margin), evidence)
         try:
             cert = certify_descent(table, subspace, x, v, evidence, norm_x)
         except SearchBudgetError:

@@ -337,8 +337,8 @@ class Enclosure:
         return _enclosure((0, 1, 0), _parts(max(-self.lo, -neg.lo)), self.depth)
 
     def __sub__(self, other: "Enclosure") -> "Enclosure":
-        width = self.width() + other.width()
-        return _enclosure(_parts(self.lo - other.hi), _parts(width), max(self.depth, other.depth))
+        lo, width = _sum(self._lo, other._hi(), -1), _sum(self._width, other._width)
+        return _enclosure(_reduce(*lo), _reduce(*width), max(self.depth, other.depth))
 
     def scale(self, factor: RationalLike) -> "Enclosure":
         f = _as_fraction(factor)

@@ -546,6 +546,30 @@ def test_one_ray_per_chain_matches_the_per_step_oracle(table, criterion6_starts,
         assert chain_bytes(chain) == chain_bytes(per_step_chain(table, H, x0, 10))
 
 
+def test_a_chain_builds_its_probes_once(table, criterion6_starts, monkeypatch):
+    """One probe build and one direction search per chain, both at x0: a
+    later step re-checks the ray instead of rebuilding the probes."""
+    calls = {"build_probes": 0, "find_descent_direction": 0}
+
+    def counting(name):
+        real = getattr(descent, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(descent, name, counting(name))
+    H = codim2_subspace()
+    for x0 in criterion6_starts:
+        calls.update(dict.fromkeys(calls, 0))
+        chain = minimizing_sequence(table, H, x0, 10)
+        assert len(chain.certificates) == 10
+        assert calls == {"build_probes": 1, "find_descent_direction": 1}
+
+
 def test_minimizing_sequence_rejects_a_start_inside_the_subspace(table):
     with pytest.raises(PreconditionError):
         minimizing_sequence(table, codim2_subspace(), SparseVec.unit(5), 3)
@@ -576,9 +600,28 @@ def test_a_short_chain_names_its_stop_reason(table, monkeypatch, module, name, s
     assert (chain.certificates, chain.stop_reason) == ([], reason)
 
 
+def test_a_stop_at_a_later_step_keeps_the_certificates_before_it(table, monkeypatch):
+    """A line search that runs out on the second step leaves the first
+    step's certificate and names ``line_search_budget``."""
+    H, x0 = codim2_subspace(), generic_point()
+    first = per_step_chain(table, H, x0, 1).certificates
+    calls = []
+
+    def second_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise SearchBudgetError("line search exhausted without a certified decrease")
+        return certify_descent(*args)
+
+    monkeypatch.setattr(descent, "certify_descent", second_fails)
+    chain = minimizing_sequence(table, H, x0, 3)
+    assert (chain.certificates, chain.stop_reason) == (first, "line_search_budget")
+    assert len(calls) == 2
+
+
 def raises_off_the_ray(index):
     """Whether a chain whose every step also moves x by 2^-200 at ``index``
-    raises the RuntimeError of equal probes at a point off the ray."""
+    raises the RuntimeError of a later step whose iterate is off the ray."""
     step = DescentCertificate.next_point
     bump = SparseVec({index: Fraction(1, 1 << 200)})
     DescentCertificate.next_point = lambda cert: step(cert) + bump
@@ -593,8 +636,8 @@ def raises_off_the_ray(index):
 
 @pytest.mark.parametrize("index", [1, 3, 10**6], ids=["on-a-probe", "off-v", "far-off-v"])
 def test_equal_probes_off_the_ray_raise(index):
-    """The probes stay equal, so the re-check runs and fails: a pairing or
-    a coordinate off v's support moved.  Also under python -O."""
+    """A later step re-checks the ray of x0's report, and the check fails:
+    a pairing or a coordinate off v's support moved.  Also under python -O."""
     assert raises_off_the_ray(index)
     env = dict(os.environ)
     path = [os.path.dirname(__file__), env.get("PYTHONPATH")]
