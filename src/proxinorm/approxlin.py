@@ -230,10 +230,11 @@ def _terms(
     """
     pairing: List[_Term] = []
     budget: List[_Term] = []
-    for i, vi in v.items():
+    dv, idx, nums = v.integers()
+    for i, vi in zip(idx, nums):  # v_i = vi / dv, unreduced
         g, e = report.gamma[i], eps[i]
-        n = vi.numerator * g.numerator
-        q, s = split_pow2(vi.denominator * g.denominator)
+        n = vi * g.numerator
+        q, s = split_pow2(dv * g.denominator)
         qe, se = split_pow2(e.denominator)
         pairing.append((n, q, s))
         budget.append((abs(n) * e.numerator, q * qe, s + se))

@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from .bits import dyadic_parts, round_dyadic
 from .errors import DepthBudgetError
-from .vectors import SparseVec
+from .vectors import SparseVec, _over_lcm, _parts, _vec
 
 DEFAULT_DEPTH_BUDGET = 5000
 
@@ -81,16 +81,16 @@ def _stream() -> Iterator[Tuple[SparseVec, int]]:
 
     ceil(l1) is taken in integers over D, the lcm of the level's
     denominators.  Each distinct vector is built once per stream, keyed by
-    its (index, p, q) entries, so its recurrences in later levels are the
-    same object, hash cached.
+    its (index, p, odd, e) entries, p / (odd * 2^e), so its recurrences in
+    later levels are the same object, hash cached.
     """
-    built: Dict[Tuple[Tuple[int, int, int], ...], SparseVec] = {}
+    built: Dict[Tuple[Tuple[int, int, int, int], ...], SparseVec] = {}
     tag, level = 0, 1
     while True:
-        grid = {(f.numerator, f.denominator): f for f in rational_grid(level)}
+        grid = rational_grid(level)
         D = math.lcm(*range(1, level))
-        cells = [[(i, p, q) for p, q in grid] for i in range(level + 1)]
-        weights = [abs(p) * (D // q) for p, q in grid]  # D * |p/q|
+        cells = [[(i, *_parts(f)) for f in grid] for i in range(level + 1)]
+        weights = [abs(f.numerator) * (D // f.denominator) for f in grid]  # D * |f|
         tag += 1
         yield SparseVec.zero(), tag
         for supp in _supports_lex(level):
@@ -98,9 +98,7 @@ def _stream() -> Iterator[Tuple[SparseVec, int]]:
             for entries, ws in zip(listed, product(weights, repeat=len(supp))):
                 u = built.get(entries)
                 if u is None:
-                    u = built[entries] = SparseVec._checked(
-                        {i: grid[p, q] for i, p, q in entries}
-                    )
+                    u = built[entries] = _vec(*_over_lcm(entries))
                 tag = max(tag + 1, supp[-1] + 1, -(-sum(ws) // D))
                 yield u, tag
         level += 1

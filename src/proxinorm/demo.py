@@ -26,7 +26,7 @@ from .construction import ConstructionTable
 from .errors import PrecisionBudgetError, PreconditionError
 from .linalg import int_determinant
 from .trig import ANGLE_BITS, base_angles, cos_enclosure, fan_angles, sin_enclosure
-from .vectors import Enclosure, SparseVec, format_rational, pair, sgn
+from .vectors import Enclosure, SparseVec, _dot, format_rational, pair, sgn
 
 ROUNDING_DENOMINATOR_BITS = 16  # finest fan-probe rounding, 2^-16
 
@@ -167,7 +167,7 @@ def certified_sign(x: SparseVec, f: Union[FanFunctional, SparseVec]) -> int:
     PrecisionBudgetError is raised when its pairing interval contains 0.
     """
     if isinstance(f, SparseVec):
-        return sgn(pair(x, f))
+        return sgn(_dot(x, f))  # over a positive denominator
     sign = f.pair_interval(x).sign()
     if not sign:
         raise PrecisionBudgetError(
@@ -201,7 +201,7 @@ def demo_probes(
     :func:`fan_probes` of the fan, topped up from the pool over its support."""
     n_probes = len(fan)
     chosen = fan_probes(
-        table, fan, n_probes, lambda z, _: all(pair(x, z) != 0 for x in points),
+        table, fan, n_probes, lambda z, _: all(_dot(x, z) != 0 for x in points),
         fan[0].support(),
     )
     if len(chosen) < n_probes:
@@ -261,7 +261,7 @@ def run_demo(table, n: int) -> Dict:
         report = build_report(table, x, probes, REPORT_DEPTH)
         gvec = report.gamma_vec()
         blocks = theta_blocks(report, gvec)
-        sigma_x = {j: sgn(pair(x, z)) for j, z in enumerate(probes)}
+        sigma_x = {j: sgn(_dot(x, z)) for j, z in enumerate(probes)}
         expected = {j: Fraction(-s) for j, s in sigma_x.items()}
         constant = all(
             len(set(vals)) == 1 and vals[0] == expected[j]

@@ -269,13 +269,13 @@ def _sign_evidence(
     # cap the step to keep both strict along the ray, so no tag is ever
     # excluded by later reports and descent can continue indefinitely.
     s = sup_norm(x)
+    dv, idx, nums = v.integers()
     cap: Optional[Fraction] = None
-    for i, vi in v.items():
-        p = pair(x, report.probes[report.block[i]])
-        room = min(abs(p), s) - abs(x[i])
+    for i, vi in zip(idx, nums):  # v_i = vi / dv
+        room = min(abs(pair(x, report.probes[report.block[i]])), s) - abs(x[i])
         if room <= 0:
             raise RuntimeError(f"usable index {i} has no room below its thresholds")
-        bound = room / (2 * abs(vi))
+        bound = room * dv / (2 * abs(vi))
         cap = bound if cap is None or bound < cap else cap
 
     bits = bits_for_target(margin / (1 << SIGN_GUARD_BITS))
@@ -532,8 +532,9 @@ def _on_ray(report: LinearityReport, v: SparseVec, x: SparseVec) -> bool:
         return False
     s = sup_norm(x)
 
-    def active(y: SparseVec) -> List[int]:
-        return [i for i, yi in y.items() if abs(yi) == s]
+    def active(y: SparseVec) -> List[int]:  # where |y_i| = s, in y's integers
+        d, idx, nums = y.integers()
+        return [i for i, n in zip(idx, nums) if abs(n) == s * d]
 
     if s != sup_norm(r) or active(x) != active(r):
         return False

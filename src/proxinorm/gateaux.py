@@ -15,8 +15,8 @@ from typing import Dict
 from .bits import dyadic_sum
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError
-from .norms import _minimal_depth
-from .vectors import Enclosure, SparseVec, pair, sgn, sup_norm
+from .norms import _minimal_depth, _stream_pairings
+from .vectors import Enclosure, SparseVec, sup_norm
 
 
 _SIGN_NAMES = {1: "positive", -1: "negative", 0: "straddles_zero"}
@@ -48,18 +48,9 @@ def dplus_sup(x: SparseVec, u: SparseVec) -> Fraction:
     if x.is_zero():
         return sup_norm(u)
     m = sup_norm(x)
-    outward = []
-    inward = []
-    for i, v in x.items():
-        if abs(v) == m:
-            ui = u[i]
-            if ui * v > 0:
-                outward.append(abs(ui))
-            else:
-                inward.append(abs(ui))
-    if outward:
-        return max(outward)
-    return -min(inward)
+    moves = [(u[i] * v > 0, abs(u[i])) for i, v in x.items() if abs(v) == m]
+    outward = [size for out, size in moves if out]
+    return max(outward) if outward else -min(size for _, size in moves)
 
 
 def derivative_series_sum(
@@ -70,14 +61,9 @@ def derivative_series_sum(
     Term k is 2^(-a_k^2) * s_k * |<u, w_k>| with w_k = u_k - e_{a_k} and
     s_k the sign of <u, w_k> * <x, w_k> (sign of 0 counts +1).
     """
-    terms = []
-    for k in range(1, depth + 1):
-        uk, a = table.entry(k)
-        pu = pair(u, uk) - u[a]
-        if pu != 0:
-            px = pair(x, uk) - x[a]
-            terms.append((abs(pu.numerator) * sgn(pu * px), pu.denominator, a * a))
-    return dyadic_sum(terms)
+    pairs = zip(_stream_pairings(table, u, depth), _stream_pairings(table, x, depth))
+    return dyadic_sum([(abs(pu) if pu * px >= 0 else -abs(pu), q, a * a)
+                       for (pu, q, a), (px, _, _) in pairs if pu])
 
 
 def dplus_enclosure_at_depth(

@@ -17,17 +17,17 @@ holds the integer pairing coefficients of w_k = u_k - e_{a_k} over the lcm
 L of the prefix's denominators, and per depth the tail majorant, so every
 certificate of a chain reuses them.
 
-Points are integer vectors over a common denominator.  One walk over
-k = 1..K, K the deepest stored depth, forms the integer pairings of x and
-v with w_k; y = x + h v pairs as <x, w_k> + h <v, w_k>.  Four series (the
+A point is the integers X over d its vector stores, and only d > 0 is
+relied on (and checked): every sum is homogeneous in (X, d).  One walk
+over k = 1..K, K the deepest stored depth, pairs x and v with w_k in
+integers; y = x + h v pairs as <x, w_k> + h <v, w_k>.  Four series (the
 norm at x and at y, the right derivative along v and along -v) are
 accumulated unreduced over L * 2^(a_K^2), each cut off at its own stored
 depth.  The kernel matches an enclosure's lower end and its width: the sup
 norm times the tail majorant for a norm, twice the truncation radius for a
 derivative.  Their denominators are a small odd number times a power of 2,
 so ``Enclosure.has_endpoints`` reduces each with shifts and one gcd with
-that odd part, and it matches when their lowest-terms parts (n, odd, e),
-the value n / (odd * 2^e), are the parts the enclosure stores.
+that odd part, and matches their lowest-terms parts (n, odd, e).
 """
 
 from __future__ import annotations
@@ -141,9 +141,11 @@ _PREFIXES: WeakKeyDictionary[object, _Prefix] = WeakKeyDictionary()
 
 
 def _integral(x: SparseVec) -> Tuple[Dict[int, int], int]:
-    """(X, d) with x = X / d, d the lcm of the entry denominators."""
-    d = lcm(*(f.denominator for _, f in x.items()))
-    return {i: f.numerator * (d // f.denominator) for i, f in x.items()}, d
+    """(X, d) with x = X / d as stored; the sums are homogeneous in (X, d)."""
+    d, idx, nums = x.integers()
+    if d < 1:
+        raise PreconditionError(f"vector denominator {d} is not positive")
+    return {i: n for i, n in zip(idx, nums) if n}, d
 
 
 def _sup(X: Dict[int, int]) -> int:
@@ -196,9 +198,8 @@ def enclosures_match(
     A = tags[K - 1] ** 2
     X, dx = _integral(x)
     V, dv = _integral(v)
-    # y = Y / dy with Y = X * dv * hd + hn * dx * V
-    hn, hd = h.numerator, h.denominator
-    fx, fv = dv * hd, hn * dx
+    # y = Y / dy with Y = X * dv * hd + hn * dx * V, h = hn / hd
+    fx, fv = dv * h.denominator, h.numerator * dx
     Y = {i: X.get(i, 0) * fx + V.get(i, 0) * fv for i in X.keys() | V.keys()}
 
     d_x, d_y, d_plus, d_minus = depths
@@ -226,10 +227,8 @@ def enclosures_match(
 
     def norm_matches(enc: Enclosure, Z: Dict[int, int], dz: int, series: int) -> bool:
         t, g = tails[enc.depth]
-        s = _sup(Z)
-        lo = s * scale + series
-        den = dz * scale
-        return enc.has_endpoints((lo, den), (s * t * scale, den << g))
+        s, den = _sup(Z), dz * scale
+        return enc.has_endpoints((s * scale + series, den), (s * t * scale, den << g))
 
     def derivative_matches(enc: Enclosure, centre: int, sign: int) -> bool:
         t, g = tails[enc.depth]
@@ -241,7 +240,7 @@ def enclosures_match(
     minus_v = {i: -vi for i, vi in V.items()}
     return [
         norm_matches(stored[0], X, dx, sx),
-        norm_matches(stored[1], Y, dx * dv * hd, sy),
+        norm_matches(stored[1], Y, dx * fx, sy),
         derivative_matches(stored[2], _sup_derivative(X, V) * scale + sp, 1),
         # the left derivative is the reflection -d_plus(x; -v)
         derivative_matches(stored[3], _sup_derivative(X, minus_v) * scale + sm, -1),

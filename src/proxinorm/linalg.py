@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EliminationBudgetError, PreconditionError
@@ -52,17 +52,10 @@ def _row_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[in
 
 
 def _reduce_functionals(functionals: Sequence[SparseVec], cols: Sequence[int]):
-    """:func:`_row_reduce` of the functionals on cols, denominators cleared."""
-    col_of = {c: j for j, c in enumerate(cols)}
-    rows = []
-    for phi in functionals:
-        entries = [(col_of[i], v) for i, v in phi.items() if i in col_of]
-        den = lcm(*(v.denominator for _, v in entries))
-        row = [0] * len(cols)
-        for j, v in entries:
-            row[j] = v.numerator * (den // v.denominator)
-        rows.append(row)
-    return _row_reduce(rows)
+    """:func:`_row_reduce` of the functionals on cols, each row its stored
+    numerators: the functional times its denominator."""
+    entries = [dict(zip(*phi.integers()[1:])) for phi in functionals]
+    return _row_reduce([[row.get(c, 0) for c in cols] for row in entries])
 
 
 def kernel_directions(

@@ -10,25 +10,32 @@ source is truncation, and it is one-sided, so an enclosure is always
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator, Tuple
 
 from .bits import dyadic_sum
 from .construction import ConstructionTable
 from .errors import DepthBudgetError, PreconditionError
-from .vectors import Enclosure, SparseVec, pair, sup_norm
+from .vectors import Enclosure, SparseVec, sup_norm
 
 DEFAULT_PRECISION_BITS = 64
 PRECISION_CAP = 1 << 20
 
 
+def _stream_pairings(table, x: SparseVec, depth: int) -> Iterator[Tuple[int, int, int]]:
+    """(n, q, a_k) per k <= depth: <x, u_k - e_{a_k}> = n / q, q = d * d_k unreduced."""
+    d, idx, nums = x.integers()
+    X = dict(zip(idx, nums))
+    for _, u, a in table.prefix(depth):
+        du, ui, un = u.integers()
+        n = -du * X.get(a, 0)
+        for i, c in zip(ui, un):
+            n += c * X.get(i, 0)
+        yield n, d * du, a
+
+
 def series_partial_sum(table: ConstructionTable, x: SparseVec, depth: int) -> Fraction:
     """Exact sum over k <= depth of 2^(-a_k^2) * |<x, u_k - e_{a_k}>|."""
-    terms = []
-    for k in range(1, depth + 1):
-        u, a = table.entry(k)
-        p = pair(x, u) - x[a]
-        if p != 0:
-            terms.append((abs(p.numerator), p.denominator, a * a))
-    return dyadic_sum(terms)
+    return dyadic_sum([(abs(n), q, a * a) for n, q, a in _stream_pairings(table, x, depth) if n])
 
 
 def enclosure_at_depth(table: ConstructionTable, x: SparseVec, depth: int) -> Enclosure:

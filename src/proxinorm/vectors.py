@@ -1,27 +1,28 @@
 """Exact rationals, their intervals, finitely supported sequences of them,
 and the pairings.
 
-A ``SparseVec`` stores only nonzero entries, keyed by 1-based coordinate
-index.  The same type carries points of the sequence space (sup-norm side)
-and finitely supported functionals (l1 side); the pairing is the
-coordinatewise sum of products.  An ``Enclosure`` is the one interval type:
-norm, derivative and trigonometric enclosures alike.  It keeps its lower
-end lo and its width hi - lo, each as lowest-terms parts (n, odd, e), the
-value n / (odd * 2^e), so a dyadic number stores its power of 2 as an
-exponent; no other module knows that layout.  Every operation here is
-exact: no rounding exists anywhere in this module.
+A ``SparseVec`` stores its nonzero entries at 1-based indices, as integers
+over one denominator; it carries points of the sequence space (sup-norm
+side) and finitely supported functionals (l1 side), and the pairing is an
+integer dot product.  An ``Enclosure`` is the one interval type: norm,
+derivative and trigonometric enclosures alike.  It keeps its lower end lo
+and its width hi - lo, each as lowest-terms parts (n, odd, e), the value
+n / (odd * 2^e), so a dyadic number stores its power of 2 as an exponent;
+no other module knows that layout.  Every operation here is exact: no
+rounding exists anywhere in this module.
 """
 
 from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Iterator, Mapping, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterator, Mapping, Sequence, Tuple, Union
 
 from .errors import InputFormatError
 
 RationalLike = Union[Fraction, int]
+_Ints = Tuple[int, ...]
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -369,36 +370,22 @@ def _enclosure(lo: Tuple[int, int, int], width: Tuple[int, int, int], depth: int
 class SparseVec:
     """Immutable finitely supported sequence with exact rational entries.
 
-    Invariants: no stored entry is zero, all indices are positive integers,
-    and entries are `fractions.Fraction` in lowest terms (guaranteed by the
-    Fraction type itself).
+    Invariants: ints and tuples only: a denominator den > 0, and nonzero
+    numerators at ascending positive indices (two tuples, no 56-byte pair
+    per entry), den coprime to them all, so equal vectors store equal
+    integers.  ``items()`` and ``[]`` build ``Fraction``s on demand.
     """
 
-    __slots__ = ("_entries", "_key", "_hash")
+    __slots__ = ("_den", "_idx", "_nums", "_hash")
 
     def __init__(self, entries: Mapping[int, RationalLike] | None = None):
-        data: Dict[int, Fraction] = {}
-        if entries:
-            for i, val in entries.items():
-                if type(i) is not int or i < 1:
-                    _as_index(i)  # raises
-                f = _as_fraction(val)
-                if f != 0:
-                    data[i] = f
-        self._init(data)
-
-    def _init(self, data: Dict[int, Fraction]) -> None:
-        self._entries = data
-        self._key: Tuple[Tuple[int, Fraction], ...] = tuple(sorted(data.items()))
+        terms = []
+        for i, val in (entries or {}).items():
+            if type(i) is not int or i < 1:
+                _as_index(i)  # raises
+            terms.append((i, *_parts(_as_fraction(val))))
+        self._den, self._idx, self._nums = _over_lcm(sorted(t for t in terms if t[1]))
         self._hash: int | None = None  # taken when first asked for
-
-    @staticmethod
-    def _checked(data: Dict[int, Fraction]) -> "SparseVec":
-        """The vector of ``data``, whose indices and entries are already
-        checked; zero entries are dropped."""
-        vec = SparseVec.__new__(SparseVec)
-        vec._init({i: f for i, f in data.items() if f})
-        return vec
 
     @staticmethod
     def unit(index: int) -> "SparseVec":
@@ -409,119 +396,147 @@ class SparseVec:
     def zero() -> "SparseVec":
         return _ZERO
 
+    def integers(self) -> Tuple[int, _Ints, _Ints]:
+        """(den, indices, numerators): entry indices[j] is numerators[j] / den."""
+        return self._den, self._idx, self._nums
+
     def support(self) -> Tuple[int, ...]:
         """Sorted tuple of indices carrying nonzero entries."""
-        return tuple(i for i, _ in self._key)
+        return self._idx
 
     def items(self) -> Iterator[Tuple[int, Fraction]]:
-        return iter(self._key)
+        return ((i, _fraction(n, self._den)) for i, n in zip(self._idx, self._nums))
 
     def __getitem__(self, index: int) -> Fraction:
-        return self._entries.get(index, _FRAC_ZERO)
+        if index in self._idx:
+            return _fraction(self._nums[self._idx.index(index)], self._den)
+        return Fraction(0)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._idx)
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._idx
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseVec):
             return NotImplemented
-        return self._key == other._key
+        return (self._den, self._idx, self._nums) == (other._den, other._idx, other._nums)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            # hash(-1) == hash(-2), so entries -1 and -2 would collide; an int
-            # other than -1 hashes to itself (mod 2^61 - 1), and 2p is never -1
-            self._hash = hash(tuple((i, 2 * f.numerator, f.denominator) for i, f in self._key))
+            # as hash(-1) == hash(-2), entries -1 and -2 would collide; 2n is never -1
+            self._hash = hash((self._den, self._idx, tuple([2 * n for n in self._nums])))
         return self._hash
 
     def __add__(self, other: "SparseVec") -> "SparseVec":
-        data = dict(self._entries)
-        for i, v in other._entries.items():
-            s = data.get(i, _FRAC_ZERO) + v
-            if s == 0:
-                data.pop(i, None)
-            else:
-                data[i] = s
-        return SparseVec(data)
+        den = lcm(self._den, other._den)
+        fx, fy = den // self._den, den // other._den
+        acc = dict(zip(self._idx, [n * fx for n in self._nums]))
+        for i, n in zip(other._idx, other._nums):
+            acc[i] = acc.get(i, 0) + n * fy
+        idx = sorted(acc)
+        return _canonical(den, idx, [acc[i] for i in idx])
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
         return self + (-other)
 
     def __neg__(self) -> "SparseVec":
-        return SparseVec({i: -v for i, v in self._entries.items()})
+        return _vec(self._den, self._idx, tuple([-n for n in self._nums]))
 
     def scale(self, factor: RationalLike) -> "SparseVec":
-        f = _as_fraction(factor)
-        if f == 0:
-            return _ZERO
-        return SparseVec({i: f * v for i, v in self._entries.items()})
+        p, q = _as_fraction(factor).as_integer_ratio()
+        return _canonical(self._den * q, self._idx, [p * n for n in self._nums])
 
     def max_support(self) -> int:
         """Largest index in the support; 0 for the zero vector."""
-        return self._key[-1][0] if self._key else 0
+        return self._idx[-1] if self._idx else 0
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{i}: {format_rational(v)}" for i, v in self._key)
+        body = ", ".join(f"{i}: {format_rational(v)}" for i, v in self.items())
         return f"SparseVec({{{body}}})"
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> Dict[str, str]:
         """Wire format: index string -> rational string, indices sorted."""
-        return {str(i): format_rational(v) for i, v in self._key}
+        return {str(i): format_rational(v) for i, v in self.items()}
 
     @staticmethod
     def from_json(obj: object) -> "SparseVec":
         if not isinstance(obj, dict):
             raise InputFormatError(f"sparse vector must be a JSON object, got {type(obj).__name__}")
-        data: Dict[int, Fraction] = {}
+        seen, terms = set(), []
         for key, val in obj.items():
             idx = parse_int(key, "vector index", key=True)
             if idx < 1:
                 raise InputFormatError(f"vector index {key!r} must be >= 1")
-            if idx in data:  # "1" and "01"
+            if idx in seen:  # "1" and "01"
                 raise InputFormatError(f"vector index {key!r} names index {idx} twice")
+            seen.add(idx)
             if not isinstance(val, str):
                 raise InputFormatError(f"entry at index {key!r} must be a rational string")
-            data[idx] = parse_rational(val)
-        return SparseVec._checked(data)
+            terms.append((idx, *_parse_parts(val)))
+        return _vec(*_over_lcm(sorted(t for t in terms if t[1])))
 
 
-_FRAC_ZERO = Fraction(0)
-_ZERO = SparseVec()
+def _vec(den: int, idx: _Ints, nums: _Ints) -> SparseVec:
+    vec = SparseVec.__new__(SparseVec)
+    vec._den, vec._idx, vec._nums, vec._hash = den, idx, nums, None
+    return vec
+
+
+def _over_lcm(terms: Sequence[Tuple[int, int, int, int]]) -> Tuple[int, _Ints, _Ints]:
+    """The canonical (den, idx, nums) of nonzero lowest-terms entries
+    n / (odd * 2^e) at (i, n, odd, e), i ascending.  den is their lcm, so no
+    gcd is needed, and a power of 2 costs a shift, not a division."""
+    L, E = 1, 0
+    for _, _, odd, e in terms:
+        if odd != L:
+            L = lcm(L, odd)
+        E = max(E, e)
+    nums = tuple([n * (L // odd) << (E - e) for _, n, odd, e in terms])
+    return L << E, tuple([t[0] for t in terms]), nums
+
+
+def _fraction(n: int, den: int) -> Fraction:
+    """n / den, den > 0; past 64 bits via :func:`_lowest_terms`, which shifts out 2s."""
+    if den.bit_length() <= 64:
+        return Fraction(n, den)
+    return Fraction(_LowestTerms(_lowest_terms(n, den)))
+
+
+def _canonical(den: int, idx: Sequence[int], nums: Sequence[int]) -> SparseVec:
+    """nums[j] / den at idx[j] in canonical form: zeros dropped, gcd out."""
+    if 0 in nums:
+        idx, nums = [i for i, n in zip(idx, nums) if n], [n for n in nums if n]
+    g = gcd(den, *nums)
+    return _vec(den // g, tuple(idx), tuple([n // g for n in nums]))
+
+
+_ZERO = _vec(1, (), ())
+
+
+def _dot(x: SparseVec, phi: SparseVec) -> int:
+    """<x, phi> times the product of the two denominators."""
+    a, b = (x, phi) if len(x._idx) <= len(phi._idx) else (phi, x)
+    idx, nums = b._idx, b._nums  # short: scanned, not put in a dict
+    return sum([n * nums[idx.index(i)] for i, n in zip(a._idx, a._nums) if i in idx])
 
 
 def pair(x: SparseVec, phi: SparseVec) -> Fraction:
     """Exact duality pairing: sum over i of x_i * phi_i."""
-    if len(phi) < len(x):
-        x, phi = phi, x
-    total = _FRAC_ZERO
-    for i, v in x.items():
-        w = phi[i]
-        if w != 0:
-            total += v * w
-    return total
+    return _fraction(_dot(x, phi), x._den * phi._den)
 
 
 def l1_norm(x: SparseVec) -> Fraction:
     """Sum of absolute values of the entries."""
-    total = _FRAC_ZERO
-    for _, v in x.items():
-        total += abs(v)
-    return total
+    return _fraction(sum(map(abs, x._nums)), x._den)
 
 
 def sup_norm(x: SparseVec) -> Fraction:
     """Largest absolute entry; 0 for the zero vector."""
-    best = _FRAC_ZERO
-    for _, v in x.items():
-        a = abs(v)
-        if a > best:
-            best = a
-    return best
+    return _fraction(max(map(abs, x._nums), default=0), x._den)
 
 
 def sgn(t: Fraction | int) -> int:

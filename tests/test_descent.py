@@ -546,6 +546,17 @@ def test_one_ray_per_chain_matches_the_per_step_oracle(table, criterion6_starts,
         assert chain_bytes(chain) == chain_bytes(per_step_chain(table, H, x0, 10))
 
 
+@pytest.mark.parametrize("factor", [Fraction(1, 3), Fraction(-5, 2), Fraction(7, 6)])
+def test_the_step_cap_scales_inversely_with_the_direction(table, criterion6_starts, factor):
+    """The cap is the room below each threshold over 2|v_i|: a direction
+    stored over a denominator other than 1 keeps it in the cap."""
+    H = Subspace([SparseVec.unit(1), SparseVec.unit(2)])
+    x0 = criterion6_starts[0]
+    v, evidence, report = find_descent_direction(table, H, x0)
+    scaled = descent._sign_evidence(table, x0, v.scale(factor), report, evidence.margin)
+    assert scaled.step_cap == evidence.step_cap / abs(factor)
+
+
 def test_a_chain_builds_its_probes_once(table, criterion6_starts, monkeypatch):
     """One probe build and one direction search per chain, both at x0: a
     later step re-checks the ray instead of rebuilding the probes."""

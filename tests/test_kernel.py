@@ -3,6 +3,7 @@
 import ast
 import gc
 import inspect
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxinorm import kernel
+from proxinorm import vectors as vectors_module
 from proxinorm.construction import canonical_table, growth_tail_majorant
 from proxinorm.descent import DescentChain, Subspace, minimizing_sequence, verify_chain
 from proxinorm.errors import DepthBudgetError, PreconditionError
@@ -184,3 +186,67 @@ def test_verify_chain_leaves_a_fresh_table_empty(table, tamper):
     problems = verify_chain(fresh, DescentChain.from_json(data))
     assert (problems == []) == (tamper == "none")
     assert len(fresh) == 0
+
+
+def respelled(vec, k):
+    """A vector document with every entry written as an unreduced literal."""
+    out = {}
+    for i, text in vec.items():
+        p, _, q = text.partition("/")
+        out[i] = f"{int(p) * k}/{int(q or 1) * k}"
+    return out
+
+
+@pytest.mark.parametrize("tamper", ["none", "norm_after.lo", "d_plus.depth", "x.6"])
+def test_a_respelled_chain_gets_the_same_verdict(table, tamper):
+    """Entries of x0, x and v written as "2/4" rather than "1/2" decode to
+    the same canonical vectors, so verify reads the same chain."""
+    H = Subspace([SparseVec.unit(1), SparseVec.unit(2)])
+    chain = minimizing_sequence(table, H, SparseVec({1: Fraction(1, 3), 2: 1, 6: Fraction(-2, 5)}), 2)
+    data = chain.to_json()
+    if tamper != "none":
+        field, key = tamper.split(".")
+        target = data["certificates"][1][field]
+        target[key] = "0" if key == "lo" else "1/7" if field == "x" else target[key] + 1
+    other = json.loads(json.dumps(data))
+    other["x0"] = respelled(other["x0"], 2)
+    for k, cert in enumerate(other["certificates"], start=3):
+        cert["x"], cert["v"] = respelled(cert["x"], k), respelled(cert["v"], k)
+    assert other != data
+    verdict = verify_chain(table, DescentChain.from_json(data))
+    assert verify_chain(table, DescentChain.from_json(other)) == verdict
+    assert (verdict == []) == (tamper == "none")
+
+
+@settings(max_examples=40, deadline=None)
+@given(vectors, vectors, steps, st.lists(depths, min_size=4, max_size=4), st.integers(2, 30))
+def test_the_kernel_reads_any_positive_denominator(table, x, v, h, ds, c):
+    """The kernel's sums are homogeneous in a point's integers: x and v
+    stored over c times their denominators match as the canonical ones do."""
+    stored = producer_enclosures(table, x, v, h, ds)
+
+    def scaled(y):
+        d, idx, nums = y.integers()
+        return vectors_module._vec(c * d, idx, tuple(c * n for n in nums))
+
+    assert enclosures_match(table, scaled(x), scaled(v), h, stored) == [True] * 4
+
+
+@pytest.mark.parametrize("den", [0, -3])
+def test_the_kernel_checks_a_denominator_is_positive(table, den):
+    x = vectors_module._vec(den, (1,), (1,))
+    v = SparseVec.unit(2)
+    stored = producer_enclosures(table, SparseVec.unit(1), v, Fraction(1, 2), [3] * 4)
+    with pytest.raises(PreconditionError, match=f"vector denominator {den} is not positive"):
+        enclosures_match(table, x, v, Fraction(1, 2), stored)
+    with pytest.raises(PreconditionError, match=f"vector denominator {den} is not positive"):
+        enclosures_match(table, v, x, Fraction(1, 2), stored)
+
+
+def test_the_kernel_ignores_a_stored_zero(table):
+    """A zero numerator kept in a point's integers is no coordinate of it:
+    at x = 0 stored as 0 / 1 at index 1, the sup derivative is sup |v|."""
+    v, h = SparseVec({1: 1, 2: -2}), Fraction(1, 4)
+    stored = producer_enclosures(table, SparseVec.zero(), v, h, [5] * 4)
+    x = vectors_module._vec(1, (1,), (0,))
+    assert enclosures_match(table, x, v, h, stored) == [True] * 4

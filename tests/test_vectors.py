@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 import re
@@ -129,6 +130,123 @@ def test_table_extension_finds_vectors_by_hash(monkeypatch):
     table = canonical_table()
     table.entry(550)
     assert len(calls) < 24
+
+
+#: Entries for the dict model: small rationals, zeros (dropped on entry),
+#: and dyadic values past 64 bits, whose powers of 2 the common
+#: denominator must carry by shifts.
+model_entries = st.dictionaries(
+    st.integers(1, 12),
+    st.one_of(
+        rationals,
+        st.just(Fraction(0)),
+        st.builds(lambda p, e: Fraction(p, 1 << e), st.integers(-99, 99), st.integers(60, 400)),
+    ),
+    max_size=6,
+)
+
+
+def modelled(entries):
+    """The dict-of-``Fraction`` model of ``SparseVec(entries)``."""
+    return {i: f for i, f in entries.items() if f}
+
+
+def assert_canonical(x, model):
+    """x stores the canonical integers of the model and reads back as it."""
+    den, idx, nums = x.integers()
+    assert type(den) is int and den > 0 and idx == tuple(sorted(model))
+    assert all(type(n) is int and n for n in nums) and math.gcd(den, *nums) == 1
+    assert [Fraction(n, den) for n in nums] == [model[i] for i in idx]
+    assert list(x.items()) == sorted(model.items())
+    assert all(type(f) is Fraction for _, f in x.items())
+    assert x.support() == idx and len(x) == len(model) and x.is_zero() == (not model)
+    assert x.max_support() == max(model, default=0)
+    assert all(x[i] == model.get(i, 0) and type(x[i]) is Fraction for i in range(14))
+    assert x == SparseVec(model) and hash(x) == hash(SparseVec(model))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_entries, model_entries, st.fractions(min_value=-8, max_value=8, max_denominator=64))
+def test_every_operation_matches_a_dict_model(a, b, q):
+    x, y = SparseVec(a), SparseVec(b)
+    ma, mb = modelled(a), modelled(b)
+    both = ma.keys() | mb.keys()
+    assert_canonical(x, ma)
+    assert_canonical(x + y, modelled({i: ma.get(i, 0) + mb.get(i, 0) for i in both}))
+    assert_canonical(x - y, modelled({i: ma.get(i, 0) - mb.get(i, 0) for i in both}))
+    assert_canonical(-x, {i: -f for i, f in ma.items()})
+    assert_canonical(x.scale(q), modelled({i: q * f for i, f in ma.items()}))
+    assert_canonical(x.scale(0), {})
+    assert pair(x, y) == sum(ma[i] * mb[i] for i in ma.keys() & mb.keys())
+    assert l1_norm(x) == sum(map(abs, ma.values()))
+    assert sup_norm(x) == max(map(abs, ma.values()), default=0)
+    for value in (pair(x, y), l1_norm(x), sup_norm(x)):
+        assert type(value) is Fraction
+    assert x.to_json() == {str(i): format_rational(f) for i, f in sorted(ma.items())}
+    assert list(x.to_json()) == [str(i) for i in sorted(ma)]
+    assert_canonical(SparseVec.from_json(x.to_json()), ma)
+
+
+def test_equal_vectors_built_by_different_routes_are_one_value():
+    """The canonical integers do not depend on how a vector was built."""
+    half = SparseVec({1: Fraction(1, 2)})
+    routes = [
+        SparseVec.from_json({"1": "2/4"}),
+        SparseVec.from_json({"1": "1/2", "3": "0"}),
+        SparseVec({1: Fraction(3, 2), 3: 1}) - SparseVec({1: 1, 3: 1}),
+        SparseVec.unit(1).scale(Fraction(1, 2)),
+        -SparseVec({1: Fraction(-1, 2)}),
+    ]
+    for x in routes:
+        assert x == half and hash(x) == hash(half) and x.integers() == (2, (1,), (1,))
+
+
+@pytest.mark.parametrize("x", [
+    SparseVec({1: Fraction(1, 2), 3: -2}),
+    SparseVec.from_json({"2": "2/4", "9": "-6/1024"}),
+    SparseVec.zero(),
+    SparseVec({1: Fraction(1, 3)}) + SparseVec({2: Fraction(1, 6)}),
+    SparseVec({1: 1, 2: 1 << 80}).scale(Fraction(3, 7)),
+    canonical_table().entry(40)[0],
+], ids=["dict", "json", "zero", "sum", "scaled", "table"])
+def test_a_vector_stores_only_ints_and_tuples(x):
+    hash(x)
+    assert not hasattr(x, "__dict__")
+
+    def leaves(value):
+        if type(value) is tuple:
+            for item in value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    stored = tuple(getattr(x, slot) for slot in type(x).__slots__)
+    assert {type(v) for v in leaves(stored)} == {int}
+
+
+#: Every ``InputFormatError`` text of ``SparseVec.from_json``, byte for byte:
+#: the verify digests record them.  Each object raises at its first bad key
+#: or entry, in the order the object lists them.
+FROM_JSON_ERRORS = [
+    ([1, 2], "sparse vector must be a JSON object, got list"),
+    ("1/2", "sparse vector must be a JSON object, got str"),
+    ({"x": "1"}, "vector index must be an integer, got 'x'"),
+    ({"1": "1", "-2": "1"}, "vector index '-2' must be >= 1"),
+    ({"0": "1"}, "vector index '0' must be >= 1"),
+    ({"1": "0", "01": "3"}, "vector index '01' names index 1 twice"),
+    ({"1": 5}, "entry at index '1' must be a rational string"),
+    ({"1": None, "x": "1"}, "entry at index '1' must be a rational string"),
+    ({"x": "1", "1": None}, "vector index must be an integer, got 'x'"),
+    ({"2": "1/0"}, "bad rational literal '1/0'"),
+    ({"2": "2/4", "3": "1/x", "0": "1"}, "bad rational literal '1/x'"),
+]
+
+
+@pytest.mark.parametrize("obj, message", FROM_JSON_ERRORS, ids=range(len(FROM_JSON_ERRORS)))
+def test_from_json_error_texts(obj, message):
+    with pytest.raises(InputFormatError) as exc:
+        SparseVec.from_json(obj)
+    assert str(exc.value) == message
 
 
 def test_bad_json_rejected():
