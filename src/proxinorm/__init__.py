@@ -16,7 +16,6 @@ _EXPORTS = {
         "LinearityReport", "build_report", "coherence_margin", "span_match_feasible",
         "verify_linearity_bound",
     ),
-    "bits": (),
     "construction": ("ConstructionTable", "canonical_table"),
     "demo": ("run_demo", "sign_table"),
     "descent": (

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bits import bits_for_target, dyadic_parts, dyadic_sum, scale_pow2, split_pow2
 from .construction import ConstructionTable
 from .errors import HypothesisError, InputFormatError, PreconditionError
 from .gateaux import dplus_norm
@@ -34,11 +33,17 @@ from .norms import DEFAULT_PRECISION_BITS
 from .vectors import (
     Enclosure,
     SparseVec,
+    _sum,
+    bits_for_target,
+    dyadic_parts,
+    dyadic_sum,
     format_rational,
     pair,
     parse_int,
     parse_rational,
+    scale_pow2,
     sgn,
+    split_pow2,
     sup_norm,
 )
 
@@ -222,11 +227,12 @@ _Term = Tuple[int, int, int]
 def _terms(
     report: LinearityReport, v: SparseVec, eps: Dict[int, Fraction]
 ) -> Tuple[List[_Term], List[_Term]]:
-    """:func:`~proxinorm.bits.dyadic_sum` terms of <v, gamma> and of
-    sum eps_i |v_i gamma_i|.
+    """The terms (n, odd, e) of <v, gamma> and of sum eps_i |v_i gamma_i|,
+    for :func:`~proxinorm.vectors.dyadic_sum`.
 
-    Every denominator is split into its odd part and a power of two, so
-    gamma and eps need not be dyadic (reports read back with ``from_json``).
+    :func:`~proxinorm.vectors.split_pow2` splits every denominator into its
+    odd part and a power of 2, so gamma and eps need not be dyadic (reports
+    read back with ``from_json``).
     """
     pairing: List[_Term] = []
     budget: List[_Term] = []
@@ -280,8 +286,7 @@ def _margin_parts(report: LinearityReport, v: SparseVec) -> Tuple[int, int, int]
     _check_direction(report, v)
     pairing, budget = _terms(report, v, report.eps_hi)
     num, L, E = dyadic_parts(pairing)
-    spent, Lb, Eb = dyadic_parts(budget)
-    return dyadic_parts([(abs(num), L, E), (-spent, Lb, Eb)])
+    return _sum((abs(num), L, E), dyadic_parts(budget), -1)
 
 
 def span_match_feasible(

@@ -26,9 +26,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterator, List, Tuple
 
-from .bits import dyadic_parts, round_dyadic
 from .errors import DepthBudgetError
-from .vectors import SparseVec, _over_lcm, _parts, _vec
+from .vectors import SparseVec, _over_lcm, _parts, _vec, dyadic_parts, round_dyadic
 
 DEFAULT_DEPTH_BUDGET = 5000
 
@@ -60,24 +59,11 @@ def _supports_lex(max_index: int) -> Iterator[Tuple[int, ...]]:
     yield from rec((), 1)
 
 
-def iter_level(level: int) -> Iterator[SparseVec]:
-    """All vectors of height <= level, in canonical order (zero first).
-
-    The definition, in Fractions; the table reads the same order from
-    :func:`_stream`."""
-    yield SparseVec.zero()
-    grid = rational_grid(level)
-    if not grid:
-        return
-    for supp in _supports_lex(level):
-        for combo in product(grid, repeat=len(supp)):
-            yield SparseVec(dict(zip(supp, combo)))
-
-
 def _stream() -> Iterator[Tuple[SparseVec, int]]:
     """The canonical (vector, tag) stream: the vectors of level 1, level 2,
-    ... as :func:`iter_level` lists them, each tag the least the growth
-    rules allow (the kernel checks them).
+    ... in the order of the module docstring (``iter_level`` in
+    ``tests/test_construction.py`` lists them in Fractions), each tag the
+    least the growth rules allow (the kernel checks them).
 
     ceil(l1) is taken in integers over D, the lcm of the level's
     denominators.  Each distinct vector is built once per stream, keyed by

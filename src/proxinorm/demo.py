@@ -21,12 +21,11 @@ from itertools import combinations
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 from .approxlin import REPORT_DEPTH, LinearityReport, build_report
-from .bits import round_dyadic
 from .construction import ConstructionTable
 from .errors import PrecisionBudgetError, PreconditionError
 from .linalg import int_determinant
 from .trig import ANGLE_BITS, base_angles, cos_enclosure, fan_angles, sin_enclosure
-from .vectors import Enclosure, SparseVec, _dot, format_rational, pair, sgn
+from .vectors import Enclosure, SparseVec, _dot, format_rational, pair, round_dyadic, sgn
 
 ROUNDING_DENOMINATOR_BITS = 16  # finest fan-probe rounding, 2^-16
 

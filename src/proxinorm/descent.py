@@ -26,7 +26,6 @@ from itertools import combinations, islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .approxlin import REPORT_DEPTH, LinearityReport, _margin_parts, build_report, coherence_margin
-from .bits import bits_for_target, floor_pow2
 from .construction import ConstructionTable
 from .demo import build_fan, fan_probes
 from .errors import InputFormatError, PreconditionError, SearchBudgetError
@@ -38,6 +37,8 @@ from .vectors import (
     Enclosure,
     SparseVec,
     _parts_less,
+    bits_for_target,
+    floor_pow2,
     format_rational,
     pair,
     parse_rational,

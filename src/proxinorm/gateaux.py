@@ -12,11 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict
 
-from .bits import dyadic_sum
 from .construction import ConstructionTable
 from .errors import InputFormatError, PreconditionError
 from .norms import _minimal_depth, _stream_pairings
-from .vectors import Enclosure, SparseVec, sup_norm
+from .vectors import Enclosure, SparseVec, dyadic_sum, sup_norm
 
 
 _SIGN_NAMES = {1: "positive", -1: "negative", 0: "straddles_zero"}
@@ -84,7 +83,7 @@ def dplus_norm(
     precision_bits: int,
 ) -> Enclosure:
     """Right derivative of the series norm, width < 2^(-precision_bits).
-    A width target w > 0 is met at ``bits.bits_for_target(w)`` bits."""
+    A width target w > 0 is met at ``vectors.bits_for_target(w)`` bits."""
     depth = _minimal_depth(table, 2 * sup_norm(u), precision_bits)
     return dplus_enclosure_at_depth(table, x, u, depth)
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Tuple
 
-from .bits import dyadic_sum
 from .construction import ConstructionTable
 from .errors import DepthBudgetError, PreconditionError
-from .vectors import Enclosure, SparseVec, sup_norm
+from .vectors import Enclosure, SparseVec, dyadic_sum, sup_norm
 
 DEFAULT_PRECISION_BITS = 64
 PRECISION_CAP = 1 << 20
@@ -85,6 +84,6 @@ def norm_enclosure(
     table: ConstructionTable, x: SparseVec, precision_bits: int
 ) -> Enclosure:
     """Certified enclosure of the series norm with width < 2^(-precision_bits).
-    A width target w > 0 is met at ``bits.bits_for_target(w)`` bits."""
+    A width target w > 0 is met at ``vectors.bits_for_target(w)`` bits."""
     return enclosure_at_depth(table, x, norm_depth(table, x, precision_bits))
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
-from .bits import round_dyadic
-from .vectors import Enclosure
+from .vectors import Enclosure, round_dyadic
 
 # The one precision of every angle: the fan needs only the order of its
 # angles and roundings of its coefficients to at most 2^-16.

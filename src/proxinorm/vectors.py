@@ -1,15 +1,22 @@
-"""Exact rationals, their intervals, finitely supported sequences of them,
-and the pairings.
+"""Exact rationals and their dyadic arithmetic, their intervals, finitely
+supported sequences of them, and the pairings.
+
+The series norm weighs stream entry k by 2^(-a_k^2), so every certified
+number is a dyadic sum.  Their one home is here: a triple (n, q, e), q > 0,
+means n / (q * 2^e); in lowest terms q is odd, the parts (n, odd, e).
+:func:`split_pow2` splits the power of 2 off a denominator.  Sums,
+comparisons and rescalings work on such triples; beside them sit the
+precision targets (:func:`bits_for_target`) and the one rounding, to a
+multiple of 2^(-b) (:func:`round_dyadic`).
 
 A ``SparseVec`` stores its nonzero entries at 1-based indices, as integers
 over one denominator; it carries points of the sequence space (sup-norm
 side) and finitely supported functionals (l1 side), and the pairing is an
 integer dot product.  An ``Enclosure`` is the one interval type: norm,
 derivative and trigonometric enclosures alike.  It keeps its lower end lo
-and its width hi - lo, each as lowest-terms parts (n, odd, e), the value
-n / (odd * 2^e), so a dyadic number stores its power of 2 as an exponent;
-no other module knows that layout.  Every operation here is exact: no
-rounding exists anywhere in this module.
+and its width hi - lo, each as lowest-terms parts (n, odd, e), so a
+dyadic number stores its power of 2 as an exponent; no other module knows
+that layout.  Every operation on them is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .errors import InputFormatError
 
@@ -99,13 +106,18 @@ def _to_str(n: int) -> str:
     return "-" + digits if n < 0 else digits
 
 
+def split_pow2(d: int) -> Tuple[int, int]:
+    """(q, s) with d = q * 2^s and q odd, for d > 0."""
+    s = (d & -d).bit_length() - 1
+    return d >> s, s
+
+
 def _lowest_terms(p: int, q: int) -> Tuple[int, int, int]:
     """p / q, q > 0, in lowest terms as (n, odd, e): n / (odd * 2^e), odd
     odd.  The power of 2 that p and q share is shifted out and the one gcd
     taken is with the odd part of q, so a denominator with a small odd part
     needs no big gcd."""
-    e = (q & -q).bit_length() - 1
-    return _reduce(p, q >> e, e)
+    return _reduce(p, *split_pow2(q))
 
 
 def _reduce(p: int, odd: int, e: int) -> Tuple[int, int, int]:
@@ -138,9 +150,17 @@ def _sum(a: Tuple[int, int, int], b: Tuple[int, int, int], sign: int = 1) -> Tup
 def _parts(value: RationalLike) -> Tuple[int, int, int]:
     """The (n, odd, e) of :func:`_lowest_terms` for a value already in
     lowest terms: only the power of 2 is split off its denominator."""
-    q = value.denominator
-    e = (q & -q).bit_length() - 1
-    return value.numerator, q >> e, e
+    return (value.numerator, *split_pow2(value.denominator))
+
+
+def _parts_less(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> bool:
+    """p / (q * 2^e) < r / (s * 2^f) for a = (p, q, e) and b = (r, s, f),
+    q, s > 0, neither necessarily in lowest terms: cross-multiplied by q
+    and s, the powers of 2 aligned by one shift."""
+    (p, q, e), (r, s, f) = a, b
+    if f >= e:
+        return (p * s) << (f - e) < r * q
+    return p * s < (r * q) << (e - f)
 
 
 class _LowestTerms:
@@ -155,6 +175,73 @@ class _LowestTerms:
 
 
 numbers.Rational.register(_LowestTerms)
+
+
+def scale_pow2(value: Fraction, e: int) -> Fraction:
+    """value * 2^e for e >= 0: the power of 2 leaves the denominator's parts
+    before the numerator takes the rest, and the result stays in lowest
+    terms, so no gcd is taken."""
+    n, odd, s = _parts(value)
+    shift = min(s, e)
+    return Fraction(_LowestTerms((n << (e - shift), odd, s - shift)))
+
+
+def dyadic_parts(terms: Iterable[Tuple[int, int, int]]) -> Tuple[int, int, int]:
+    """(num, L, E) with the sum of the terms (n, q, e) equal to
+    num / (L * 2^E): L = lcm(q), E = max(e), integer shifts only."""
+    terms = list(terms)
+    lcm_q = lcm(*(q for _, q, _ in terms))
+    E = max((e for _, _, e in terms), default=0)
+    num = 0
+    for n, q, e in terms:
+        num += n * (lcm_q // q) << (E - e)
+    return num, lcm_q, E
+
+
+def dyadic_sum(terms: Iterable[Tuple[int, int, int]]) -> Fraction:
+    """Exact sum of the terms (n, q, e), e >= 0.
+
+    Accumulated over the denominator lcm(q) * 2^max(e) in integer
+    arithmetic, so the Fraction normalization happens once.
+    """
+    num, lcm_q, E = dyadic_parts(terms)
+    if num == 0:
+        return Fraction(0)
+    shift = min((num & -num).bit_length() - 1, E)
+    return Fraction(num >> shift, lcm_q << (E - shift))
+
+
+def bits_for_target(t: Fraction) -> int:
+    """Smallest p >= 0 with 2^(-p) <= t, for t > 0 (exact)."""
+    if t <= 0:
+        raise ValueError("target must be positive")
+    if t >= 1:
+        return 0
+    a, b = t.numerator, t.denominator
+    p = b.bit_length() - a.bit_length()
+    if a << p < b:
+        p += 1
+    return p
+
+
+def floor_pow2(f: Fraction) -> Fraction:
+    """Largest power of two <= f, for f > 0."""
+    if f <= 0:
+        raise ValueError("need a positive value")
+    e = f.numerator.bit_length() - f.denominator.bit_length()
+    p = Fraction(2) ** e
+    if p > f:
+        p /= 2
+    return p
+
+
+def round_dyadic(value: Fraction, bits: int, up: bool = False) -> Fraction:
+    """Floor of value to a multiple of 2^(-bits); the ceiling when ``up``."""
+    if up:
+        num = -((-value.numerator << bits) // value.denominator)
+    else:
+        num = (value.numerator << bits) // value.denominator
+    return Fraction(num, 1 << bits)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -200,16 +287,6 @@ def parse_int(value: object, what: str, key: bool = False) -> int:
     if key or not isinstance(value, int) or isinstance(value, bool):
         raise InputFormatError(f"{what} must be an integer, got {value!r}")
     return value
-
-
-def _parts_less(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> bool:
-    """p / (q * 2^e) < r / (s * 2^f) for a = (p, q, e) and b = (r, s, f),
-    q, s > 0, neither necessarily in lowest terms: cross-multiplied by q
-    and s, the powers of 2 aligned by one shift."""
-    (p, q, e), (r, s, f) = a, b
-    if f >= e:
-        return (p * s) << (f - e) < r * q
-    return p * s < (r * q) << (e - f)
 
 
 class Enclosure:

@@ -13,14 +13,13 @@ from fractions import Fraction
 
 from conftest import interval_distance, rref_determinant
 from proxinorm.approxlin import build_report, coherence_margin, verify_linearity_bound
-from proxinorm.bits import bits_for_target, dyadic_parts
 from proxinorm.construction import ConstructionTable
 from proxinorm.demo import _predicted_rows, build_fan, demo_points, demo_probes, sign_table, theta_blocks
 from proxinorm.descent import DescentChain, Subspace, minimizing_sequence, verify_chain
 from proxinorm.gateaux import dminus_norm, dplus_norm
 from proxinorm.linalg import int_determinant
 from proxinorm.norms import norm_enclosure
-from proxinorm.vectors import SparseVec, l1_norm, pair, sgn, sup_norm
+from proxinorm.vectors import SparseVec, bits_for_target, dyadic_parts, l1_norm, pair, sgn, sup_norm
 
 
 def iterates(chain):

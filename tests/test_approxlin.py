@@ -18,8 +18,7 @@ from proxinorm.approxlin import (
 )
 from proxinorm.errors import HypothesisError, InputFormatError, PreconditionError
 from proxinorm.gateaux import dminus_norm, dplus_norm
-from proxinorm.bits import bits_for_target
-from proxinorm.vectors import SparseVec, format_rational, pair, parse_rational, sgn
+from proxinorm.vectors import SparseVec, bits_for_target, format_rational, pair, parse_rational, sgn
 
 DEPTH = 60
 

@@ -5,19 +5,17 @@ from fractions import Fraction
 import pytest
 
 from proxinorm.approxlin import build_report
-from proxinorm.bits import dyadic_parts
 from proxinorm.construction import (
     EXACT_HEAD_TERMS,
     ConstructionTable,
     canonical_table,
     growth_tail_majorant,
-    iter_level,
     rational_grid,
     square_tail_majorant,
 )
 from proxinorm.descent import REPORT_DEPTH, Subspace, build_probes
 from proxinorm.errors import DepthBudgetError
-from proxinorm.vectors import SparseVec, l1_norm
+from proxinorm.vectors import SparseVec, dyadic_parts, l1_norm
 
 
 def test_first_entry_is_zero_vector_with_tag_one(table):
@@ -50,6 +48,20 @@ def test_rational_grid_sizes():
     assert rational_grid(2) == [Fraction(-1), Fraction(1)]
     assert len(rational_grid(3)) == 6
     assert len(rational_grid(4)) == 10
+
+
+def iter_level(level):
+    """All vectors of height <= level in canonical order, zero first: the
+    definition of the ``construction`` module docstring in Fractions, the
+    oracle of the table's stream."""
+    yield SparseVec.zero()
+    supports = sorted(
+        supp for size in range(1, level + 1)
+        for supp in itertools.combinations(range(1, level + 1), size)
+    )
+    for supp in supports:
+        for combo in itertools.product(rational_grid(level), repeat=len(supp)):
+            yield SparseVec(dict(zip(supp, combo)))
 
 
 def test_level_recurrence():

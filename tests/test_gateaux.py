@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_distance
-from proxinorm.bits import bits_for_target
 from proxinorm.gateaux import (
     derivative_from_json,
     derivative_to_json,
@@ -15,7 +14,7 @@ from proxinorm.gateaux import (
     dplus_sup,
 )
 from proxinorm.norms import norm_enclosure
-from proxinorm.vectors import SparseVec, sup_norm
+from proxinorm.vectors import SparseVec, bits_for_target, sup_norm
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 vectors = st.dictionaries(st.integers(1, 12), rationals, max_size=5).map(SparseVec)

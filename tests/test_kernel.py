@@ -110,7 +110,8 @@ def test_out_of_range_depth_raises_in_field_order(bad, error, message):
 
 def test_kernel_shares_only_the_stream_with_the_producer():
     """The kernel enumerates the stream itself: of ``construction`` it
-    imports only EXACT_HEAD_TERMS, and it reads no table entry."""
+    imports only EXACT_HEAD_TERMS, of ``vectors`` only the two types (no
+    dyadic helper), and it reads no table entry."""
     tree = ast.parse(inspect.getsource(kernel))
     imported = set()
     for node in ast.walk(tree):
@@ -120,12 +121,16 @@ def test_kernel_shares_only_the_stream_with_the_producer():
             imported.update(alias.name for alias in node.names)
     package = {name for name in imported if name.startswith(".")}
     assert package == {".construction", ".errors", ".vectors"}
-    from_construction = {alias.name for node in ast.walk(tree)
-                         if isinstance(node, ast.ImportFrom) and node.module == "construction"
-                         for alias in node.names}
-    assert from_construction == {"EXACT_HEAD_TERMS"}
+
+    def names_from(module):
+        return {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == module
+                for alias in node.names}
+
+    assert names_from("construction") == {"EXACT_HEAD_TERMS"}
+    assert names_from("vectors") == {"Enclosure", "SparseVec"}
     assert not imported & {"functools", "proxinorm.norms", "proxinorm.gateaux",
-                           "proxinorm.bits", "proxinorm.approxlin"}
+                           "proxinorm.approxlin"}
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     producer_paths = {"tail_bound", "weight_tail_bound", "_tail_memo", "prefix", "entry", "tag",
                       "occurrence_positions", "_vectors", "_tags"}

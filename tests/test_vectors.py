@@ -18,20 +18,27 @@ from proxinorm.vectors import (
     Enclosure,
     SparseVec,
     _echo,
-    _parts_less,
     _lowest_terms,
+    _parts,
+    _parts_less,
     _to_int,
     _to_str,
+    dyadic_parts,
+    dyadic_sum,
+    floor_pow2,
     format_rational,
     l1_norm,
     pair,
     parse_rational,
+    round_dyadic,
+    scale_pow2,
     sgn,
+    split_pow2,
     sup_norm,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
-vectors = st.dictionaries(st.integers(1, 12), rationals, max_size=5).map(SparseVec)
+sparse_vecs = st.dictionaries(st.integers(1, 12), rationals, max_size=5).map(SparseVec)
 
 
 def vec(**kw):
@@ -77,36 +84,36 @@ def test_sign_times_abs(t):
     assert sgn(t) * abs(t) == t
 
 
-@given(vectors, vectors)
+@given(sparse_vecs, sparse_vecs)
 def test_hoelder(x, phi):
     assert abs(pair(x, phi)) <= sup_norm(x) * l1_norm(phi)
 
 
-@given(vectors, vectors, vectors, st.fractions(max_denominator=8))
+@given(sparse_vecs, sparse_vecs, sparse_vecs, st.fractions(max_denominator=8))
 def test_pair_bilinear(x, y, phi, q):
     assert pair(x + y, phi) == pair(x, phi) + pair(y, phi)
     assert pair(x.scale(q), phi) == q * pair(x, phi)
     assert pair(phi, x) == pair(x, phi)
 
 
-@given(vectors)
+@given(sparse_vecs)
 def test_no_zero_entries_stored(x):
     assert all(v != 0 for _, v in x.items())
     assert x.support() == tuple(sorted(i for i, _ in x.items()))
 
 
-@given(vectors)
+@given(sparse_vecs)
 def test_json_roundtrip(x):
     assert SparseVec.from_json(x.to_json()) == x
 
 
-@given(vectors, vectors)
+@given(sparse_vecs, sparse_vecs)
 def test_add_sub_consistent(x, y):
     assert (x + y) - y == x
     assert x + (-x) == SparseVec.zero()
 
 
-@given(vectors)
+@given(sparse_vecs)
 def test_equal_vectors_hash_equal(x):
     y = SparseVec.from_json(x.to_json())
     assert y == x and hash(y) == hash(x)
@@ -711,3 +718,143 @@ def test_parts_less_is_the_order_of_fractions(a, b, scaled):
     fa, fb = Fraction(a[0], a[1] << a[2]), Fraction(b[0], b[1] << b[2])
     assert _parts_less(a, b) == (fa < fb)
     assert _parts_less(b, a) == (fb < fa)
+
+
+# -- dyadic arithmetic, against naive Fraction oracles ------------------------
+
+dyadic_terms = st.lists(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(1, 1000), st.integers(0, 300)),
+    max_size=12,
+)
+positive_fractions = st.fractions(min_value=Fraction(1, 10**30), max_value=10**30).filter(
+    lambda f: f > 0
+)
+
+
+def naive_sum(ts):
+    return sum((Fraction(n, q * 2**e) for n, q, e in ts), Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_terms)
+def test_dyadic_sum_matches_termwise_fraction_sum(ts):
+    assert dyadic_sum(ts) == naive_sum(ts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_terms)
+def test_dyadic_sum_cancels_to_zero(ts):
+    both = ts + [(-n, q, e) for n, q, e in reversed(ts)]
+    result = dyadic_sum(both)
+    assert result == 0 and result.denominator == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_terms)
+def test_dyadic_sign_is_the_sign_of_the_sum(ts):
+    """``approxlin.coherence_margin`` reads the sign of a sum off the
+    numerator of :func:`dyadic_parts`, without building the Fraction."""
+    total = naive_sum(ts)
+    assert numerator_sign(ts) == (total > 0) - (total < 0)
+
+
+def numerator_sign(ts):
+    num = dyadic_parts(ts)[0]
+    return (num > 0) - (num < 0)
+
+
+def test_dyadic_sign_edge_cases():
+    assert numerator_sign([]) == 0
+    assert numerator_sign([(1, 3, 200), (-1, 3, 200)]) == 0
+    assert numerator_sign([(1, 1, 400), (-1, 1, 0), (1, 1, 0)]) == 1
+    assert numerator_sign(iter([(-1, 5, 300)])) == -1
+
+
+def test_dyadic_sum_edge_cases():
+    assert dyadic_sum([]) == 0
+    assert dyadic_sum(iter([(3, 1, 0)])) == 3
+    assert dyadic_sum([(1, 3, 200), (-1, 3, 200)]) == 0
+    # the shift never cancels more than the largest power of two present
+    assert dyadic_sum([(4, 1, 1), (4, 1, 1)]) == 4
+    assert dyadic_sum([(-1, 6, 2), (1, 10, 0)]) == Fraction(-1, 24) + Fraction(1, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=-(10**6), max_value=10**6), st.integers(0, 200), st.booleans())
+def test_round_dyadic_is_directed_and_on_grid(value, bits, up):
+    r = round_dyadic(value, bits, up)
+    grain = Fraction(1, 2**bits)
+    assert (r / grain).denominator == 1
+    if up:
+        assert value <= r < value + grain
+    else:
+        assert value - grain < r <= value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-(10**9), 10**9), st.integers(0, 200), st.booleans())
+def test_round_dyadic_is_exact_on_grid_points(num, bits, up):
+    value = Fraction(num, 2**bits)
+    assert round_dyadic(value, bits, up) == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive_fractions)
+def test_floor_pow2_is_the_largest_power_below(f):
+    p = floor_pow2(f)
+    assert p <= f < 2 * p
+    assert p.numerator == 1 or p.denominator == 1
+    assert (p.numerator * p.denominator) & (p.numerator * p.denominator - 1) == 0
+
+
+@given(st.integers(-300, 300))
+def test_floor_pow2_is_exact_on_powers_of_two(k):
+    assert floor_pow2(Fraction(2) ** k) == Fraction(2) ** k
+
+
+@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 2)])
+def test_floor_pow2_rejects_nonpositive(bad):
+    with pytest.raises(ValueError):
+        floor_pow2(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_terms)
+def test_dyadic_parts_are_a_common_denominator_form_of_the_sum(ts):
+    num, lcm_q, E = dyadic_parts(ts)
+    assert Fraction(num, lcm_q << E) == naive_sum(ts)
+    assert all(lcm_q % q == 0 for _, q, _ in ts)
+    assert E == max((e for _, _, e in ts), default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**40))
+def test_split_pow2_gives_odd_part_and_exponent(d):
+    q, s = split_pow2(d)
+    assert q % 2 == 1 and q << s == d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+def test_split_pow2_is_the_split_of_parts_and_lowest_terms(p, q):
+    """The one power-of-2 split: ``_parts`` and ``_lowest_terms`` give the
+    odd part and exponent ``split_pow2`` gives for p / q's denominator."""
+    f = Fraction(p, q)
+    assert _parts(f) == _lowest_terms(p, q) == (f.numerator, *split_pow2(f.denominator))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=-(10**6), max_value=10**6), st.integers(0, 300))
+def test_scale_pow2_multiplies_by_a_power_of_two(value, e):
+    """``scale_pow2`` builds its result in lowest terms without a gcd, so
+    its numerator and denominator are checked, not only its value."""
+    scaled, expected = scale_pow2(value, e), value * 2**e
+    assert (scaled.numerator, scaled.denominator) == (expected.numerator, expected.denominator)
+    assert scale_pow2(value * Fraction(1, 2**e), e) == value
+
+
+def test_scale_pow2_on_grain_rounded_tail_bounds():
+    lo = Fraction(12345, 2**2000)
+    assert scale_pow2(lo, 1900) == Fraction(12345, 2**100)
+    assert scale_pow2(Fraction(3, 2**5), 9) == 48
+    assert scale_pow2(Fraction(5, 3 * 2**4), 4) == Fraction(5, 3)
