@@ -27,7 +27,7 @@ from itertools import product
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import DepthBudgetError
-from .vectors import SparseVec, _over_lcm, _parts, _vec, dyadic_parts, round_dyadic
+from .vectors import SparseVec, _LowestTerms, _over_lcm, _parts, _vec, dyadic_parts, round_dyadic
 
 DEFAULT_DEPTH_BUDGET = 5000
 
@@ -98,8 +98,9 @@ def _tail_majorant(m: int, slope: int) -> Fraction:
     That ceiling is three terms plus one grain: terms n <= m+2 are multiples
     of 2^(-g) (g - n^2 >= 2); the rest is positive and, each term at most
     half the one before, below (m+4)*2^(-g-2m-2) < 2^(-g).  The numerator
-    is odd, so the Fraction is in lowest terms.  The grain is far below the
-    dropped head term, so strict decrease in m survives the rounding.
+    is odd, so the Fraction is built in lowest terms, with no gcd.  The
+    grain is far below the dropped head term, so strict decrease in m
+    survives the rounding.
     """
     if m < 1:
         raise ValueError("majorant requires m >= 1")
@@ -107,7 +108,7 @@ def _tail_majorant(m: int, slope: int) -> Fraction:
     num = 1
     for n in range(m, m + 3):
         num += (1 + slope * n) << (g - n * n)
-    return Fraction(num, 1 << g)
+    return Fraction(_LowestTerms((num, 1, g)))
 
 
 def growth_tail_majorant(m: int) -> Fraction:

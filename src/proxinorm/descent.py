@@ -25,12 +25,12 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from . import kernel
 from .approxlin import REPORT_DEPTH, LinearityReport, _margin_parts, build_report, coherence_margin
 from .construction import ConstructionTable
 from .demo import build_fan, fan_probes
 from .errors import InputFormatError, PreconditionError, SearchBudgetError
 from .gateaux import derivative_from_json, derivative_to_json, dminus_norm, dplus_norm
-from .kernel import enclosures_match
 from .linalg import kernel_directions, rank
 from .norms import enclosure_at_depth, norm_depth, norm_enclosure
 from .vectors import (
@@ -547,49 +547,7 @@ def _on_ray(report: LinearityReport, v: SparseVec, x: SparseVec) -> bool:
 # -- independent re-verification ----------------------------------------------
 
 
-def verify_certificate(
-    table: ConstructionTable, subspace: Subspace, cert: DescentCertificate
-) -> List[str]:
-    """Re-derive every certified quantity from scratch; list discrepancies.
-
-    ``kernel`` re-derives the four enclosures at the depths stored in the
-    certificate from its own enumeration of the construction stream (of
-    ``table`` it reads only the depth budget), and each must match
-    field-for-field (the pipeline is deterministic); the direction must
-    lie exactly in the subspace and the derivative evidence must show
-    matching definite signs.  The strict decrease needs no check here:
-    a ``DescentCertificate`` without one cannot be built.  Returns an
-    empty list when the certificate is genuine.
-    """
-    problems: List[str] = []
-    if not subspace.contains(cert.v):
-        problems.append("v is not in the subspace")
-    stored = (cert.norm_before, cert.norm_after, cert.d_plus, cert.d_minus)
-    names = ("norm_before", "norm_after", "d_plus", "d_minus")
-    for name, ok in zip(names, enclosures_match(table, cert.x, cert.v, cert.h, stored)):
-        if not ok:
-            problems.append(f"{name} does not recompute")
-    sign = cert.d_plus.sign()
-    if sign == 0 or sign != cert.d_minus.sign():
-        problems.append("derivative evidence does not determine a shared sign")
-    return problems
-
-
 def verify_chain(table: ConstructionTable, chain: DescentChain) -> List[str]:
-    """Verify every certificate and the coset/chaining structure."""
-    problems: List[str] = []
-    base = chain.subspace.pairings(chain.x0)
-    x = chain.x0
-    for t, cert in enumerate(chain.certificates):
-        if cert.x != x:
-            problems.append(f"step {t}: base point does not chain")
-        for msg in verify_certificate(table, chain.subspace, cert):
-            problems.append(f"step {t}: {msg}")
-        x = cert.next_point()
-        if chain.subspace.pairings(x) != base:
-            problems.append(f"step {t}: iterate left the coset")
-    encs = chain.iterate_enclosures()
-    for t in range(len(encs) - 1):
-        if not encs[t + 1].below(encs[t]):
-            problems.append(f"step {t}: iterate enclosures fail the strict chain")
-    return problems
+    """Every discrepancy of the chain, in step order: :func:`kernel.verify_chain`
+    under the table's depth budget, the only part of ``table`` read."""
+    return kernel.verify_chain(table.depth_budget, chain)

@@ -525,10 +525,6 @@ class SparseVec:
         p, q = _as_fraction(factor).as_integer_ratio()
         return _canonical(self._den * q, self._idx, [p * n for n in self._nums])
 
-    def max_support(self) -> int:
-        """Largest index in the support; 0 for the zero vector."""
-        return self._idx[-1] if self._idx else 0
-
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {format_rational(v)}" for i, v in self.items())
         return f"SparseVec({{{body}}})"

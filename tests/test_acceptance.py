@@ -51,7 +51,7 @@ def test_criterion_1_construction_soundness():
     for _, u, a in fresh.prefix(2000):
         if a <= prev:
             violations += 1
-        if not u.is_zero() and not (a > u.max_support() and a >= l1_norm(u)):
+        if not u.is_zero() and not (a > max(u.support(), default=0) and a >= l1_norm(u)):
             violations += 1
         prev = a
     elapsed = time.time() - t0

@@ -282,6 +282,18 @@ def test_pinned_tamper_verdicts(pinned_chain, case):
     assert verdict(doc) == expected
 
 
+def test_verify_reports_disjoint_norm_enclosures(tmp_path, pinned_chain):
+    """An interior norm_before moved up by 1 at both ends misses the
+    previous norm_after: a problem of step 1, not a traceback."""
+    chain = copy.deepcopy(pinned_chain)
+    enc = chain["certificates"][1]["norm_before"]
+    enc["lo"], enc["hi"] = _shift(1)(enc["lo"]), _shift(1)(enc["hi"])
+    out = run_cli("verify", "--cert", write_json(tmp_path / "chain.json", chain))
+    assert out.returncode == 1 and "Traceback" not in out.stderr, out.stderr
+    assert json.loads(out.stdout) == {
+        "valid": False, "problems": ["step 1: norm_before does not recompute"]}
+
+
 #: A stored depth outside [1, depth budget] is a precondition or budget
 #: error of the whole run, not a problem string; recorded before the
 #: verifier had its own kernel.

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from proxinorm import construction
 from proxinorm.approxlin import build_report
 from proxinorm.construction import (
     EXACT_HEAD_TERMS,
@@ -38,7 +39,7 @@ def test_growth_conditions_on_prefix(table):
     for _, u, a in table.prefix(500):
         assert a > prev
         if not u.is_zero():
-            assert a > u.max_support()
+            assert a > max(u.support(), default=0)
             assert a >= l1_norm(u)
         prev = a
 
@@ -99,7 +100,7 @@ def test_min_occurrence_tag_beyond_support(table):
     """Eq-(1-2)-style consequence checked for several nonzero vectors."""
     for x in [SparseVec.unit(1), SparseVec({1: 1, 2: 1}), SparseVec({1: Fraction(1, 2), 2: -1})]:
         tags = tags_of(table, x, 500)
-        assert tags and min(tags) > x.max_support()
+        assert tags and min(tags) > max(x.support(), default=0)
         assert min(tags) >= l1_norm(x)
 
 
@@ -147,6 +148,16 @@ def test_tail_majorants_match_naive_derivation():
     for m in (*range(1, 62), 100, 200, 364):
         assert growth_tail_majorant(m) == naive_tail_majorant(m, lambda n: 1 + n)
         assert square_tail_majorant(m) == naive_tail_majorant(m, lambda n: 1)
+
+
+@pytest.mark.parametrize("slope", [0, 1])
+def test_tail_majorant_is_built_in_lowest_terms(slope):
+    """The three head terms plus one grain over 2^g, as ``Fraction`` reduces
+    it: a value stored unreduced would compare unequal to the reduced one."""
+    for m in range(1, 401):
+        g = (m + 2) ** 2 + 2
+        num = 1 + sum((1 + slope * n) << (g - n * n) for n in range(m, m + 3))
+        assert construction._tail_majorant(m, slope) == Fraction(num, 1 << g), m
 
 
 def naive_weight_tail_bound(table, k):
@@ -269,7 +280,7 @@ def naive_stream(count):
         for u in iter_level(level):
             tag = prev + 1
             if not u.is_zero():
-                tag = max(tag, u.max_support() + 1, math.ceil(l1_norm(u)))
+                tag = max(tag, max(u.support(), default=0) + 1, math.ceil(l1_norm(u)))
             out.append((u, tag))
             prev = tag
             if len(out) == count:

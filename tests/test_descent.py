@@ -29,7 +29,6 @@ from proxinorm.descent import (
     certify_descent,
     find_descent_direction,
     minimizing_sequence,
-    verify_certificate,
     verify_chain,
 )
 from proxinorm.errors import InputFormatError, PreconditionError, SearchBudgetError
@@ -272,7 +271,7 @@ def test_verifier_detects_single_field_tampering(table):
     x = generic_point()
     v, evidence, _ = find_descent_direction(table, H, x)
     cert = certify_descent(table, H, x, v, evidence, None)
-    assert verify_certificate(table, H, cert) == []
+    assert verify_chain(table, DescentChain(H, x, [cert])) == []
 
     good = cert.to_json()
 
@@ -296,7 +295,7 @@ def test_verifier_detects_single_field_tampering(table):
             bad = tampered(mutate)
         except Exception:
             continue  # tamper rejected at parse time: also a detection
-        assert verify_certificate(table, H, bad) != [], "tamper not detected"
+        assert verify_chain(table, DescentChain(H, x, [bad])) != [], "tamper not detected"
 
 
 def test_norm_after_tamper_that_fakes_progress_is_caught(table):
@@ -330,7 +329,7 @@ def test_descent_with_functional_supported_on_tag_range(table):
     assert H.contains(v)
     cert = certify_descent(table, H, x0, v, evidence, None)
     assert cert.norm_after.hi < cert.norm_before.lo
-    assert verify_certificate(table, H, cert) == []
+    assert verify_chain(table, DescentChain(H, x0, [cert])) == []
 
 
 def test_codim1_search_is_honest(table):

@@ -1,24 +1,27 @@
-"""The verifier's re-derivation kernel against the producer's enclosures."""
+"""The verifier's trusted base against the producer: its re-derived
+enclosures, and its verdict on whole chains against the producer's
+arithmetic."""
 
 import ast
-import gc
 import inspect
 import json
+from collections.abc import MutableMapping, MutableSequence, MutableSet
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from proxinorm import kernel
+from proxinorm import descent, kernel
 from proxinorm import vectors as vectors_module
 from proxinorm.construction import canonical_table, growth_tail_majorant
 from proxinorm.descent import DescentChain, Subspace, minimizing_sequence, verify_chain
-from proxinorm.errors import DepthBudgetError, PreconditionError
+from proxinorm.errors import DepthBudgetError, PreconditionError, ProxinormError
 from proxinorm.gateaux import dplus_enclosure_at_depth
-from proxinorm.kernel import enclosures_match, growth_majorant
+from proxinorm.kernel import growth_majorant
 from proxinorm.norms import enclosure_at_depth
-from proxinorm.vectors import Enclosure, SparseVec
+from proxinorm.vectors import Enclosure, SparseVec, format_rational, parse_rational
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6).filter(bool)
 # small indices, so that zero pairings <x, w_k> = 0 with <v, w_k> != 0 occur
@@ -37,11 +40,38 @@ def producer_enclosures(table, x, v, h, ds):
     ]
 
 
+FIELDS = ("norm_before", "norm_after", "d_plus", "d_minus")
+#: A subspace no test vector touches (their indices stay below 10): every v
+#: lies in it, and every iterate stays in its start's coset.
+FAR = Subspace([SparseVec.unit(1000)])
+SIGN_PROBLEM = "derivative evidence does not determine a shared sign"
+
+
+def certificate(x, v, h, stored):
+    """A certificate as the kernel reads it, field by field: unlike a
+    ``DescentCertificate``, its norm enclosures need not show a decrease."""
+    return SimpleNamespace(x=x, v=v, h=h, **dict(zip(FIELDS, stored)))
+
+
+def recomputed(budget, x, v, h, stored):
+    """Whether the kernel recomputes each stored enclosure, read off
+    ``kernel.verify_chain`` on the one-certificate chain from x in FAR's
+    coset, with a stream prefix walked for this call alone.  Every other
+    check is kept: the only other problem is the sign check's, raised
+    exactly when the stored derivative signs are not one definite sign."""
+    problems = kernel.verify_chain(budget, SimpleNamespace(
+        subspace=FAR, x0=x, certificates=[certificate(x, v, h, stored)]))
+    signs = stored[2].sign(), stored[3].sign()
+    assert (f"step 0: {SIGN_PROBLEM}" in problems) == (signs[0] == 0 or signs[0] != signs[1])
+    assert all(p.endswith((" does not recompute", SIGN_PROBLEM)) for p in problems), problems
+    return [f"step 0: {name} does not recompute" not in problems for name in FIELDS]
+
+
 @settings(max_examples=60, deadline=None)
 @given(vectors, vectors, steps, st.lists(depths, min_size=4, max_size=4))
 def test_accepts_producer_enclosures(table, x, v, h, ds):
     stored = producer_enclosures(table, x, v, h, ds)
-    assert enclosures_match(table, x, v, h, stored) == [True] * 4
+    assert recomputed(table.depth_budget, x, v, h, stored) == [True] * 4
 
 
 def moved(enc, field, delta):
@@ -67,7 +97,7 @@ def test_rejects_a_moved_endpoint(table, x, v, h, ds, which, field, j, sign):
     stored[which] = tampered
     expected = [True] * 4
     expected[which] = False
-    assert enclosures_match(table, x, v, h, stored) == expected
+    assert recomputed(table.depth_budget, x, v, h, stored) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -82,7 +112,7 @@ def test_rejects_a_moved_depth(table, x, v, h, ds, which, delta):
     stored[which] = moved(stored[which], "depth", delta)
     expected = [True] * 4
     expected[which] = False
-    assert enclosures_match(table, x, v, h, stored) == expected
+    assert recomputed(table.depth_budget, x, v, h, stored) == expected
 
 
 def test_majorant_matches_the_producer():
@@ -105,7 +135,7 @@ def test_out_of_range_depth_raises_in_field_order(bad, error, message):
     stored[1] = Enclosure(stored[1].lo, stored[1].hi, bad)
     stored[3] = Enclosure(stored[3].lo, stored[3].hi, other)
     with pytest.raises(error, match=message):
-        enclosures_match(table, x, v, h, stored)
+        recomputed(table.depth_budget, x, v, h, stored)
 
 
 def test_kernel_shares_only_the_stream_with_the_producer():
@@ -157,24 +187,44 @@ def test_stream_growth_check_is_an_explicit_raise(monkeypatch):
 
 
 def test_prefix_extended_across_levels_matches_the_producer():
-    """One table's prefix grown in steps that cross into levels 3 and 4,
-    where the lcm of the denominators changes from 1 to 2 to 6."""
+    """Prefixes that end in levels 3 and 4, where the lcm of the
+    denominators changes from 1 to 2 to 6: one per call, and one for a
+    chain whose shallower certificates read the deepest one's rows."""
     table = canonical_table()
     x, v, h = SparseVec({1: Fraction(2, 3), 2: -1, 5: Fraction(1, 7)}), SparseVec({3: 1, 4: -2}), Fraction(1, 4)
+    certs, point = [], x
     for depth in (4, 10, 11, 40, 354, 355, 12):
-        stored = producer_enclosures(table, x, v, h, [depth] * 4)
-        assert enclosures_match(table, x, v, h, stored) == [True] * 4, depth
+        stored = producer_enclosures(table, point, v, h, [depth] * 4)
+        assert recomputed(table.depth_budget, point, v, h, stored) == [True] * 4, depth
+        certs.append(certificate(point, v, h, stored))
+        point = point + v.scale(h)
+    chain = SimpleNamespace(subspace=FAR, x0=x, certificates=certs)
+    problems = kernel.verify_chain(table.depth_budget, chain)
+    assert all(p.endswith(SIGN_PROBLEM) for p in problems), problems
 
 
-def test_prefix_lives_no_longer_than_its_table():
-    held = len(kernel._PREFIXES)
-    table = canonical_table()
-    x, v, h = SparseVec({1: 1, 2: Fraction(1, 2)}), SparseVec({3: 1}), Fraction(1, 8)
-    enclosures_match(table, x, v, h, producer_enclosures(table, x, v, h, [6] * 4))
-    assert len(kernel._PREFIXES) == held + 1
-    del table
-    gc.collect()
-    assert len(kernel._PREFIXES) == held
+def test_a_verify_call_leaves_no_state_in_the_kernel(table):
+    """Each call walks its own prefix: the kernel module holds no container
+    a call could fill, and a call rebinds none of its names."""
+    H = Subspace([SparseVec.unit(1), SparseVec.unit(2)])
+    chain = minimizing_sequence(table, H, SparseVec({1: 1, 2: Fraction(1, 2)}), 2)
+    mutable = (MutableMapping, MutableSequence, MutableSet)
+    before = dict(vars(kernel))
+    assert not [name for name, value in before.items()
+                if not name.startswith("__") and isinstance(value, mutable)]
+    assert kernel.verify_chain(table.depth_budget, chain) == []
+    after = dict(vars(kernel))
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+
+
+def test_descent_verify_chain_is_one_kernel_call():
+    """The verdict has one home: ``descent.verify_chain`` hands the chain
+    and the table's depth budget to ``kernel.verify_chain``."""
+    (fn,) = ast.parse(inspect.getsource(descent.verify_chain)).body
+    docstring, *body = fn.body
+    assert isinstance(docstring.value, ast.Constant)
+    assert [ast.unparse(node) for node in body] == ["return kernel.verify_chain(table.depth_budget, chain)"]
 
 
 @pytest.mark.parametrize("tamper", ["none", "norm_after.lo", "d_plus.depth"])
@@ -234,7 +284,7 @@ def test_the_kernel_reads_any_positive_denominator(table, x, v, h, ds, c):
         d, idx, nums = y.integers()
         return vectors_module._vec(c * d, idx, tuple(c * n for n in nums))
 
-    assert enclosures_match(table, scaled(x), scaled(v), h, stored) == [True] * 4
+    assert recomputed(table.depth_budget, scaled(x), scaled(v), h, stored) == [True] * 4
 
 
 @pytest.mark.parametrize("den", [0, -3])
@@ -243,9 +293,9 @@ def test_the_kernel_checks_a_denominator_is_positive(table, den):
     v = SparseVec.unit(2)
     stored = producer_enclosures(table, SparseVec.unit(1), v, Fraction(1, 2), [3] * 4)
     with pytest.raises(PreconditionError, match=f"vector denominator {den} is not positive"):
-        enclosures_match(table, x, v, Fraction(1, 2), stored)
+        recomputed(table.depth_budget, x, v, Fraction(1, 2), stored)
     with pytest.raises(PreconditionError, match=f"vector denominator {den} is not positive"):
-        enclosures_match(table, v, x, Fraction(1, 2), stored)
+        recomputed(table.depth_budget, v, x, Fraction(1, 2), stored)
 
 
 def test_the_kernel_ignores_a_stored_zero(table):
@@ -254,4 +304,118 @@ def test_the_kernel_ignores_a_stored_zero(table):
     v, h = SparseVec({1: 1, 2: -2}), Fraction(1, 4)
     stored = producer_enclosures(table, SparseVec.zero(), v, h, [5] * 4)
     x = vectors_module._vec(1, (1,), (0,))
-    assert enclosures_match(table, x, v, h, stored) == [True] * 4
+    assert recomputed(table.depth_budget, x, v, h, stored) == [True] * 4
+
+
+# -- the verdict against the producer's arithmetic ----------------------------
+
+
+def oracle_verify_chain(table, chain):
+    """The verdict as the producer's arithmetic composes it: chaining by
+    ``next_point``, membership and the coset by ``pair`` through
+    ``Subspace.contains`` and ``Subspace.pairings``, signs by
+    ``Enclosure.sign``, and each enclosure recomputed by ``norms`` and
+    ``gateaux`` at its stored depth once every depth of the step is in
+    range, in field order."""
+    problems = []
+    H, budget = chain.subspace, table.depth_budget
+    base = H.pairings(chain.x0)
+    x = chain.x0
+    for t, cert in enumerate(chain.certificates):
+        stored = [getattr(cert, name) for name in FIELDS]
+        for enc in stored:
+            if enc.depth < 1:
+                raise PreconditionError("depth must be >= 1")
+            if enc.depth > budget:
+                raise DepthBudgetError(f"table index {budget + 1} exceeds depth budget {budget}")
+        if cert.x != x:
+            problems.append(f"step {t}: base point does not chain")
+        if not H.contains(cert.v):
+            problems.append(f"step {t}: v is not in the subspace")
+        fresh = producer_enclosures(table, cert.x, cert.v, cert.h, [enc.depth for enc in stored])
+        for name, enc, own in zip(FIELDS, stored, fresh):
+            if enc != own:
+                problems.append(f"step {t}: {name} does not recompute")
+        sign = cert.d_plus.sign()
+        if sign == 0 or sign != cert.d_minus.sign():
+            problems.append(f"step {t}: {SIGN_PROBLEM}")
+        x = cert.next_point()
+        if H.pairings(x) != base:
+            problems.append(f"step {t}: iterate left the coset")
+    return problems
+
+
+@pytest.fixture(scope="module")
+def emitted_chains(table):
+    """Two emitted 3-step chains: on ker(e1, e2), its enclosures at depth
+    37, and on the kernel of two functionals of wider support, at depth 4
+    (where an entry past index 4 is invisible to every enclosure)."""
+    runs = [
+        ([SparseVec.unit(1), SparseVec.unit(2)], {1: Fraction(1, 3), 2: 1, 6: Fraction(-2, 5)}),
+        ([SparseVec({1: 1, 4: 1}), SparseVec({2: 1, 16: -2})],
+         {1: Fraction(3, 4), 2: Fraction(-1, 3), 6: Fraction(1, 2)}),
+    ]
+    chains = [minimizing_sequence(table, Subspace(phis), SparseVec(x0), 3) for phis, x0 in runs]
+    assert [len(chain.certificates) for chain in chains] == [3, 3]
+    return [chain.to_json() for chain in chains]
+
+
+small = st.sampled_from([Fraction(1, 3), -1, Fraction(-2, 5), Fraction(1, 7), 2])
+#: One tampered field of a chain document; its step is taken modulo the
+#: document's step count.
+tampers = st.one_of(
+    st.tuples(st.just("entry"), st.sampled_from(["x0", "x", "v"]), st.integers(0, 2),
+              st.sampled_from([1, 2, 4, 5, 6, 37]), small),
+    st.tuples(st.just("h"), st.integers(0, 2), st.sampled_from([2, Fraction(1, 2), -1, 3])),
+    st.tuples(st.just("end"), st.integers(0, 2), st.sampled_from(FIELDS),
+              st.sampled_from(["lo", "hi"]), st.integers(1, 1600), st.sampled_from([1, -1])),
+    st.tuples(st.just("depth"), st.integers(0, 2), st.sampled_from(FIELDS),
+              st.sampled_from([-1, 1, "zero", "past"])),
+)
+
+
+def tamper(doc, change, budget):
+    kind, *args = change
+    certs = doc["certificates"]
+    if kind == "entry":
+        field, t, index, delta = args
+        vec = doc["x0"] if field == "x0" else certs[t % len(certs)][field]
+        value = parse_rational(vec.get(str(index), "0")) + delta
+        vec[str(index)] = format_rational(value)
+    elif kind == "h":
+        t, factor = args
+        cert = certs[t % len(certs)]
+        cert["h"] = format_rational(parse_rational(cert["h"]) * factor)
+    elif kind == "end":
+        t, field, end, j, sign = args
+        enc = certs[t % len(certs)][field]
+        enc[end] = format_rational(parse_rational(enc[end]) + sign * Fraction(1, 1 << j))
+    else:
+        t, field, move = args
+        enc = certs[t % len(certs)][field]
+        enc["depth"] = 0 if move == "zero" else budget + 1 if move == "past" else enc["depth"] + move
+
+
+def verdict_of(check, *args):
+    try:
+        return "problems", check(*args)
+    except Exception as exc:  # the verdict names it
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 1), st.integers(1, 3), st.lists(tampers, min_size=1, max_size=2))
+def test_the_kernel_verdict_equals_the_producer_oracle(table, emitted_chains, which, steps, changes):
+    """On 1-3 steps of an emitted chain with one or two fields tampered,
+    ``descent.verify_chain`` gives the oracle's problems, or raises its
+    exception.  A document that no longer decodes (crossed ends, no
+    decrease) is the reader's concern, not the verdict's."""
+    doc = json.loads(json.dumps(emitted_chains[which]))
+    doc["certificates"] = doc["certificates"][:steps]
+    for change in changes:
+        tamper(doc, change, table.depth_budget)
+    try:
+        chain = DescentChain.from_json(doc)
+    except (ValueError, ProxinormError):
+        assume(False)
+    assert verdict_of(verify_chain, table, chain) == verdict_of(oracle_verify_chain, table, chain)

@@ -238,7 +238,7 @@ def test_feasible_grid_agreement():
          (SparseVec({3: -1}), Fraction(0))],
     ]
     for rows in systems:
-        nvars = max(coeffs.max_support() for coeffs, _ in rows)
+        nvars = max(max(coeffs.support(), default=0) for coeffs, _ in rows)
         grid_hit = any(
             all(pair(c, SparseVec(dict(zip(range(1, nvars + 1), pt)))) <= r for c, r in rows)
             for pt in product(grid, repeat=nvars)
