@@ -20,7 +20,7 @@ _EXPORTS = {
     "demo": ("run_demo", "sign_table"),
     "descent": (
         "DescentCertificate", "DescentChain", "Subspace", "certify_descent",
-        "find_descent_direction", "minimizing_sequence", "verify_chain",
+        "minimizing_sequence", "verify_chain",
     ),
     "errors": (
         "BudgetError", "DepthBudgetError", "EliminationBudgetError", "HypothesisError",

@@ -137,7 +137,6 @@ class ConstructionTable:
         self._tags: List[int] = []
         self._occurrences: Dict[SparseVec, List[int]] = {}
         self._stream = _stream()
-        self._tail_memo: Dict[int, Fraction] = {}
         self._weight_tail_memo: Dict[int, Tuple[Fraction, Fraction]] = {}
 
     def __len__(self) -> int:
@@ -189,11 +188,7 @@ class ConstructionTable:
         """
         if K < 0:
             raise ValueError("K must be >= 0")
-        cached = self._tail_memo.get(K)
-        if cached is None:
-            cached = growth_tail_majorant(self.tag(K) + 1)
-            self._tail_memo[K] = cached
-        return cached
+        return growth_tail_majorant(self.tag(K) + 1)
 
     def weight_tail_bound(self, k: int) -> Tuple[Fraction, Fraction]:
         """Certified (lower, upper) bounds for sum over l > k of 2^(-a_l^2).
@@ -206,8 +201,8 @@ class ConstructionTable:
         small denominators without weakening either certificate.
 
         The bounds depend only on the table prefix, so each table memoizes
-        them per k; a repeat call returns the same tuple.  Every step of a
-        descent asks for the same few keys.
+        them per k; a repeat call returns the same tuple.  The repeats come
+        from :func:`demo.run_demo`, which builds one report per base point.
         """
         if k < 0:
             raise ValueError("k must be >= 0")

@@ -77,7 +77,7 @@ def build_fan(n: int, phi1: SparseVec, phi2: SparseVec) -> Tuple[FanFunctional, 
 
     All midpoint angles lie strictly inside (0, pi/2), so both
     coefficients are certified positive.  Cached, the package's one fan
-    cache: a descent asks for the same fan at every step.
+    cache: it serves repeated calls within one process.
     """
     if n < 2:
         raise PreconditionError("the fan construction needs codimension >= 2")

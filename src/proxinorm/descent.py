@@ -26,7 +26,7 @@ from itertools import combinations, islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import kernel
-from .approxlin import REPORT_DEPTH, LinearityReport, _margin_parts, build_report, coherence_margin
+from .approxlin import REPORT_DEPTH, LinearityReport, _margin_parts, build_report
 from .construction import ConstructionTable
 from .demo import build_fan, fan_probes
 from .errors import InputFormatError, PreconditionError, SearchBudgetError
@@ -38,6 +38,7 @@ from .vectors import (
     SparseVec,
     _parts_less,
     bits_for_target,
+    dyadic_sum,
     floor_pow2,
     format_rational,
     pair,
@@ -97,7 +98,6 @@ class SignEvidence:
 
     d_plus: Enclosure
     d_minus: Enclosure
-    margin: Fraction
     step_cap: Fraction
 
     @property
@@ -257,15 +257,16 @@ def _best_direction(
             best = (parts, v)
     if best is None:
         return None
-    v = best[1]
-    return coherence_margin(report, v), v
+    return dyadic_sum([best[0]]), best[1]
 
 
 def _sign_evidence(
-    table: ConstructionTable, x: SparseVec, v: SparseVec, report: LinearityReport, margin: Fraction
+    table: ConstructionTable, x: SparseVec, v: SparseVec, report: LinearityReport,
+    margin: Fraction, previous: Optional[SignEvidence],
 ) -> SignEvidence:
     """The step cap at x and the derivative enclosures refined below the
-    margin."""
+    margin; an enclosure equal to ``previous``'s (the last step's evidence,
+    or None) is ``previous``'s object."""
     # Usable indices satisfy |x_i| < |<x, z_j>| and |x_i| < sup_norm(x);
     # cap the step to keep both strict along the ray, so no tag is ever
     # excluded by later reports and descent can continue indefinitely.
@@ -280,42 +281,11 @@ def _sign_evidence(
         cap = bound if cap is None or bound < cap else cap
 
     bits = bits_for_target(margin / (1 << SIGN_GUARD_BITS))
-    return SignEvidence(dplus_norm(table, x, v, bits), dminus_norm(table, x, v, bits), margin, cap)
-
-
-def find_descent_direction(
-    table: ConstructionTable, subspace: Subspace, x: SparseVec
-) -> Optional[Tuple[SparseVec, SignEvidence, LinearityReport]]:
-    """Search for v in H with certified matching one-sided derivative signs.
-
-    Enumerates kernel directions over small usable-index supports and
-    keeps the candidate with the largest exact coherence margin
-    (:func:`_best_direction`); a positive margin is then certified by
-    derivative enclosures refined below it.  Returns None when the
-    budgeted search finds no positive margin -- never a disproof of
-    existence.
-
-    Supports often share a direction (unit vectors, when the functionals
-    vanish on the usable indices); ``MAX_CANDIDATES`` counts supports,
-    not distinct directions.
-    """
-    if all(p == 0 for p in subspace.pairings(x)):
-        raise PreconditionError("x lies in the subspace; the coset is trivial")
-    probes = build_probes(table, subspace, x)
-    report = build_report(table, x, probes, REPORT_DEPTH)
-    size = subspace.codimension + 1
-    if len(report.usable) < size:
-        return None
-
-    best = _best_direction(report, (
-        v
-        for support in _candidate_supports(report.usable, size)
-        for v in kernel_directions(subspace.functionals, support)
-    ))
-    if best is None:
-        return None
-    margin, v = best
-    return v, _sign_evidence(table, x, v, report, margin), report
+    d_plus, d_minus = dplus_norm(table, x, v, bits), dminus_norm(table, x, v, bits)
+    if previous is not None:
+        d_plus = previous.d_plus if d_plus == previous.d_plus else d_plus
+        d_minus = previous.d_minus if d_minus == previous.d_minus else d_minus
+    return SignEvidence(d_plus, d_minus, cap)
 
 
 def certify_descent(
@@ -445,12 +415,18 @@ def minimizing_sequence(
     certificate's ``norm_after`` is handed to the next line search, so
     consecutive certificates usually share one enclosure object.
 
-    One ray per chain.  :func:`find_descent_direction` runs once, at x0:
-    its probes, report r = x0, direction v and margin serve every step,
-    and a later step reads the new iterate x only in the step cap, the
-    derivative evidence and the line search.  That is exact: the report
-    built at x from x0's probes differs from the one built at r in its
-    ``x`` field alone, given four facts that are checked exactly:
+    The search runs once, at x0: :func:`build_probes`, the report r = x0,
+    and :func:`_best_direction` over the kernel directions of the first
+    ``MAX_CANDIDATES`` usable-index supports (supports, not distinct
+    directions).  No positive margin stops the chain, which never
+    disproves existence.
+
+    One ray per chain: x0's probes, report, direction v and margin serve
+    every step, and a step reads its iterate x only in the step cap, the
+    derivative evidence (refined below the margin) and the line search.
+    That is exact: the report built at x from x0's probes differs from
+    the one built at r in its ``x`` field alone, given four facts that
+    are checked exactly:
 
     (a) <x, z_j> = <r, z_j> for every probe z_j;
     (b) sup|x| = sup|r|, attained on the same indices;
@@ -469,37 +445,45 @@ def minimizing_sequence(
     wins with the same margin.
 
     The facts hold at every iterate of one ray x = r + (h_1 + ... + h_t) v:
-    v lies on usable indices, which avoid every probe support, so (a)
-    holds; each step's cap keeps every touched |x_i| strictly below both
-    thresholds of the point it leaves, which gives (d) and, with (c),
-    keeps the sup where it is, off supp v, so (b) holds.  A failed check
-    therefore contradicts the argument, and raises ``RuntimeError``.
+    at x = r, because usable indices are neither sup-active nor dominated;
+    later, because v lies on usable indices, which avoid every probe
+    support, so (a) holds, and each step's cap keeps every touched |x_i|
+    strictly below both thresholds of the point it leaves, which gives
+    (d) and, with (c), keeps the sup where it is, off supp v, so (b)
+    holds.  A failed check therefore contradicts the argument, and raises
+    ``RuntimeError``.
 
-    A derivative enclosure equal to the previous step's is the previous
-    step's object, so the certificates of one ray share one v and, while
-    the enclosures repeat, one ``d_plus`` and one ``d_minus``.
+    The certificates of one ray share one v and, while the derivative
+    enclosures repeat, one ``d_plus`` and one ``d_minus``
+    (:func:`_sign_evidence`).
     """
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
+    if all(p == 0 for p in subspace.pairings(x0)):
+        raise PreconditionError("x lies in the subspace; the coset is trivial")
     chain = DescentChain(subspace=subspace, x0=x0)
     try:
-        found = find_descent_direction(table, subspace, x0)
+        probes = build_probes(table, subspace, x0)
     except SearchBudgetError:
         chain.stop_reason = "probe_budget"
         return chain
-    if found is None:  # for either reason; the report at x0 tells which
-        usable = build_report(table, x0, build_probes(table, subspace, x0), REPORT_DEPTH).usable
-        few = len(usable) < subspace.codimension + 1
-        chain.stop_reason = "too_few_usable" if few else "no_positive_margin"
+    report = build_report(table, x0, probes, REPORT_DEPTH)
+    size = subspace.codimension + 1
+    if len(report.usable) < size:
+        chain.stop_reason = "too_few_usable"
         return chain
-    v, evidence, report = found
-    x, norm_x = x0, None
+    best = _best_direction(report, (v for support in _candidate_supports(report.usable, size)
+                                    for v in kernel_directions(subspace.functionals, support)))
+    if best is None:
+        chain.stop_reason = "no_positive_margin"
+        return chain
+    margin, v = best
+    x, norm_x, evidence = x0, None, None
     chain.stop_reason = "completed"
-    for t in range(steps):
-        if t:
-            if not _on_ray(report, v, x):
-                raise RuntimeError("the report of the ray does not hold at x")
-            evidence = _shared(_sign_evidence(table, x, v, report, evidence.margin), evidence)
+    for _ in range(steps):
+        if not _on_ray(report, v, x):
+            raise RuntimeError("the report of the ray does not hold at x")
+        evidence = _sign_evidence(table, x, v, report, margin, evidence)
         try:
             cert = certify_descent(table, subspace, x, v, evidence, norm_x)
         except SearchBudgetError:
@@ -509,19 +493,6 @@ def minimizing_sequence(
         x = cert.next_point()
         norm_x = cert.norm_after
     return chain
-
-
-def _shared(evidence: SignEvidence, previous: Optional[SignEvidence]) -> SignEvidence:
-    """``evidence``, each derivative enclosure equal to ``previous``'s being
-    ``previous``'s object."""
-    if previous is None:
-        return evidence
-    return SignEvidence(
-        previous.d_plus if evidence.d_plus == previous.d_plus else evidence.d_plus,
-        previous.d_minus if evidence.d_minus == previous.d_minus else evidence.d_minus,
-        evidence.margin,
-        evidence.step_cap,
-    )
 
 
 def _on_ray(report: LinearityReport, v: SparseVec, x: SparseVec) -> bool:

@@ -5,9 +5,9 @@ its points.  It enumerates the canonical (vector, tag) stream itself, in
 integers, from the definition in the ``construction`` module docstring,
 and shares only ``EXACT_HEAD_TERMS`` with the producer: it reads no
 ``ConstructionTable`` (it is given only the depth budget), no sums from
-``norms`` and ``gateaux``, of ``vectors`` only ``Enclosure`` and
-``SparseVec``, and no tail memo.  A fault in a producer fast path cannot
-hide in its own check.
+``norms`` and ``gateaux``, and of ``vectors`` only ``Enclosure`` and
+``SparseVec``.  A fault in a producer fast path cannot hide in its own
+check.
 
 A stream entry is a tuple of (index, p, q), p/q in lowest terms, with its
 tag; the tag's ceil(l1) is taken over the lcm of its level's denominators,

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import pickle
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from proxinorm import demo, descent
 from proxinorm.approxlin import (
+    REPORT_DEPTH,
     LinearityReport,
     _margin_parts,
     build_report,
@@ -27,14 +29,13 @@ from proxinorm.descent import (
     _candidate_supports,
     build_probes,
     certify_descent,
-    find_descent_direction,
     minimizing_sequence,
     verify_chain,
 )
 from proxinorm.errors import InputFormatError, PreconditionError, SearchBudgetError
 from proxinorm.linalg import kernel_directions, rank
 from proxinorm.norms import enclosure_at_depth
-from proxinorm.vectors import SparseVec, format_rational, pair
+from proxinorm.vectors import Enclosure, SparseVec, dyadic_sum, format_rational, pair
 
 
 def codim2_subspace():
@@ -69,23 +70,54 @@ def test_probes_are_admissible(table):
         assert table.occurrence_positions(z, descent.REPORT_DEPTH)
 
 
-def test_find_direction_codim2(table):
-    H = codim2_subspace()
-    x = generic_point()
-    found = find_descent_direction(table, H, x)
-    assert found is not None
-    v, evidence, report = found
-    assert H.contains(v)  # exact kernel membership
-    assert evidence.margin > 0
-    assert evidence.d_plus.sign() in (1, -1)
-    assert evidence.d_plus.sign() == evidence.d_minus.sign()
-    assert set(v.support()) <= set(report.usable)
+def test_sign_evidence_holds_only_matching_definite_signs():
+    """Evidence is the two derivative enclosures and the step cap; it
+    rejects a sign the enclosures leave open, signs that disagree and a
+    cap that is not positive, also under python -O."""
+    neg, pos = Enclosure(Fraction(-3), Fraction(-1), 5), Enclosure(Fraction(1), Fraction(2), 5)
+    straddle = Enclosure(Fraction(-1), Fraction(1), 5)
+    evidence = descent.SignEvidence(neg, neg, Fraction(1, 8))
+    assert [f.name for f in dataclasses.fields(evidence)] == ["d_plus", "d_minus", "step_cap"]
+    assert evidence.shared_sign == -1
+    for d_plus, d_minus, cap in [(straddle, straddle, 1), (neg, pos, 1), (pos, pos, 0), (pos, pos, -1)]:
+        with pytest.raises(PreconditionError):
+            descent.SignEvidence(d_plus, d_minus, Fraction(cap))
 
 
 def _candidates(report, subspace):
     size = subspace.codimension + 1
     for support in _candidate_supports(report.usable, size):
         yield from kernel_directions(subspace.functionals, support)
+
+
+def search(table, subspace, x):
+    """The direction search of ``minimizing_sequence``, run at x from its
+    blocks: (v, margin, evidence, report), or None when the report has too
+    few usable indices or no candidate has a positive margin."""
+    report = build_report(table, x, build_probes(table, subspace, x), REPORT_DEPTH)
+    if len(report.usable) < subspace.codimension + 1:
+        return None
+    best = descent._best_direction(report, _candidates(report, subspace))
+    if best is None:
+        return None
+    margin, v = best
+    return v, margin, descent._sign_evidence(table, x, v, report, margin, None), report
+
+
+def test_find_direction_codim2(table):
+    H = codim2_subspace()
+    x = generic_point()
+    found = search(table, H, x)
+    assert found is not None
+    v, margin, evidence, report = found
+    assert H.contains(v)  # exact kernel membership
+    assert margin > 0
+    assert evidence.d_plus.sign() in (1, -1)
+    assert evidence.d_plus.sign() == evidence.d_minus.sign()
+    assert set(v.support()) <= set(report.usable)
+    # evidence equal to the previous step's reuses its enclosure objects
+    again = descent._sign_evidence(table, x, v, report, margin, evidence)
+    assert again == evidence and again.d_plus is evidence.d_plus and again.d_minus is evidence.d_minus
 
 
 def _reference_best(report, candidates):
@@ -107,21 +139,22 @@ def test_find_direction_scores_each_direction_once(table, criterion6_starts, mon
         scored.append(v)
         return _margin_parts(report, v)
 
-    def counting_margin(report, v):
-        normalised.append(v)
-        return coherence_margin(report, v)
+    def counting_sum(terms):
+        normalised.append(terms)
+        return dyadic_sum(terms)
 
     monkeypatch.setattr(descent, "_margin_parts", counting)
-    monkeypatch.setattr(descent, "coherence_margin", counting_margin)
+    monkeypatch.setattr(descent, "dyadic_sum", counting_sum)
     for x0 in criterion6_starts[:3]:
         scored.clear()
         normalised.clear()
-        v, evidence, report = find_descent_direction(table, H, x0)
+        v, margin, _, report = search(table, H, x0)
         candidates = list(_candidates(report, H))
         assert len(set(candidates)) < len(candidates)
         assert len(scored) == len(set(scored)) and set(scored) == set(candidates)
-        assert normalised == [v]  # only the winner's margin becomes a Fraction
-        assert (evidence.margin, v) == _reference_best(report, candidates)
+        # only the winner's margin becomes a Fraction, from the parts it was scored by
+        assert normalised == [[_margin_parts(report, v)]]
+        assert (margin, v) == _reference_best(report, candidates)
 
 
 def _non_dyadic(report, data):
@@ -168,16 +201,22 @@ def test_integer_scoring_ties_and_nonpositive_sets(criterion6_reports):
     assert descent._best_direction(report, [w, v])[1] == v
 
 
-def test_find_direction_rejects_point_inside_subspace(table):
-    H = codim2_subspace()
-    with pytest.raises(PreconditionError):
-        find_descent_direction(table, H, SparseVec.unit(5))
+def test_find_direction_rejects_point_inside_subspace(table, monkeypatch):
+    """The search never starts at a point of H: the precondition fails
+    before a probe is built."""
+
+    def no_probes(*args):
+        raise AssertionError("probes built for a point inside the subspace")
+
+    monkeypatch.setattr(descent, "build_probes", no_probes)
+    with pytest.raises(PreconditionError, match="lies in the subspace"):
+        minimizing_sequence(table, codim2_subspace(), SparseVec.unit(5), 3)
 
 
 def test_certify_descent_step_and_sign(table):
     H = codim2_subspace()
     x = generic_point()
-    v, evidence, _ = find_descent_direction(table, H, x)
+    v, _, evidence, _ = search(table, H, x)
     cert = certify_descent(table, H, x, v, evidence, None)
     # step sign opposes the shared derivative sign
     assert (cert.h < 0) == (evidence.shared_sign > 0)
@@ -192,7 +231,7 @@ def test_decrease_tracks_first_order_prediction(table):
     certified (small) step."""
     H = codim2_subspace()
     x = generic_point()
-    v, evidence, _ = find_descent_direction(table, H, x)
+    v, _, evidence, _ = search(table, H, x)
     cert = certify_descent(table, H, x, v, evidence, None)
     drop_lo = cert.norm_before.lo - cert.norm_after.hi
     drop_hi = cert.norm_before.hi - cert.norm_after.lo
@@ -269,7 +308,7 @@ def test_chains_copy_and_pickle_to_an_equal_chain(table):
 def test_verifier_detects_single_field_tampering(table):
     H = codim2_subspace()
     x = generic_point()
-    v, evidence, _ = find_descent_direction(table, H, x)
+    v, _, evidence, _ = search(table, H, x)
     cert = certify_descent(table, H, x, v, evidence, None)
     assert verify_chain(table, DescentChain(H, x, [cert])) == []
 
@@ -323,9 +362,9 @@ def test_descent_with_functional_supported_on_tag_range(table):
     """Kernel constraints that actually bind on the usable indices."""
     H = Subspace([SparseVec({1: 1, 4: 1}), SparseVec({2: 1, 16: -2})])
     x0 = SparseVec({1: Fraction(3, 4), 2: Fraction(-1, 3), 6: Fraction(1, 2)})
-    found = find_descent_direction(table, H, x0)
+    found = search(table, H, x0)
     assert found is not None
-    v, evidence, _ = found
+    v, _, evidence, _ = found
     assert H.contains(v)
     cert = certify_descent(table, H, x0, v, evidence, None)
     assert cert.norm_after.hi < cert.norm_before.lo
@@ -337,11 +376,11 @@ def test_codim1_search_is_honest(table):
     must never raise and never fabricate evidence."""
     H = Subspace([SparseVec.unit(1)])
     x = SparseVec({1: 1, 3: Fraction(1, 3)})
-    found = find_descent_direction(table, H, x)
+    found = search(table, H, x)
     if found is not None:
-        v, evidence, _ = found
+        v, margin, _, _ = found
         assert H.contains(v)
-        assert evidence.margin > 0
+        assert margin > 0
 
 
 def test_sequence_partial_chain_on_tiny_budget(table, monkeypatch):
@@ -504,16 +543,15 @@ def test_chain_certificates_share_enclosures(table, criterion6_starts):
 
 def per_step_chain(table, subspace, x0, steps):
     """The oracle: every step rebuilds the probes, the report, the direction
-    search and the derivative evidence, through the public per-step
-    functions."""
+    search and the derivative evidence, from the search's blocks."""
     chain = DescentChain(subspace=subspace, x0=x0)
     x, norm_x = x0, None
     for _ in range(steps):
         try:
-            found = find_descent_direction(table, subspace, x)
+            found = search(table, subspace, x)
             if found is None:
                 break
-            v, evidence, _report = found
+            v, _margin, evidence, _report = found
             cert = certify_descent(table, subspace, x, v, evidence, norm_x)
         except SearchBudgetError:
             break
@@ -551,15 +589,15 @@ def test_the_step_cap_scales_inversely_with_the_direction(table, criterion6_star
     stored over a denominator other than 1 keeps it in the cap."""
     H = Subspace([SparseVec.unit(1), SparseVec.unit(2)])
     x0 = criterion6_starts[0]
-    v, evidence, report = find_descent_direction(table, H, x0)
-    scaled = descent._sign_evidence(table, x0, v.scale(factor), report, evidence.margin)
+    v, margin, evidence, report = search(table, H, x0)
+    scaled = descent._sign_evidence(table, x0, v.scale(factor), report, margin, None)
     assert scaled.step_cap == evidence.step_cap / abs(factor)
 
 
-def test_a_chain_builds_its_probes_once(table, criterion6_starts, monkeypatch):
-    """One probe build and one direction search per chain, both at x0: a
-    later step re-checks the ray instead of rebuilding the probes."""
-    calls = {"build_probes": 0, "find_descent_direction": 0}
+def count_builds(monkeypatch):
+    """Counts of the calls to descent's ``build_probes`` and ``build_report``
+    (whatever stands there), filled in as they happen."""
+    calls = {"build_probes": 0, "build_report": 0}
 
     def counting(name):
         real = getattr(descent, name)
@@ -572,12 +610,19 @@ def test_a_chain_builds_its_probes_once(table, criterion6_starts, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(descent, name, counting(name))
+    return calls
+
+
+def test_a_chain_builds_its_probes_once(table, criterion6_starts, monkeypatch):
+    """One probe build and one report per chain, both at x0: a later step
+    re-checks the ray instead of rebuilding them."""
+    calls = count_builds(monkeypatch)
     H = codim2_subspace()
     for x0 in criterion6_starts:
         calls.update(dict.fromkeys(calls, 0))
         chain = minimizing_sequence(table, H, x0, 10)
-        assert len(chain.certificates) == 10
-        assert calls == {"build_probes": 1, "find_descent_direction": 1}
+        assert (len(chain.certificates), chain.stop_reason) == (10, "completed")
+        assert calls == {"build_probes": 1, "build_report": 1}
 
 
 def test_minimizing_sequence_rejects_a_start_inside_the_subspace(table):
@@ -605,9 +650,13 @@ SHORT_STOPS = [
 
 @pytest.mark.parametrize("module, name, stand_in, reason", SHORT_STOPS, ids=[r for *_, r in SHORT_STOPS])
 def test_a_short_chain_names_its_stop_reason(table, monkeypatch, module, name, stand_in, reason):
+    """The stop reason comes from the one search at x0: the probes are built
+    once, and the report once unless the probes ran out."""
     monkeypatch.setattr(module, name, stand_in)
+    calls = count_builds(monkeypatch)
     chain = minimizing_sequence(table, codim2_subspace(), generic_point(), 3)
     assert (chain.certificates, chain.stop_reason) == ([], reason)
+    assert calls == {"build_probes": 1, "build_report": int(reason != "probe_budget")}
 
 
 def test_a_stop_at_a_later_step_keeps_the_certificates_before_it(table, monkeypatch):
@@ -662,7 +711,7 @@ def test_the_ray_check_reads_every_fact(table):
     that a touched coordinate passes its thresholds, or a move off v."""
     H = codim2_subspace()
     r = generic_point()
-    v, evidence, report = find_descent_direction(table, H, r)
+    v, _, evidence, report = search(table, H, r)
     assert descent._on_ray(report, v, r)
     assert descent._on_ray(report, v, r + v.scale(evidence.step_cap))
     assert not descent._on_ray(report, v, r + v.scale(1000))
@@ -672,7 +721,7 @@ def test_the_ray_check_reads_every_fact(table):
 def test_certify_descent_reuses_a_known_norm_only_at_its_depth(table):
     H = codim2_subspace()
     x = generic_point()
-    v, evidence, _ = find_descent_direction(table, H, x)
+    v, _, evidence, _ = search(table, H, x)
     fresh = certify_descent(table, H, x, v, evidence, None)
     shallow = enclosure_at_depth(table, x, 2)
     assert shallow.depth != fresh.norm_before.depth
