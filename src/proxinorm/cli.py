@@ -35,27 +35,12 @@ def _read_text(path: str) -> str:
         raise InputFormatError(f"{path}: not UTF-8 text (byte {exc.start})")
 
 
-def _depth_budget(path: Optional[str]) -> int:
-    """The construction table's depth limit, the one configuration key.
-
-    Sources, later wins: the default, a file of ``key = value`` lines (#
-    comments allowed), then ``PROXINORM_DEPTH_BUDGET``.  The value is
+def _depth_budget() -> int:
+    """The construction table's depth limit, the one configuration key:
+    ``PROXINORM_DEPTH_BUDGET`` if set, else the default.  The value is
     decimal digits, parsed as JSON keys are, and at least 1.
     """
-    values = {}
-    if path is not None:
-        for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputFormatError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-        for key in values:
-            if key != "depth_budget":
-                raise InputFormatError(f"unknown config key {key!r}")
-    value = os.environ.get("PROXINORM_DEPTH_BUDGET", values.get("depth_budget"))
+    value = os.environ.get("PROXINORM_DEPTH_BUDGET")
     if value is None:
         return DEFAULT_DEPTH_BUDGET
     budget = parse_int(value.strip(), "config key 'depth_budget'", key=True)
@@ -218,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic series renorming of c0: certified norms, "
         "derivatives, linearity reports, and descent certificates.",
     )
-    parser.add_argument("--config", help="key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="dump a stream prefix as JSON lines")
@@ -270,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _depth_budget(args.config))
+        return args.func(args, _depth_budget())
     except BudgetError as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         return 2

@@ -203,6 +203,7 @@ class ConstructionTable:
         The bounds depend only on the table prefix, so each table memoizes
         them per k; a repeat call returns the same tuple.  The repeats come
         from :func:`demo.run_demo`, which builds one report per base point.
+        It reads none of the eps bounds it asks for.
         """
         if k < 0:
             raise ValueError("k must be >= 0")

@@ -640,44 +640,26 @@ def test_env_override_budget(tmp_path):
     assert "budget" in out.stderr
 
 
-def test_config_file(tmp_path):
+def test_config_option_is_a_usage_error(tmp_path):
+    """``PROXINORM_DEPTH_BUDGET`` is the one source of the depth budget:
+    there is no config file, and ``--config`` is an unknown option."""
     cfg = tmp_path / "proxinorm.toml"
-    cfg.write_text("# comment\ndepth_budget = 10\n")
-    out = run_cli("--config", str(cfg), "construct", "--k-max", "50")
-    assert out.returncode == 2
+    cfg.write_text("depth_budget = 10\n")
+    out = run_cli("--config", str(cfg), "construct", "--k-max", "1")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("usage: proxinorm")
 
 
 #: Values ``int()`` accepts but that are not decimal digits.
 NON_DIGIT_VALUES = {"underscore": "1_0", "plus": "+5", "arabic-indic": "\u0663"}
 
 
-@pytest.mark.parametrize("source", ["file", "env"])
+@pytest.mark.parametrize("source", ["env"])  # the variable is the key's one source
 @pytest.mark.parametrize("case", sorted(NON_DIGIT_VALUES))
-def test_config_value_must_be_decimal_digits(tmp_path, case, source):
+def test_config_value_must_be_decimal_digits(case, source):
     value = NON_DIGIT_VALUES[case]
-    if source == "file":
-        cfg = tmp_path / "proxinorm.toml"
-        cfg.write_text(f"depth_budget = {value}\n", encoding="utf-8")
-        out = run_cli("--config", str(cfg), "construct", "--k-max", "5")
-    else:
-        out = run_cli("construct", "--k-max", "5", env_extra={"PROXINORM_DEPTH_BUDGET": value})
+    out = run_cli("construct", "--k-max", "5", env_extra={"PROXINORM_DEPTH_BUDGET": value})
     assert_input_error(out, f"error: config key 'depth_budget' must be an integer, got {value!r}")
-
-
-def test_unknown_config_key(tmp_path):
-    cfg = tmp_path / "proxinorm.toml"
-    cfg.write_text("nonsense = 5\n")
-    out = run_cli("--config", str(cfg), "construct", "--k-max", "5")
-    assert out.returncode == 1
-    assert "nonsense" in out.stderr
-
-
-@pytest.mark.parametrize("key", ["precision_bits", "elimination_budget"])
-def test_removed_config_keys_are_unknown(tmp_path, key):
-    cfg = tmp_path / "proxinorm.toml"
-    cfg.write_text(f"{key} = 64\n")
-    out = run_cli("--config", str(cfg), "construct", "--k-max", "5")
-    assert_input_error(out, f"error: unknown config key {key!r}\n")
 
 
 def test_precision_environment_variable_is_ignored(tmp_path):
@@ -688,18 +670,6 @@ def test_precision_environment_variable_is_ignored(tmp_path):
     env = run_cli("norm", "--vec", vec, env_extra={"PROXINORM_PRECISION_BITS": "8"})
     assert (env.returncode, env.stdout, env.stderr) == (0, plain.stdout, "")
     assert run_cli("norm", "--vec", vec, "--bits", "8").stdout != plain.stdout
-
-
-@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
-def test_unreadable_config_file_exits_one(tmp_path, case):
-    cfg = tmp_path / "proxinorm.toml"
-    if case == "missing":
-        message = f"no such file: {cfg}"
-    else:
-        make, reason = UNREADABLE_INPUTS[case]
-        message = f"{make(cfg)}: {reason}"
-    out = run_cli("--config", str(cfg), "construct", "--k-max", "5")
-    assert_input_error(out, f"error: {message}\n")
 
 
 def test_descend_reports_a_short_chain_on_stderr(tmp_path, monkeypatch, capsys):

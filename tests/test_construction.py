@@ -162,11 +162,12 @@ def test_tail_majorant_is_built_in_lowest_terms(slope):
 
 def naive_weight_tail_bound(table, k):
     """(lower, upper) for sum over l > k of 2^(-a_l^2) in Fractions: the
-    exact head over EXACT_HEAD_TERMS positions rounded outward to the grain
+    exact head over EXACT_HEAD_TERMS positions (fewer where the depth
+    budget cuts it short) rounded outward to the grain
     2^(-(a^2+4a+16)), a = a_k, the upper one plus the square-series majorant
     from the next tag on, also rounded up to the grain."""
     a = table.tag(k)
-    last = k + EXACT_HEAD_TERMS
+    last = min(k + EXACT_HEAD_TERMS, table.depth_budget)
     E = table.tag(last) ** 2
     head = Fraction(sum(2 ** (E - table.tag(l) ** 2) for l in range(k + 1, last + 1)), 2 ** E)
     grain = 2 ** (a * a + 4 * a + 16)
@@ -191,6 +192,19 @@ def test_report_eps_bounds_match_naive_weight_tail_bound(table, criterion6_start
             assert report.eps_lo[i] == lo * 2 ** (i * i)
             assert report.eps_hi[i] == hi * 2 ** (i * i)
     assert len(expected) > 1
+
+
+def test_weight_tail_bound_matches_naive_to_the_depth_budget(table):
+    """Full heads deep in the default table, and every k of the last 50
+    positions of a 120-entry table, whose heads the budget cuts short;
+    at k = 120 no head is left."""
+    for k in (100, 200, 300, 399):
+        assert table.weight_tail_bound(k) == naive_weight_tail_bound(table, k), k
+    short = ConstructionTable(120)
+    for k in range(71, 120):
+        assert short.weight_tail_bound(k) == naive_weight_tail_bound(short, k), k
+    with pytest.raises(DepthBudgetError):
+        short.weight_tail_bound(120)
 
 
 def test_growth_prefix_dyadic_matches_fractions(table):

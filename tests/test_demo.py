@@ -8,6 +8,7 @@ import pytest
 from conftest import rref_determinant
 from proxinorm import demo
 from proxinorm.approxlin import build_report, span_match_feasible
+from proxinorm.construction import ConstructionTable, canonical_table
 from proxinorm.demo import (
     _predicted_rows,
     build_fan,
@@ -144,6 +145,18 @@ def test_run_demo_narrative(table):
     # the ladder runs from 0 up to a quarter turn
     assert ladder[0].lo == 0 and ladder[0].hi == 0
     assert 0 < ladder[-1].lo and ladder[-1].hi < 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_run_demo_reads_no_eps_bound(monkeypatch, n):
+    """The walkthrough reads a report's usable indices, blocks and gamma,
+    never its eps bounds: the crudest weight tail bound, [0, 1], leaves
+    the output as it is."""
+    expected = run_demo(canonical_table(), n)
+    monkeypatch.setattr(
+        ConstructionTable, "weight_tail_bound", lambda self, k: (Fraction(0), Fraction(1))
+    )
+    assert run_demo(canonical_table(), n) == expected
 
 
 def test_determinant_rejects_non_square():

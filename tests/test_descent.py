@@ -312,12 +312,12 @@ def test_verifier_detects_single_field_tampering(table):
     cert = certify_descent(table, H, x, v, evidence, None)
     assert verify_chain(table, DescentChain(H, x, [cert])) == []
 
-    good = cert.to_json()
+    good = DescentChain(H, x, [cert]).to_json()
 
     def tampered(mutate):
-        data = DescentCertificate.from_json(good).to_json()
-        mutate(data)
-        return DescentCertificate.from_json(data)
+        data = copy.deepcopy(good)
+        mutate(data["certificates"][0])
+        return DescentChain.from_json(data)
 
     tampers = [
         lambda d: d["x"].__setitem__("5", "1/3"),
@@ -334,7 +334,7 @@ def test_verifier_detects_single_field_tampering(table):
             bad = tampered(mutate)
         except Exception:
             continue  # tamper rejected at parse time: also a detection
-        assert verify_chain(table, DescentChain(H, x, [bad])) != [], "tamper not detected"
+        assert verify_chain(table, bad) != [], "tamper not detected"
 
 
 def test_norm_after_tamper_that_fakes_progress_is_caught(table):

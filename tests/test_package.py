@@ -92,6 +92,55 @@ def test_every_export_has_a_user():
     assert sorted(set(proxinorm.__all__) - used) == []
 
 
+def _is_os(node, attr):
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def environment_reads(source):
+    """The environment variables a module's source reads, one name per read:
+    ``os.environ.get(NAME, ...)``, ``os.environ[NAME]`` or ``os.getenv(NAME,
+    ...)``.  Any other use of ``os.environ`` or ``os.getenv``, a name that is
+    not a string literal, or either imported from ``os`` reads None."""
+    tree = ast.parse(source)
+    reads, named = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_os(node.value, "environ"):
+            used, key = node.value, node.slice
+        elif isinstance(node, ast.Call) and node.args and _is_os(node.func, "getenv"):
+            used, key = node.func, node.args[0]
+        elif (isinstance(node, ast.Call) and node.args and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and _is_os(node.func.value, "environ")):
+            used, key = node.func.value, node.args[0]
+        else:
+            continue
+        named.add(used)
+        reads.append(key.value if isinstance(key, ast.Constant) else None)
+    for node in ast.walk(tree):
+        if (_is_os(node, "environ") or _is_os(node, "getenv")) and node not in named:
+            reads.append(None)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads.extend(None for a in node.names if a.name in ("environ", "getenv", "*"))
+    return reads
+
+
+def test_src_reads_one_environment_variable():
+    """``PROXINORM_DEPTH_BUDGET`` is the package's one knob outside the
+    command line, and ``cli.py`` alone reads it: a second variable, or a
+    second read, fails here."""
+    found = [
+        (path.name, name)
+        for path in sorted((ROOT / "src" / "proxinorm").glob("*.py"))
+        for name in environment_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("cli.py", "PROXINORM_DEPTH_BUDGET")]
+    sample = (
+        "import os\nfrom os import getenv\nos.getenv('A')\nos.environ['B']\n"
+        "os.environ.get('C', '1')\nos.environ.get(name)\ndict(os.environ)\n"
+    )
+    assert sorted(environment_reads(sample), key=str) == ["A", "B", "C", None, None, None]
+
+
 def defaulted_parameters(path):
     """(def name, parameter name, position or None) for every parameter with
     a default of a public function or of a public method of a public class;
